@@ -142,10 +142,6 @@ bool avx2_available();
 /// True when the SSE4.1 (4 x i32) engine can run on this CPU and build.
 bool sse41_available();
 
-/// True when `kind` computes in saturating i16 lanes (scores clamp at
-/// INT16_MAX; the kernel throws only when saturation actually occurs).
-bool engine_uses_i16(EngineKind kind);
-
 /// Element precision `kind` computes in: kI8/kI16 for the fixed saturating
 /// engines, kI32 for scalar/striped/general-gap/i32-SIMD kinds, kAdaptive
 /// for the auto engines (which escalate per group at runtime).

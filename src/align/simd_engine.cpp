@@ -286,19 +286,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
   return nullptr;  // unreachable
 }
 
-bool engine_uses_i16(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSimd4:
-    case EngineKind::kSimd8:
-    case EngineKind::kSimd16:
-    case EngineKind::kSimd4Generic:
-    case EngineKind::kSimd8Generic:
-      return true;
-    default:
-      return false;
-  }
-}
-
 Precision engine_precision(EngineKind kind) {
   switch (kind) {
     case EngineKind::kSimd4:

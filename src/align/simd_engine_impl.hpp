@@ -112,7 +112,7 @@ class SimdEngineT final : public Engine {
                       "scoring exceeds the u8 biased-profile range; use an "
                       "adaptive (auto) or wider engine");
     }
-    run_simd_group<Ops>(job, out, stripe_, scratch_, &profile_);
+    run_simd_group<Ops>(job, out, stripe_, scratch_, profile_);
     note_sweep<typename Ops::Elem>(stats_);
   }
 
@@ -124,41 +124,19 @@ class SimdEngineT final : public Engine {
   PrecisionStats stats_;
 };
 
-/// Runs Base's i16 ops pairwise over two registers, presenting twice the
-/// lanes: element p of the pumped vector lives in register p / Base::kLanes.
-/// This gives the adaptive driver an i16 kernel with the *same* lane count
-/// and interleaved layout as its u8 kernel, so escalation changes only the
-/// element width — never the group geometry or checkpoint shape.
+/// Base's i16 lanes twice over: 2 x Base::kLanes lanes, the vector spread
+/// over two Base registers (element p in register p / Base::kLanes). The
+/// kernel sweeps each register's lanes as a separate part, so only the
+/// shape is declared here. This gives the adaptive engine an i16 kernel with
+/// the *same* lane count and interleaved layout as its u8 kernel, so
+/// escalation changes only the element width — never the group geometry or
+/// checkpoint shape.
 template <class Base>
 struct DoublePumpOps {
   static constexpr int kLanes = 2 * Base::kLanes;
   using Elem = typename Base::Elem;
   static constexpr bool kSaturating = Base::kSaturating;
-  struct Vec {
-    typename Base::Vec lo, hi;
-  };
-
-  static Vec zero() { return {Base::zero(), Base::zero()}; }
-  static Vec set1(Elem x) { return {Base::set1(x), Base::set1(x)}; }
-  static Vec load(const Elem* p) {
-    return {Base::load(p), Base::load(p + Base::kLanes)};
-  }
-  static void store(Elem* p, Vec a) {
-    Base::store(p, a.lo);
-    Base::store(p + Base::kLanes, a.hi);
-  }
-  static Vec max(Vec a, Vec b) {
-    return {Base::max(a.lo, b.lo), Base::max(a.hi, b.hi)};
-  }
-  static Vec adds(Vec a, Vec b) {
-    return {Base::adds(a.lo, b.lo), Base::adds(a.hi, b.hi)};
-  }
-  static Vec subs(Vec a, Vec b) {
-    return {Base::subs(a.lo, b.lo), Base::subs(a.hi, b.hi)};
-  }
-  static Vec and_(Vec a, Vec b) {
-    return {Base::and_(a.lo, b.lo), Base::and_(a.hi, b.hi)};
-  }
+  using Part = Base;
 };
 
 template <class Ops8, class Ops16>
@@ -202,7 +180,7 @@ class AdaptiveEngineT final : public Engine {
       if (j8.resume != nullptr && j8.resume->elem_size != 1)
         j8.resume = nullptr;
       bool sat = false;
-      run_simd_group<Ops8>(j8, out, stripe8_, scratch8_, &profile8_, &sat);
+      run_simd_group<Ops8>(j8, out, stripe8_, scratch8_, profile8_, &sat);
       note_sweep<std::uint8_t>(stats_);
       if (!sat) return;
       // Escalate: outputs and staged checkpoints from the u8 attempt are
@@ -216,7 +194,7 @@ class AdaptiveEngineT final : public Engine {
     GroupJob j16 = job;
     if (j16.resume != nullptr && j16.resume->elem_size != 2)
       j16.resume = nullptr;
-    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, &profile16_);
+    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, profile16_);
     note_sweep<std::int16_t>(stats_);
   }
 

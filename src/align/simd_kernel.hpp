@@ -15,7 +15,7 @@
 //     strictly negative and never win). This is the paper's "corrections for
 //     the left and bottom borders".
 //   * Cell (row y, column j) aligns the pair (i, j) = (y-1, j) in *every*
-//     lane, so a single exchange-matrix lookup is broadcast to all lanes and
+//     lane, so a single query-profile entry is broadcast to all lanes and
 //     a single override-triangle bit zeroes all lanes at once. In rows
 //     deeper than a lane's rectangle the pair degenerates to i >= j; those
 //     lane-cells are garbage that is never extracted, and the override test
@@ -28,6 +28,18 @@
 //   * Cache-aware striping (§4.1): columns are processed in stripes whose
 //     row state fits in L1; per-row (H, MaxX) carries flow across stripe
 //     boundaries.
+//   * Branch-free column loops: each loop is compiled per case (border
+//     columns c < count-1 or not, overridden column or not, deep row or
+//     not), so the hot loop tests nothing. A row with override bits is cut
+//     at its overridden columns; only those single columns run the loop
+//     that tests the bits.
+//   * Register blocking: every row above r0 that emits no checkpoint is
+//     swept together with the row below it. Row y's H and MaxY stay in
+//     registers and feed row y+1, so only row y+1's state goes to memory;
+//     both rows' stripe carries are written at the stripe's end. An Ops
+//     whose vector spans several registers (the double-pumped i16 kernel)
+//     is swept one register-sized part at a time, so a row pair's live
+//     vectors still fit the register file.
 //   * Saturation safety: a running per-lane peak (masked so garbage
 //     lane-cells cannot contribute) certifies the sweep. A sweep is clean
 //     when the peak stays at or below the element type's certification
@@ -53,6 +65,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -263,8 +277,6 @@ inline void grow_to(V& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
 }
 
-using SimdScratch = SimdScratchT<std::int16_t>;
-
 /// "Minus infinity" for the element type (i16 lanes rely on saturation).
 /// Unsigned lanes have no negatives: their gap maxima clamp at 0, which the
 /// header comment's invariant shows is lossless.
@@ -279,10 +291,192 @@ constexpr Elem neg_inf_of() {
   }
 }
 
-/// Sweeps one group. `profile` (optional for signed elements, REQUIRED for
-/// unsigned ones, which need the folded bias) replaces the per-cell exchange
-/// matrix lookup with one indexed profile load. `saturated` selects the
-/// saturation protocol: when null a saturating sweep throws (explicit
+/// The register-sized ops the column loops run on: Ops itself, or Ops::Part
+/// for an Ops whose lane vector spans several registers (see run_simd_group).
+template <class Ops, class = void>
+struct PartOf {
+  using type = Ops;
+};
+template <class Ops>
+struct PartOf<Ops, std::void_t<typename Ops::Part>> {
+  using type = typename Ops::Part;
+};
+
+/// Per-sweep invariants shared by the column loops: the broadcast constants
+/// and the state pointers. The loops take it by value, so a u8 store (which
+/// may alias anything) cannot force a reload of a constant or a pointer.
+template <class Ops>
+struct SweepConsts {
+  using Vec = typename Ops::Vec;
+  using Elem = typename Ops::Elem;
+  Vec open, ext, zero, bias;
+  Elem* h;              ///< this part's lanes of the H state at column 0
+  Elem* max_y;          ///< the same for the MaxY state
+  const Elem* colmask;  ///< the same for the colmask table
+  std::size_t stride;   ///< elements per column in all three (the group's L)
+  int r0;
+};
+
+/// One DP row y = i + 1 as the column loops see it.
+template <class Ops>
+struct SweepRow {
+  const typename Ops::Elem* score;          ///< profile of seq[i], column 0 on
+  const std::atomic<std::uint64_t>* obits;  ///< row i's override bits or null
+  int i;
+};
+
+/// The cell update, all lanes at once: H of column c from the diagonal H,
+/// the row's running MaxX `mx` and the column's MaxY `my` (both advanced
+/// past the cell), then the override, border-mask and saturation-peak steps
+/// the flags select. kDeep marks rows below r0: their lane-cells with i >= j
+/// have no override bit, and garbage lane-cells must not feed the peak.
+template <class Ops, bool kMask, bool kOverride, bool kDeep>
+[[gnu::always_inline]] inline typename Ops::Vec dp_cell(
+    const SweepConsts<Ops>& s, const SweepRow<Ops>& row, int c,
+    typename Ops::Vec diag, typename Ops::Vec& mx, typename Ops::Vec& my,
+    typename Ops::Vec& peak, typename Ops::Vec peak_mask) {
+  using Vec = typename Ops::Vec;
+  const Vec inner = Ops::max(mx, Ops::max(my, diag));
+  const Vec e = Ops::set1(row.score[c]);
+  Vec h;
+  if constexpr (std::is_signed_v<typename Ops::Elem>) {
+    h = Ops::max(s.zero, Ops::adds(e, inner));
+  } else {
+    // inner >= 0 and the profile entry carries the bias, so
+    // subs(adds(inner, e+bias), bias) = max(0, inner + score) exactly
+    // whenever adds does not saturate (certified by the peak).
+    h = Ops::subs(Ops::adds(inner, e), s.bias);
+  }
+  if constexpr (kOverride) {
+    const int j = s.r0 + c;
+    if ((!kDeep || j > row.i) && override_bit(row.obits, row.i, j))
+      h = s.zero;
+  }
+  if constexpr (kMask)
+    h = Ops::and_(h, Ops::load(s.colmask + static_cast<std::size_t>(c) *
+                                               s.stride));
+  if constexpr (Ops::kSaturating) {
+    if constexpr (kDeep) {
+      peak = Ops::max(peak, Ops::and_(h, peak_mask));
+    } else {
+      peak = Ops::max(peak, h);
+    }
+  }
+  const Vec gap_start = Ops::subs(diag, s.open);
+  mx = Ops::subs(Ops::max(gap_start, mx), s.ext);
+  my = Ops::subs(Ops::max(gap_start, my), s.ext);
+  return h;
+}
+
+/// Sweeps one DP row over columns [ca, cb); `diag` (H up-left of column ca)
+/// and `mx` carry across calls.
+template <class Ops, bool kMask, bool kOverride, bool kDeep>
+void sweep_row(const SweepConsts<Ops> s, const SweepRow<Ops> row, int ca,
+               int cb, typename Ops::Vec& diag, typename Ops::Vec& mx,
+               typename Ops::Vec& peak, const typename Ops::Vec peak_mask) {
+  using Vec = typename Ops::Vec;
+  Vec d = diag;
+  Vec x = mx;
+  Vec p = peak;
+  for (int c = ca; c < cb; ++c) {
+    auto* hp = s.h + static_cast<std::size_t>(c) * s.stride;
+    auto* myp = s.max_y + static_cast<std::size_t>(c) * s.stride;
+    const Vec up = Ops::load(hp);
+    Vec my = Ops::load(myp);
+    Ops::store(hp, dp_cell<Ops, kMask, kOverride, kDeep>(s, row, c, d, x, my,
+                                                         p, peak_mask));
+    Ops::store(myp, my);
+    d = up;
+  }
+  diag = d;
+  mx = x;
+  peak = p;
+}
+
+/// Sweeps DP rows y = a.i + 1 and y + 1 together over columns [ca, cb): the
+/// register-blocked pass. Row y's H and MaxY stay in registers and feed row
+/// y + 1 directly, so one load and one store per state vector serve two
+/// rows. `diag_b` ends as row y's H at column cb - 1 (its stripe carry).
+/// Both rows lie at or above r0, so neither is deep.
+template <class Ops, bool kMask, bool kOverA, bool kOverB>
+void sweep_pair(const SweepConsts<Ops> s, const SweepRow<Ops> a,
+                const SweepRow<Ops> b, int ca, int cb,
+                typename Ops::Vec& diag_a, typename Ops::Vec& diag_b,
+                typename Ops::Vec& mx_a, typename Ops::Vec& mx_b,
+                typename Ops::Vec& peak) {
+  using Vec = typename Ops::Vec;
+  Vec da = diag_a;
+  Vec db = diag_b;
+  Vec xa = mx_a;
+  Vec xb = mx_b;
+  Vec p = peak;
+  for (int c = ca; c < cb; ++c) {
+    auto* hp = s.h + static_cast<std::size_t>(c) * s.stride;
+    auto* myp = s.max_y + static_cast<std::size_t>(c) * s.stride;
+    const Vec up = Ops::load(hp);
+    Vec my = Ops::load(myp);
+    const Vec ha =
+        dp_cell<Ops, kMask, kOverA, false>(s, a, c, da, xa, my, p, s.zero);
+    Ops::store(hp, dp_cell<Ops, kMask, kOverB, false>(s, b, c, db, xb, my, p,
+                                                      s.zero));
+    Ops::store(myp, my);
+    da = up;
+    db = ha;
+  }
+  diag_a = da;
+  diag_b = db;
+  mx_a = xa;
+  mx_b = xb;
+  peak = p;
+}
+
+/// Calls f(std::true_type{}) or f(std::false_type{}): turns a per-row flag
+/// into a template argument, so each column loop is compiled per case.
+template <class F>
+inline void with_flag(bool flag, F&& f) {
+  if (flag) {
+    f(std::true_type{});
+  } else {
+    f(std::false_type{});
+  }
+}
+
+/// First column in [c, cb) where `row` has an overridden pair, or cb. Pairs
+/// with j <= i (deep rows' garbage lane-cells) have no bits to search.
+template <class Ops>
+int next_override(const SweepRow<Ops>& row, int r0, int c, int cb) {
+  if (row.obits == nullptr) return cb;
+  c = std::max(c, row.i + 1 - r0);
+  while (c < cb) {
+    const std::int64_t b = r0 + c - row.i - 1;
+    const std::uint64_t w =
+        row.obits[b >> 6].load(std::memory_order_relaxed) >> (b & 63);
+    if (w != 0) return std::min(cb, c + std::countr_zero(w));
+    c += 64 - static_cast<int>(b & 63);
+  }
+  return cb;
+}
+
+/// Splits [c0, c1) at the overridden columns of rows a and b (b optional):
+/// calls cols(ca, cb, false) on each run of columns without an overridden
+/// pair and cols(c, c + 1, true) on each column with one, so only those
+/// single columns pay for the override test.
+template <class Ops, class F>
+void by_override_runs(const SweepRow<Ops>& a,
+                      const std::type_identity_t<SweepRow<Ops>>* b, int r0,
+                      int c0, int c1, F&& cols) {
+  for (int c = c0; c < c1; ++c) {
+    int next = next_override(a, r0, c, c1);
+    if (b != nullptr) next = std::min(next, next_override(*b, r0, c, next));
+    if (c < next) cols(c, next, false);
+    if (next < c1) cols(next, next + 1, true);
+    c = next;
+  }
+}
+
+/// Sweeps one group. `profile` is the engine's query profile for the job's
+/// sequence and scoring (biased for unsigned elements). `saturated` selects
+/// the saturation protocol: when null a saturating sweep throws (explicit
 /// fixed-precision engines); when non-null it is set to whether the sweep
 /// saturated — on saturation the sink is emptied (its rows were computed
 /// from possibly-clamped state and are uncertified) and the outputs are
@@ -290,12 +484,13 @@ constexpr Elem neg_inf_of() {
 template <class Ops>
 void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
                     int stripe_cols, SimdScratchT<typename Ops::Elem>& scratch,
-                    const QueryProfileT<typename Ops::Elem>* profile = nullptr,
+                    const QueryProfileT<typename Ops::Elem>& profile,
                     bool* saturated = nullptr) {
   constexpr int L = Ops::kLanes;
-  using Vec = typename Ops::Vec;
   using Elem = typename Ops::Elem;
   constexpr bool kUnsigned = !std::is_signed_v<Elem>;
+  static_assert(!kUnsigned || Ops::kSaturating,
+                "unsigned lanes must saturate");
 
   const auto& seq = job.seq;
   const int m = static_cast<int>(seq.size());
@@ -303,21 +498,9 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   const int count = job.count;
   const int width = m - r0;          // columns of the widest lane (lane 0)
   const int rows = r0 + count - 1;   // rows of the deepest lane
-  const seq::ScoreMatrix& ex = job.scoring->matrix;
-  if constexpr (kUnsigned) {
-    static_assert(Ops::kSaturating, "unsigned lanes must saturate");
-    REPRO_CHECK_MSG(profile != nullptr && profile->feasible(),
-                    "unsigned u8 kernels require a feasible biased query "
-                    "profile (group r0=" << r0 << ")");
-  }
-  const bool use_profile = profile != nullptr;
-  REPRO_CHECK(!use_profile || profile->width() == m);
-  const Vec v_open = Ops::set1(static_cast<Elem>(job.scoring->gap.open));
-  const Vec v_ext = Ops::set1(static_cast<Elem>(job.scoring->gap.extend));
-  const Vec v_zero = Ops::zero();
-  const Vec v_neg = Ops::set1(neg_inf_of<Elem>());
-  [[maybe_unused]] const Vec v_bias =
-      Ops::set1(static_cast<Elem>(use_profile ? profile->bias() : 0));
+  REPRO_CHECK_MSG(profile.feasible() && profile.width() == m,
+                  "SIMD kernels require a feasible query profile of the "
+                  "group's sequence (group r0=" << r0 << ")");
 
   // Mask tables, kept as aligned i16 so vectors of over-aligned register
   // types never land in (insufficiently aligned) std::vector storage.
@@ -388,9 +571,17 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
 
   // A restored stripe's first row needs the checkpoint's H at the column
   // left of the stripe as its diagonal, but earlier stripes overwrite h[]
-  // while they sweep — capture those vectors up front, one 64-byte slot per
-  // stripe so the aligned vector loads stay legal.
-  constexpr int kDiagSlot = static_cast<int>(util::kCacheLine / sizeof(Elem));
+  // while they sweep — capture those vectors up front, one slot per stripe.
+  // A slot is a whole number of cache lines holding one full vector, so the
+  // aligned vector loads stay legal and no copy spills into the next slot.
+  constexpr std::size_t kDiagSlotBytes =
+      (std::max(util::kCacheLine, L * sizeof(Elem)) + util::kCacheLine - 1) /
+      util::kCacheLine * util::kCacheLine;
+  static_assert(kDiagSlotBytes % util::kCacheLine == 0 &&
+                    kDiagSlotBytes >= L * sizeof(Elem) &&
+                    kDiagSlotBytes % sizeof(Elem) == 0,
+                "resume-diagonal slots must be aligned and hold one vector");
+  constexpr std::size_t kDiagSlot = kDiagSlotBytes / sizeof(Elem);
   auto& resume_diag = scratch.resume_diag;
   if (resumed && striped) {
     const int nstripes = (width + stripe - 1) / stripe;
@@ -412,80 +603,137 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     sink->prepare(y_begin, std::min(sink->top_row, r0 - 1), state_bytes);
   }
 
-  Vec v_peak = v_zero;  // running max of valid lane-cells (saturation guard)
-  // Rows <= y_begin-1 were certified by the sweep that emitted the restored
+  // The column loops run on register-sized parts of the lane vector: the
+  // whole vector for most Ops, each register of a multi-register Ops (the
+  // double-pumped i16 kernel). Lanes never interact, so a part sweeps its
+  // lanes of every column (stride L) alone, with every live vector of a
+  // row pair in registers.
+  using Part = typename PartOf<Ops>::type;
+  using PVec = typename Part::Vec;
+  constexpr int PL = Part::kLanes;
+  constexpr int kParts = L / PL;
+  static_assert(kParts * PL == L, "parts must tile the lane vector");
+  const PVec v_zero = Part::zero();
+  const PVec v_neg = Part::set1(neg_inf_of<Elem>());
+  std::array<SweepConsts<Part>, kParts> consts;
+  for (int p = 0; p < kParts; ++p)
+    consts[static_cast<std::size_t>(p)] = {
+        Part::set1(static_cast<Elem>(job.scoring->gap.open)),
+        Part::set1(static_cast<Elem>(job.scoring->gap.extend)),
+        v_zero,
+        Part::set1(static_cast<Elem>(profile.bias())),
+        h.data() + p * PL,
+        max_y.data() + p * PL,
+        colmask + p * PL,
+        L,
+        r0};
+  const auto row_of = [&](int y) {
+    const int i = y - 1;
+    const std::atomic<std::uint64_t>* obits =
+        (job.overrides != nullptr && !job.overrides->row_empty(i))
+            ? job.overrides->row_bits(i)
+            : nullptr;
+    return SweepRow<Part>{profile.row(seq[static_cast<std::size_t>(i)]) + r0,
+                          obits, i};
+  };
+  // Part p's lanes of entry `row` (a column, or a DP row of the carries).
+  const auto at = [](auto& v, int row, int p) {
+    return v.data() + static_cast<std::size_t>(row) * L + p * PL;
+  };
+
+  // Running max of valid lane-cells per part (the saturation guard). Rows
+  // <= y_begin-1 were certified by the sweep that emitted the restored
   // checkpoint (saturating sweeps throw before their checkpoints are kept).
+  std::array<PVec, kParts> v_peak;
+  v_peak.fill(v_zero);
+  std::array<PVec, kParts> carry_above;  // H of the row above, column c0-1
 
   for (int c0 = 0; c0 < width; c0 += stripe) {
     const int c1 = std::min(width, c0 + stripe);
-    // Boundary row (y = 0) carry: H = 0, MaxX = -inf. Resumed stripes past
-    // the first instead enter with the checkpoint's diagonal.
-    Vec old_carry_above = v_zero;
-    if (resumed && c0 > 0)
-      old_carry_above = Ops::load(
-          resume_diag.data() +
-          static_cast<std::size_t>(c0 / stripe) * kDiagSlot);
+    const int cm = std::clamp(count - 1, c0, c1);  // [c0, cm) need colmask
+    // The boundary row (y = 0) has H = 0; resumed stripes past the first
+    // enter with the checkpoint's diagonal.
+    for (int p = 0; p < kParts; ++p)
+      carry_above[static_cast<std::size_t>(p)] =
+          resumed && c0 > 0
+              ? Part::load(resume_diag.data() +
+                           static_cast<std::size_t>(c0 / stripe) * kDiagSlot +
+                           p * PL)
+              : v_zero;
+    // H and MaxX entering row y at column c0 (0 and -inf at the border).
+    const auto entry_h = [&](int y, int p) {
+      return c0 == 0 ? v_zero : Part::load(at(carry_h, y, p));
+    };
+    const auto entry_mx = [&](int y, int p) {
+      return c0 == 0 ? v_neg : Part::load(at(carry_mx, y, p));
+    };
     int emit_idx = 0;
     for (int y = y_begin; y <= rows; ++y) {
-      const int i = y - 1;
-      // One row pointer per DP row: the profile's pre-biased Elem row when a
-      // profile is cached, else the raw exchange-matrix row.
-      const Elem* prow =
-          use_profile ? profile->row(seq[static_cast<std::size_t>(i)]) : nullptr;
-      const std::int16_t* erow =
-          use_profile ? nullptr : ex.row(seq[static_cast<std::size_t>(i)]);
-      const std::atomic<std::uint64_t>* obits =
-          (job.overrides != nullptr && !job.overrides->row_empty(i))
-              ? job.overrides->row_bits(i)
-              : nullptr;
-      const int deep = y - r0;  // > 0 in the last count-1 rows
-      const bool mask_peak = deep > 0;
-      const Vec v_peak_mask =
-          mask_peak ? Ops::load(deepmask + (deep - 1) * L) : v_zero;
-      Vec v_diag = c0 == 0 ? v_zero : old_carry_above;
-      Vec v_mx = c0 == 0
-                     ? v_neg
-                     : Ops::load(carry_mx.data() + static_cast<std::size_t>(y) * L);
-      for (int c = c0; c < c1; ++c) {
-        const int j = r0 + c;
-        Elem* hp = h.data() + static_cast<std::size_t>(c) * L;
-        Elem* myp = max_y.data() + static_cast<std::size_t>(c) * L;
-        const Vec v_up = Ops::load(hp);
-        const Vec v_my = Ops::load(myp);
-        const Vec v_inner = Ops::max(v_mx, Ops::max(v_my, v_diag));
-        const Vec v_e =
-            use_profile
-                ? Ops::set1(prow[static_cast<std::size_t>(j)])
-                : Ops::set1(static_cast<Elem>(
-                      erow[seq[static_cast<std::size_t>(j)]]));
-        Vec v_h;
-        if constexpr (kUnsigned) {
-          // inner >= 0 and the profile entry carries the bias, so
-          // subs(adds(inner, e+bias), bias) = max(0, inner + score) exactly
-          // whenever adds does not saturate (certified by the peak below).
-          v_h = Ops::subs(Ops::adds(v_inner, v_e), v_bias);
-        } else {
-          v_h = Ops::max(v_zero, Ops::adds(v_e, v_inner));
+      const bool emits =
+          sink != nullptr && emit_idx < sink->count &&
+          y == sink->rows[static_cast<std::size_t>(emit_idx)].row;
+      if (y < r0 && !emits) {
+        // Rows y and y+1 <= r0 in one pass; only row y+1 reaches memory.
+        const SweepRow<Part> a = row_of(y);
+        const SweepRow<Part> b = row_of(y + 1);
+        for (int p = 0; p < kParts; ++p) {
+          const auto pi = static_cast<std::size_t>(p);
+          PVec da = c0 == 0 ? v_zero : carry_above[pi];
+          PVec db = entry_h(y, p);
+          PVec xa = entry_mx(y, p);
+          PVec xb = entry_mx(y + 1, p);
+          by_override_runs(a, &b, r0, c0, c1, [&](int ca, int cb, bool over) {
+            with_flag(over && a.obits != nullptr, [&](auto over_a) {
+              with_flag(over && b.obits != nullptr, [&](auto over_b) {
+                constexpr bool kA = decltype(over_a)::value;
+                constexpr bool kB = decltype(over_b)::value;
+                const int split = std::clamp(cm, ca, cb);
+                sweep_pair<Part, true, kA, kB>(consts[pi], a, b, ca, split, da,
+                                               db, xa, xb, v_peak[pi]);
+                sweep_pair<Part, false, kA, kB>(consts[pi], a, b, split, cb,
+                                                da, db, xa, xb, v_peak[pi]);
+              });
+            });
+          });
+          if (striped) {
+            carry_above[pi] = Part::load(at(carry_h, y + 1, p));
+            Part::store(at(carry_h, y, p), db);
+            Part::store(at(carry_h, y + 1, p), Part::load(at(h, c1 - 1, p)));
+            Part::store(at(carry_mx, y, p), xa);
+            Part::store(at(carry_mx, y + 1, p), xb);
+          }
         }
-        // Deep rows contain lane-cells with i >= j; the strict upper
-        // triangle has no bit for those, so the test is guarded.
-        if (obits != nullptr && j > i && override_bit(obits, i, j))
-          v_h = v_zero;
-        if (c < count - 1) v_h = Ops::and_(v_h, Ops::load(colmask + c * L));
-        v_peak =
-            Ops::max(v_peak, mask_peak ? Ops::and_(v_h, v_peak_mask) : v_h);
-        Ops::store(hp, v_h);
-        const Vec v_gap_start = Ops::subs(v_diag, v_open);
-        v_mx = Ops::subs(Ops::max(v_gap_start, v_mx), v_ext);
-        Ops::store(myp, Ops::subs(Ops::max(v_gap_start, v_my), v_ext));
-        v_diag = v_up;
-      }
-      if (striped) {
-        old_carry_above =
-            Ops::load(carry_h.data() + static_cast<std::size_t>(y) * L);
-        Ops::store(carry_h.data() + static_cast<std::size_t>(y) * L,
-                   Ops::load(h.data() + static_cast<std::size_t>(c1 - 1) * L));
-        Ops::store(carry_mx.data() + static_cast<std::size_t>(y) * L, v_mx);
+        ++y;  // the pair's lower row: its state is in h / max_y
+      } else {
+        const SweepRow<Part> r = row_of(y);
+        const int deep = y - r0;  // > 0 in the last count-1 rows
+        for (int p = 0; p < kParts; ++p) {
+          const auto pi = static_cast<std::size_t>(p);
+          const PVec peak_mask =
+              deep > 0 ? Part::load(deepmask + (deep - 1) * L + p * PL)
+                       : v_zero;
+          PVec d = c0 == 0 ? v_zero : carry_above[pi];
+          PVec x = entry_mx(y, p);
+          by_override_runs(r, nullptr, r0, c0, c1,
+                           [&](int ca, int cb, bool over) {
+            with_flag(over, [&](auto over_r) {
+              with_flag(deep > 0, [&](auto is_deep) {
+                constexpr bool kO = decltype(over_r)::value;
+                constexpr bool kD = decltype(is_deep)::value;
+                const int split = std::clamp(cm, ca, cb);
+                sweep_row<Part, true, kO, kD>(consts[pi], r, ca, split, d, x,
+                                              v_peak[pi], peak_mask);
+                sweep_row<Part, false, kO, kD>(consts[pi], r, split, cb, d, x,
+                                               v_peak[pi], peak_mask);
+              });
+            });
+          });
+          if (striped) {
+            carry_above[pi] = Part::load(at(carry_h, y, p));
+            Part::store(at(carry_h, y, p), Part::load(at(h, c1 - 1, p)));
+            Part::store(at(carry_mx, y, p), x);
+          }
+        }
       }
       // Extract lane k's bottom row when this is its last row.
       const int k = y - r0;
@@ -509,10 +757,8 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
         const std::size_t off = static_cast<std::size_t>(c0) * L * sizeof(Elem);
         const std::size_t len =
             static_cast<std::size_t>(c1 - c0) * L * sizeof(Elem);
-        std::memcpy(cr.h.data() + off,
-                    h.data() + static_cast<std::size_t>(c0) * L, len);
-        std::memcpy(cr.max_y.data() + off,
-                    max_y.data() + static_cast<std::size_t>(c0) * L, len);
+        std::memcpy(cr.h.data() + off, at(h, c0, 0), len);
+        std::memcpy(cr.max_y.data() + off, at(max_y, c0, 0), len);
         if constexpr (check::kContractsEnabled && !kUnsigned) {
           // The emitted slice must satisfy the same non-negativity the
           // resume path asserts before re-entering the sweep. (Unsigned
@@ -540,12 +786,13 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     Elem sat_limit;
     if constexpr (kUnsigned) {
       sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() -
-                                    profile->bias() - profile->max_score());
+                                    profile.bias() - profile.max_score());
     } else {
       sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() - 1);
     }
     alignas(64) Elem peakbuf[L];
-    Ops::store(peakbuf, v_peak);
+    for (int p = 0; p < kParts; ++p)
+      Part::store(peakbuf + p * PL, v_peak[static_cast<std::size_t>(p)]);
     for (int k = 0; k < count; ++k) {
       if (peakbuf[k] <= sat_limit) continue;
       if (saturated != nullptr) {

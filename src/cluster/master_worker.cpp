@@ -137,6 +137,17 @@ class Master {
       if (const auto got = poll_recv(milliseconds(options_.ft.poll_ms)))
         handle(got->first, got->second);
     }
+    // A crash that came due from here on could not be observed, so none is
+    // injected; those that fired before are counted, and workers_lost then
+    // equals the crashes injected.
+    comm_.disarm_crashes();
+    for (int w = 1; w < comm_.size(); ++w) {
+      WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
+      if (rec.state != WState::kDead && comm_.closed(w)) {
+        rec.state = WState::kDead;
+        recovery_.bump(recovery_.workers_lost);
+      }
+    }
     comm_.broadcast(0, {kShutdown, {}});
 
     core::FinderResult res;

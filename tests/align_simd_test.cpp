@@ -3,7 +3,11 @@
 // saturation guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
@@ -253,6 +257,112 @@ TEST(SimdEngine, CellAccountingIncludesLanes) {
   }
   engine->align(job, outs);
   EXPECT_EQ(engine->cells_computed(), 57ull * 150ull * 8ull);
+}
+
+/// Sets random override pairs, all in rows i of one parity. The kernel
+/// pairs DP rows (1, 2), (3, 4), ... above r0, and DP row y holds pair row
+/// i = y - 1, so even i lands on the first row of a pair and odd i on the
+/// second.
+void set_parity_overrides(OverrideTriangle& tri, int parity,
+                          std::uint64_t seed) {
+  const int m = tri.sequence_length();
+  util::Rng rng(seed);
+  for (int t = 0; t < 3 * m; ++t) {
+    int i = static_cast<int>(rng.below(static_cast<std::uint64_t>(m - 1)));
+    i -= (i % 2 + 2 - parity) % 2;
+    if (i < 0) continue;
+    tri.set(i, i + 1 +
+                   static_cast<int>(rng.below(
+                       static_cast<std::uint64_t>(m - 1 - i))));
+  }
+}
+
+TEST(SimdEngine, RowPairingEdgesMatchScalar) {
+  // Edges of the register-blocked row pairs: r0 in {1, 2, 3} (no pairable
+  // row, exactly one pair, one pair plus a single row), single-lane and
+  // partial groups, the partial final group, every stripe shape, and
+  // override bits on only the first or only the second row of each pair.
+  // Inputs: DNA inside the u8 headroom (every engine, explicit u8 ones
+  // included) and a homopolymer past it, which the adaptive engines must
+  // escalate to their i16 kernel.
+  const Scoring scoring = Scoring::paper_example();
+  const auto in_range = seq::synthetic_dna_tandem(90, 9, 5, 31).sequence;
+  const auto saturating = seq::Sequence::from_string(
+      "poly", std::string(300, 'A'), Alphabet::dna());
+  ASSERT_TRUE(precision_fits(Precision::kI8, in_range.length(), scoring));
+
+  std::vector<EngineKind> kinds = all_simd_kinds();
+  kinds.push_back(EngineKind::kSimd8x8Generic);
+#if REPRO_HAVE_SSE2
+  kinds.push_back(EngineKind::kSimd16x8);
+#endif
+  if (avx2_available()) kinds.push_back(EngineKind::kSimd32x8);
+  const std::vector<EngineKind> adaptive{EngineKind::kSimdAutoGeneric,
+                                         EngineKind::kSimdAuto};
+  kinds.insert(kinds.end(), adaptive.begin(), adaptive.end());
+
+  const auto scalar = make_engine(EngineKind::kScalar);
+  for (const seq::Sequence* s : {&in_range, &saturating}) {
+    const int m = s->length();
+    OverrideTriangle first_rows(m);
+    OverrideTriangle second_rows(m);
+    set_parity_overrides(first_rows, 0, 5);
+    set_parity_overrides(second_rows, 1, 6);
+    const std::vector<const OverrideTriangle*> triangles{
+        nullptr, &first_rows, &second_rows};
+    // Scalar bottom rows, per triangle and split.
+    std::vector<std::vector<std::vector<Score>>> expected(triangles.size());
+    for (std::size_t t = 0; t < triangles.size(); ++t)
+      for (int r = 1; r < m; ++r)
+        expected[t].push_back(scalar->align_one(
+            testing::make_job(*s, r, scoring, triangles[t])));
+
+    for (const EngineKind kind : kinds) {
+      const bool is_adaptive =
+          std::find(adaptive.begin(), adaptive.end(), kind) != adaptive.end();
+      if (s == &saturating && !is_adaptive) continue;
+      for (const int stripe : {1, 2, 5, 0, -1}) {
+        const auto engine = make_engine(kind, stripe);
+        const int lanes = engine->lanes();
+        std::vector<std::pair<int, int>> groups;  // (r0, count)
+        for (const int r0 : {1, 2, 3})
+          for (const int count : {lanes, 1, std::min(lanes, 3)})
+            groups.emplace_back(r0, count);
+        groups.emplace_back(m / 2, lanes);
+        groups.emplace_back(m - 1 - lanes / 2, lanes / 2 + 1);  // final group
+        for (std::size_t t = 0; t < triangles.size(); ++t) {
+          for (const auto& [r0, count] : groups) {
+            GroupJob job;
+            job.seq = s->codes();
+            job.scoring = &scoring;
+            job.overrides = triangles[t];
+            job.r0 = r0;
+            job.count = count;
+            std::vector<std::vector<Score>> rows(
+                static_cast<std::size_t>(count));
+            std::vector<std::span<Score>> outs(static_cast<std::size_t>(count));
+            for (int k = 0; k < count; ++k) {
+              rows[static_cast<std::size_t>(k)].resize(
+                  static_cast<std::size_t>(m - (r0 + k)));
+              outs[static_cast<std::size_t>(k)] =
+                  rows[static_cast<std::size_t>(k)];
+            }
+            engine->align(job, outs);
+            for (int k = 0; k < count; ++k)
+              EXPECT_EQ(rows[static_cast<std::size_t>(k)],
+                        expected[t][static_cast<std::size_t>(r0 + k - 1)])
+                  << engine->name() << " stripe " << stripe << " triangle "
+                  << t << " r0=" << r0 << " count=" << count << " lane "
+                  << k << " m=" << m;
+          }
+        }
+        if (s == &saturating) {
+          EXPECT_GT(engine->precision_stats().escalations, 0u)
+              << engine->name() << " never ran its i16 kernel";
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdEngine, BestEngineWorks) {

@@ -13,6 +13,7 @@
 #include "align/checkpoint_cache.hpp"
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
+#include "align/simd_engine_impl.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
 #include "parallel/parallel_finder.hpp"
@@ -254,6 +255,81 @@ TEST(CheckpointKernel, ResumeFromEveryDepthMatchesScratch) {
                                  count, &view, nullptr);
       EXPECT_EQ(resumed, scratch)
           << engine->name() << " resumed from row " << view.row;
+    }
+  }
+}
+
+TEST(CheckpointKernel, EmissionAndResumeParityAcrossRowPairs) {
+  // The kernel sweeps rows above r0 in pairs, except that a checkpoint row
+  // is never the upper row of a pair. Strides 1-3 put emission on every
+  // row, on even rows, and on every third row (odd and even), which shifts
+  // the pairing; resuming from each emitted row then starts the pairs on
+  // odd and on even rows. Overrides sit in every row.
+  const auto g = seq::synthetic_dna_tandem(150, 9, 5, 41);
+  const seq::Scoring scoring = seq::Scoring::paper_example();
+  ASSERT_TRUE(align::precision_fits(align::Precision::kI8,
+                                    g.sequence.length(), scoring));
+  align::OverrideTriangle triangle(g.sequence.length());
+  util::Rng rng(4242);
+  for (int t = 0; t < 200; ++t) {
+    const int j = 1 + static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(g.sequence.length() - 1)));
+    triangle.set(static_cast<int>(rng.below(static_cast<std::uint64_t>(j))), j);
+  }
+  auto kinds = checkpoint_engine_kinds();
+  for (const auto kind : u8_engine_kinds()) kinds.push_back(kind);
+  for (const auto kind : kinds) {
+    for (const int stripe : {1, 5, -1}) {
+      const auto engine = align::make_engine(kind, stripe);
+      const int count = std::min(engine->lanes(), 7);
+      const int r0 = 61;
+      const auto scratch = sweep(*engine, g.sequence, scoring, &triangle, r0,
+                                 count, nullptr, nullptr);
+      for (const int stride : {1, 2, 3}) {
+        CheckpointSink sink;
+        sink.stride = stride;
+        sink.top_row = r0 - 1;
+        EXPECT_EQ(sweep(*engine, g.sequence, scoring, &triangle, r0, count,
+                        nullptr, &sink),
+                  scratch)
+            << engine->name() << " stripe " << stripe << " stride " << stride;
+        if (!engine->supports_checkpoints()) continue;
+        ASSERT_GT(sink.count, 2) << engine->name();
+        for (int t = 0; t < sink.count; ++t) {
+          const CheckpointView view = view_of(sink, t);
+          EXPECT_EQ(sweep(*engine, g.sequence, scoring, &triangle, r0, count,
+                          &view, nullptr),
+                    scratch)
+              << engine->name() << " stripe " << stripe << " stride "
+              << stride << " resumed from row " << view.row;
+        }
+      }
+    }
+  }
+}
+
+TEST(CheckpointKernel, WideVectorResumeKeepsEachStripeDiagonal) {
+  // 64 i16 lanes make a 128-byte vector, wider than one cache line. A
+  // resumed striped sweep saves one diagonal vector per stripe; each must
+  // get a slot of its own, or a wide copy overruns the next stripe's.
+  using Wide = align::detail::SimdEngineT<align::detail::GenericOps<64>>;
+  const auto g = seq::synthetic_titin(160, 7);
+  const seq::Scoring scoring = seq::Scoring::protein_default();
+  for (const int stripe : {3, 8}) {
+    Wide engine("simd64-generic", stripe);
+    const int r0 = 80;
+    CheckpointSink sink;
+    sink.stride = 13;
+    sink.top_row = r0 - 1;
+    const auto scratch = sweep(engine, g.sequence, scoring, nullptr, r0, 64,
+                               nullptr, &sink);
+    ASSERT_GT(sink.count, 1);
+    for (int t = 0; t < sink.count; ++t) {
+      const CheckpointView view = view_of(sink, t);
+      EXPECT_EQ(sweep(engine, g.sequence, scoring, nullptr, r0, 64, &view,
+                      nullptr),
+                scratch)
+          << "stripe " << stripe << " resumed from row " << view.row;
     }
   }
 }
