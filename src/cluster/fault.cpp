@@ -21,8 +21,14 @@ const char* kind_name(FaultKind kind) {
       return "dup";
     case FaultKind::kCrash:
       return "crash";
+    case FaultKind::kKill:
+      return "kill";
   }
   return "?";
+}
+
+bool is_death(FaultKind kind) {
+  return kind == FaultKind::kCrash || kind == FaultKind::kKill;
 }
 
 [[noreturn]] void bad_spec(std::string_view token, const std::string& why) {
@@ -46,8 +52,10 @@ FaultEvent parse_event(std::string_view token) {
     ev.kind = FaultKind::kDuplicate;
   } else if (kind_str == "crash") {
     ev.kind = FaultKind::kCrash;
+  } else if (kind_str == "kill") {
+    ev.kind = FaultKind::kKill;
   } else {
-    bad_spec(token, "unknown kind (drop|delay|dup|crash)");
+    bad_spec(token, "unknown kind (drop|delay|dup|crash|kill)");
   }
 
   bool saw_from = false;
@@ -91,8 +99,8 @@ FaultEvent parse_event(std::string_view token) {
   }
   if (!saw_from || !saw_op)
     bad_spec(token, "missing required from/rank or op field");
-  if (ev.kind == FaultKind::kCrash) {
-    if (saw_to) bad_spec(token, "crash takes rank=,op= only");
+  if (is_death(ev.kind)) {
+    if (saw_to) bad_spec(token, "crash/kill take rank=,op= only");
   } else if (!saw_to) {
     bad_spec(token, "missing to= field");
   }
@@ -108,14 +116,14 @@ FaultEvent parse_event(std::string_view token) {
 
 bool FaultPlan::schedules_crash() const {
   return std::any_of(events.begin(), events.end(), [](const FaultEvent& e) {
-    return e.kind == FaultKind::kCrash;
+    return is_death(e.kind);
   });
 }
 
 std::vector<int> FaultPlan::crashed_ranks() const {
   std::set<int> ranks;
   for (const FaultEvent& e : events)
-    if (e.kind == FaultKind::kCrash) ranks.insert(e.from);
+    if (is_death(e.kind)) ranks.insert(e.from);
   return {ranks.begin(), ranks.end()};
 }
 
@@ -131,7 +139,7 @@ std::string FaultPlan::to_string() const {
     const FaultEvent& e = events[i];
     if (i > 0) os << ';';
     os << kind_name(e.kind) << ':';
-    if (e.kind == FaultKind::kCrash) {
+    if (is_death(e.kind)) {
       os << "rank=" << e.from << ",op=" << e.op;
     } else {
       os << "from=" << e.from << ",to=" << e.to << ",op=" << e.op;
