@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -14,19 +16,15 @@
 
 #include "align/bottom_row_store.hpp"
 #include "align/override_triangle.hpp"
-#include "align/traceback.hpp"
 #include "cluster/mpisim.hpp"
-#include "core/task_queue.hpp"
+#include "core/search.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace repro::cluster {
 namespace {
 
-using core::GroupTask;
-using core::TaskKey;
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
 
@@ -46,13 +44,6 @@ enum Tag : int {
   kPing,         // M->W: []  (sent on a missed deadline; liveness probe)
   kPong,         // W->M: []
   kShutdown,     // M->W: []
-};
-
-struct KeyCmp {
-  bool operator()(const TaskKey& a, const TaskKey& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.r < b.r;
-  }
 };
 
 /// Process-shared recovery accounting. Observability only — never consulted
@@ -82,6 +73,10 @@ Message make_row_message(int tag, int r, std::span<const std::int16_t> row) {
   return msg;
 }
 
+std::vector<std::int16_t> narrow(std::span<const align::Score> row) {
+  return {row.begin(), row.end()};
+}
+
 std::vector<std::int16_t> row_from_message(const Message& msg) {
   std::vector<std::int16_t> row(msg.data.size() - 1);
   for (std::size_t x = 1; x < msg.data.size(); ++x)
@@ -95,45 +90,31 @@ milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft)
   return milliseconds(std::min<std::int64_t>(scaled, ft.max_backoff_ms));
 }
 
-/// Master (rank 0): task queue, acceptance + traceback, worker liveness and
-/// assignment records; in replica mode also the bottom-row archive.
+/// Master (rank 0): the search (queue, acceptance + traceback), worker
+/// liveness and assignment records; in replica mode also the bottom-row
+/// archive, and under MemoryMode::kRecomputeRows a sweeper of its own that
+/// recomputes accepted rows.
 class Master {
  public:
-  Master(Comm& comm, const seq::Sequence& s, const seq::Scoring& scoring,
-         const ClusterOptions& options, int lanes, RecoveryStats& recovery)
+  Master(Comm& comm, core::Search& search, const ClusterOptions& options,
+         RecoveryStats& recovery, align::BottomRowStore* archive,
+         core::Sweeper* sweeper)
       : comm_(comm),
-        s_(s),
-        scoring_(scoring),
+        search_(search),
         options_(options),
         recovery_(recovery),
-        triangle_(s.length()),
-        lanes_(lanes),
-        groups_(core::make_groups(s.length(), lanes)),
-        workers_(static_cast<std::size_t>(comm.size())) {
-    if (options.row_storage == RowStorage::kMasterReplica)
-      rows_.emplace(s.length());
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue_.push(static_cast<int>(gi), groups_[gi].key());
-  }
+        archive_(archive),
+        sweeper_(sweeper),
+        workers_(static_cast<std::size_t>(comm.size())) {}
 
-  core::FinderResult run() {
-    util::WallTimer timer;
-    bool done = false;
-    while (!done) {
+  void run() {
+    for (;;) {
       sweep();
-      done = try_accept();
-      if (!done) {
-        assign_idle();
-        // Exhausted: nothing running and every live worker is registered
-        // and idle — with an up-to-date, unblocked head try_accept would
-        // have progressed.
-        done = inflight_.empty() &&
-               static_cast<int>(idle_.size()) == alive_workers();
-        if (!done && alive_workers() == 0)
-          throw std::runtime_error(
-              "cluster: every worker died with work remaining");
-      }
-      if (done) break;
+      if (try_accept()) break;
+      assign_idle();
+      if (alive_workers() == 0)
+        throw std::runtime_error(
+            "cluster: every worker died with work remaining");
       if (const auto got = poll_recv(milliseconds(options_.ft.poll_ms)))
         handle(got->first, got->second);
     }
@@ -149,22 +130,13 @@ class Master {
       }
     }
     comm_.broadcast(0, {kShutdown, {}});
-
-    core::FinderResult res;
-    res.tops = std::move(tops_);
-    res.stats = stats_;
-    res.stats.seconds = timer.seconds();
-    return res;
   }
 
   [[nodiscard]] std::uint64_t replicas_served() const { return replicas_served_; }
 
  private:
   struct Assignment {
-    int gi = -1;
-    int r0 = -1;
-    int version = -1;
-    TaskKey key;  ///< the group's key at assign time (for inflight_ removal)
+    core::SweepOrder order;
     Clock::time_point deadline;
   };
   enum class WState { kNew, kIdle, kBusy, kDead };
@@ -172,13 +144,6 @@ class Master {
     WState state = WState::kNew;
     std::optional<Assignment> job;
   };
-
-  int version() const { return static_cast<int>(tops_.size()); }
-
-  bool group_stale(int gi) const {
-    const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    return g.version[static_cast<std::size_t>(g.best_member())] != version();
-  }
 
   int alive_workers() const {
     int alive = 0;
@@ -207,16 +172,7 @@ class Master {
   void cancel_assignment(int w) {
     WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
     REPRO_CHECK(rec.job.has_value());
-    const Assignment& job = *rec.job;
-    const GroupTask& g = groups_[static_cast<std::size_t>(job.gi)];
-    // Recovery invariant: an assigned group's key cannot have moved (only
-    // an applied result changes it, and at most one record references a
-    // group at a time).
-    REPRO_DCHECK(!KeyCmp{}(g.key(), job.key) && !KeyCmp{}(job.key, g.key()));
-    const auto it = inflight_.find(job.key);
-    REPRO_CHECK(it != inflight_.end());
-    inflight_.erase(it);
-    queue_.push(job.gi, g.key());
+    search_.cancel_sweep(rec.job->order);
     rec.job.reset();
   }
 
@@ -309,77 +265,52 @@ class Master {
     }
   }
 
-  /// Original bottom row of r for the acceptance traceback.
-  std::span<const std::int16_t> original_row(int r) {
-    if (rows_.has_value()) return rows_->row(r);
-    const auto it = fetched_.find(r);
-    if (it != fetched_.end()) return it->second;
-    return fetched_.emplace(r, fetch_row_remote(r)).first->second;
+  /// Traces acceptance `a` against its original bottom row: recomputed,
+  /// archived, or fetched from its owner (which may service other messages
+  /// meanwhile — the acceptance's in-flight bound keeps the guard closed).
+  core::TopAlignment trace(const core::Acceptance& a) {
+    if (sweeper_ != nullptr) return sweeper_->trace(search_, a);
+    if (archive_ != nullptr) return search_.trace(a, archive_->row(a.r));
+    auto it = fetched_.find(a.r);
+    if (it == fetched_.end())
+      it = fetched_.emplace(a.r, fetch_row_remote(a.r)).first;
+    return search_.trace(a, std::span<const std::int16_t>(it->second));
   }
 
-  /// Accepts as long as the deterministic guard allows; returns true when
-  /// the search is complete.
+  /// Accepts as long as the search's guard allows; returns true when the
+  /// search is complete.
   bool try_accept() {
-    for (;;) {
-      if (static_cast<int>(tops_.size()) >= options_.finder.num_top_alignments)
-        return true;
-      const auto head = queue_.peek();
-      if (!head || group_stale(head->second)) return false;
-      if (!inflight_.empty() && KeyCmp{}(*inflight_.begin(), head->first))
-        return false;  // an in-flight bound could still order before the head
-      if (head->first.score < options_.finder.min_score) return true;
-
-      // Fetching the original row may process further results; re-validate
-      // the head afterwards (its key cannot have *improved*, but an
-      // in-flight bound may have landed above it).
-      const GroupTask& head_group = groups_[static_cast<std::size_t>(head->second)];
-      const int b = head_group.best_member();
-      const int r = head_group.r0 + b;
-      const std::span<const std::int16_t> original = original_row(r);
-      const auto head2 = queue_.peek();
-      if (!head2 || head2->second != head->second || group_stale(head2->second))
-        continue;
-      if (!inflight_.empty() && KeyCmp{}(*inflight_.begin(), head2->first))
-        return false;
-
-      const auto popped = queue_.pop_best();
-      REPRO_CHECK(popped && *popped == head->second);
-      GroupTask& g = groups_[static_cast<std::size_t>(*popped)];
-      core::TopAlignment top =
-          core::accept_alignment(s_, scoring_, triangle_, original, r,
-                                 g.score[static_cast<std::size_t>(b)]);
+    while (const auto a = search_.begin_accept()) {
+      core::TopAlignment top = trace(*a);
       // Broadcast the triangle growth before any assign can reference the
       // new version (per-channel FIFO makes the ordering safe; a worker
       // that loses this update resynchronises via kSyncRequest).
       Message update;
       update.tag = kUpdate;
-      update.data.push_back(version() + 1);
+      update.data.push_back(search_.version() + 1);
       update.data.push_back(static_cast<std::int32_t>(top.pairs.size()));
       for (const auto& [i, j] : top.pairs) {
         update.data.push_back(i);
         update.data.push_back(j);
       }
       comm_.broadcast(0, update);
-      tops_.push_back(std::move(top));
-      ++stats_.tracebacks;
-      queue_.push(*popped, g.key());
+      search_.finish_accept(*a, std::move(top));
     }
+    return search_.done();
   }
 
   void assign_idle() {
     while (!idle_.empty()) {
-      const auto gi = queue_.pop_best_if([this](int g) { return group_stale(g); });
-      if (!gi) break;
+      const auto o = search_.begin_sweep();
+      if (!o) break;
       const int w = idle_.back();
       idle_.pop_back();
       WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
       REPRO_DCHECK(rec.state == WState::kIdle && !rec.job.has_value());
       rec.state = WState::kBusy;
-      GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
-      inflight_.insert(g.key());
-      rec.job = Assignment{*gi, g.r0, version(), g.key(),
-                           Clock::now() + milliseconds(options_.ft.task_timeout_ms)};
-      comm_.send(0, w, {kAssign, {g.r0, g.count, version()}});
+      rec.job = Assignment{
+          *o, Clock::now() + milliseconds(options_.ft.task_timeout_ms)};
+      comm_.send(0, w, {kAssign, {o->r0, o->count, o->version}});
     }
   }
 
@@ -392,10 +323,10 @@ class Master {
         if (rec.state == WState::kNew && !comm_.closed(src)) mark_idle(src);
         break;
       case kRowRequest: {
-        REPRO_CHECK_MSG(rows_.has_value(),
-                        "row request reached the master in partitioned mode");
+        REPRO_CHECK_MSG(archive_ != nullptr,
+                        "row request reached the master without an archive");
         const int r = msg.data.at(0);
-        comm_.send(0, src, make_row_message(kRowReply, r, rows_->row(r)));
+        comm_.send(0, src, make_row_message(kRowReply, r, archive_->row(r)));
         ++replicas_served_;
         break;
       }
@@ -413,8 +344,8 @@ class Master {
       case kReject:
         // The worker could no longer compute at the assigned version (a
         // duplicated assign landed after its replica moved on). Requeue.
-        if (rec.job.has_value() && rec.job->r0 == msg.data.at(0) &&
-            rec.job->version == msg.data.at(1)) {
+        if (rec.job.has_value() && rec.job->order.r0 == msg.data.at(0) &&
+            rec.job->order.version == msg.data.at(1)) {
           cancel_assignment(src);
           recovery_.bump(recovery_.retries);
           mark_idle(src);
@@ -429,18 +360,19 @@ class Master {
 
   /// Cumulative triangle state up to target_version, idempotent to apply.
   void send_sync_reply(int src, int target_version) {
-    REPRO_CHECK(target_version >= 0 && target_version <= version());
+    REPRO_CHECK(target_version >= 0 && target_version <= search_.version());
     recovery_.bump(recovery_.sync_requests);
+    const std::vector<core::TopAlignment>& tops = search_.tops();
     Message reply;
     reply.tag = kSyncReply;
     std::size_t npairs = 0;
     for (int v = 0; v < target_version; ++v)
-      npairs += tops_[static_cast<std::size_t>(v)].pairs.size();
+      npairs += tops[static_cast<std::size_t>(v)].pairs.size();
     reply.data.reserve(2 + 2 * npairs);
     reply.data.push_back(target_version);
     reply.data.push_back(static_cast<std::int32_t>(npairs));
     for (int v = 0; v < target_version; ++v) {
-      for (const auto& [i, j] : tops_[static_cast<std::size_t>(v)].pairs) {
+      for (const auto& [i, j] : tops[static_cast<std::size_t>(v)].pairs) {
         reply.data.push_back(i);
         reply.data.push_back(j);
       }
@@ -457,75 +389,43 @@ class Master {
     // is applied. Anything else — a duplicate delivery, a result computed
     // for an assignment that timed out and was requeued, a straggler from
     // a rank that has since died — is superseded and must be dropped.
-    if (!rec.job.has_value() || rec.job->r0 != r0 || rec.job->version != v) {
+    if (!rec.job.has_value() || rec.job->order.r0 != r0 ||
+        rec.job->order.version != v) {
       recovery_.bump(recovery_.stale_results);
       return;
     }
-    const int gi = rec.job->gi;
-    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    REPRO_CHECK(g.count == count);
-
-    const auto inflight_it = inflight_.find(rec.job->key);
-    REPRO_CHECK(inflight_it != inflight_.end());
-    inflight_.erase(inflight_it);
+    const core::SweepOrder order = rec.job->order;
     rec.job.reset();
-
-    std::size_t cursor = 3 + static_cast<std::size_t>(count);
-    for (int k = 0; k < count; ++k) {
-      const int r = r0 + k;
-      auto& member_version = g.version[static_cast<std::size_t>(k)];
-      if (member_version == -1) {
-        // Recovery invariant: kScoreInf keys pin every never-completed
-        // group above all real scores, so acceptance (and with it version
-        // advance) cannot begin until each group completed once at v0 —
-        // cancels and requeues never change a group's key.
-        REPRO_CHECK(v == 0);
-        ++stats_.first_alignments;
-        if (rows_.has_value()) {
-          // Replica mode: the worker appended the bottom row for archival.
-          const auto len = static_cast<std::size_t>(s_.length() - r);
-          std::vector<align::Score> row(
-              msg.data.begin() + static_cast<std::ptrdiff_t>(cursor),
-              msg.data.begin() + static_cast<std::ptrdiff_t>(cursor + len));
-          cursor += len;
-          rows_->store(r, row);
-        }
-        // (Partitioned mode: the worker already routed the row to its
-        // owner; cross-rank deposits are tallied at the sending side.)
-      } else if (member_version == v) {
-        ++stats_.speculative;
-      } else {
-        ++stats_.realignments;
+    REPRO_CHECK(order.count == count);
+    const auto first = msg.data.begin() + 3;
+    const std::span<const align::Score> scores(first, first + count);
+    // Replica mode: a first alignment's bottom rows ride the result for
+    // archival. (Partitioned mode: the worker already routed each row to
+    // its owner; cross-rank deposits are tallied at the sending side.)
+    // Kept exactly once: only the live record's result is applied.
+    auto cursor = first + count;
+    if (v == 0 && archive_ != nullptr) {
+      for (int k = 0; k < count; ++k) {
+        const int r = r0 + k;
+        const auto end = cursor + (search_.sequence().length() - r);
+        archive_->store(r, std::span<const align::Score>(cursor, end));
+        cursor = end;
       }
-      g.score[static_cast<std::size_t>(k)] = msg.data.at(3 + static_cast<std::size_t>(k));
-      member_version = v;
     }
-    REPRO_CHECK(cursor == msg.data.size());
-    // Mirror the engines' accounting: lanes x rows x columns per group.
-    stats_.cells += static_cast<std::uint64_t>(g.r0 + g.count - 1) *
-                    static_cast<std::uint64_t>(s_.length() - g.r0) *
-                    static_cast<std::uint64_t>(lanes_);
-    ++stats_.queue_pops;
-    queue_.push(gi, g.key());
+    REPRO_CHECK(cursor == msg.data.end());
+    search_.finish_sweep(order, scores);
     mark_idle(src);
   }
 
   Comm& comm_;
-  const seq::Sequence& s_;
-  const seq::Scoring& scoring_;
+  core::Search& search_;
   const ClusterOptions& options_;
   RecoveryStats& recovery_;
-  align::OverrideTriangle triangle_;
-  std::optional<align::BottomRowStore> rows_;  // replica mode only
+  align::BottomRowStore* archive_;  // replica mode only
+  core::Sweeper* sweeper_;          // MemoryMode::kRecomputeRows only
   std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // partitioned
-  int lanes_;
-  std::vector<GroupTask> groups_;
-  core::GroupQueue queue_;
-  std::multiset<TaskKey, KeyCmp> inflight_;
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
-  std::vector<core::TopAlignment> tops_;
-  core::FinderStats stats_;
   std::uint64_t replicas_served_ = 0;
 };
 
@@ -534,22 +434,32 @@ class Master {
 /// needed; the search already completed.
 struct ShutdownSignal {};
 
-/// Worker rank: private engine, replicated triangle, cached original rows;
-/// under partitioned storage also an owner of row shards — though under
-/// faults ownership is advisory: any worker rebuilds any v0 row on demand.
+/// Worker rank: replicated triangle and a sweeper with its own engine and
+/// checkpoint partition (invalidated by each update, cleared by a resync).
+/// Original rows are recomputed under MemoryMode::kRecomputeRows and
+/// otherwise fetched and cached; under partitioned storage the worker also
+/// owns row shards — though under faults ownership is advisory: any worker
+/// rebuilds any v0 row on demand.
 class Worker {
  public:
   Worker(Comm& comm, int rank, const seq::Sequence& s,
          const seq::Scoring& scoring, const ClusterOptions& options,
-         align::Engine& engine, RecoveryStats& recovery)
+         align::Engine& engine, std::size_t checkpoint_budget,
+         RecoveryStats& recovery)
       : comm_(comm),
         rank_(rank),
         s_(s),
         scoring_(scoring),
         options_(options),
         recovery_(recovery),
-        engine_(engine),
-        triangle_(s.length()) {}
+        triangle_(s.length()),
+        sweeper_(s, scoring, options.finder, triangle_, engine,
+                 checkpoint_budget, core::RowSource{nullptr, fetch_rows()}) {}
+
+  Worker(const Worker&) = delete;  // the sweeper's row fetch holds `this`
+  Worker& operator=(const Worker&) = delete;
+
+  [[nodiscard]] core::Sweeper& sweeper() { return sweeper_; }
 
   void run() {
     comm_.send(rank_, 0, {kReqWork, {}});
@@ -599,6 +509,19 @@ class Worker {
     return options_.row_storage == RowStorage::kPartitioned;
   }
 
+  bool archived() const {
+    return options_.finder.memory == core::MemoryMode::kArchiveRows;
+  }
+
+  /// The sweeper's source of original rows: fetched replicas, or none (it
+  /// recomputes them) under MemoryMode::kRecomputeRows.
+  std::function<std::span<const std::int16_t>(int)> fetch_rows() {
+    if (!archived()) return {};
+    return [this](int r) {
+      return std::span<const std::int16_t>(original_row(r));
+    };
+  }
+
   /// Handles any message that can arrive while blocked in a nested wait
   /// (row fetch, version sync) — everything except kAssign (stashed by the
   /// callers: we are busy, the compute must finish first) and kShutdown.
@@ -636,11 +559,20 @@ class Worker {
   void apply_update(const Message& msg) {
     const int new_version = msg.data.at(0);
     if (new_version != version_ + 1) return;
-    const int npairs = msg.data.at(1);
-    for (int p = 0; p < npairs; ++p)
-      triangle_.set(msg.data.at(2 + 2 * static_cast<std::size_t>(p)),
-                    msg.data.at(3 + 2 * static_cast<std::size_t>(p)));
+    sweeper_.invalidate(align::PairDirtyIndex(set_pairs(msg)));
     version_ = new_version;
+  }
+
+  /// Marks a [version, npairs, i0, j0, ...] message's pairs; returns them.
+  std::vector<std::pair<int, int>> set_pairs(const Message& msg) {
+    const auto npairs = static_cast<std::size_t>(msg.data.at(1));
+    REPRO_DCHECK(msg.data.size() == 2 + 2 * npairs);
+    std::vector<std::pair<int, int>> pairs(npairs);
+    for (std::size_t p = 0; p < npairs; ++p) {
+      pairs[p] = {msg.data.at(2 + 2 * p), msg.data.at(3 + 2 * p)};
+      triangle_.set(pairs[p].first, pairs[p].second);
+    }
+    return pairs;
   }
 
   /// Cumulative sync reply: all pairs of versions 1..target. Idempotent
@@ -648,12 +580,7 @@ class Worker {
   void apply_sync(const Message& msg) {
     const int to_version = msg.data.at(0);
     if (to_version <= version_) return;  // duplicate or superseded reply
-    const int npairs = msg.data.at(1);
-    REPRO_DCHECK(msg.data.size() ==
-                 2 + 2 * static_cast<std::size_t>(npairs));
-    for (int p = 0; p < npairs; ++p)
-      triangle_.set(msg.data.at(2 + 2 * static_cast<std::size_t>(p)),
-                    msg.data.at(3 + 2 * static_cast<std::size_t>(p)));
+    sweeper_.reset(to_version, align::PairDirtyIndex(set_pairs(msg)));
     version_ = to_version;
   }
 
@@ -709,15 +636,9 @@ class Worker {
     job.overrides = nullptr;
     job.r0 = r;
     job.count = 1;
-    // Local buffer: a rebuild can run nested inside handle_assign (while it
-    // waits on a row fetch), which is still using out_rows_.
-    std::vector<align::Score> row(static_cast<std::size_t>(s_.length() - r));
-    std::vector<std::span<align::Score>> outs{row};
-    engine_.align(job, outs);
-    std::vector<std::int16_t> narrow(row.size());
-    for (std::size_t x = 0; x < row.size(); ++x)
-      narrow[x] = static_cast<std::int16_t>(row[x]);
-    return owned_rows_.emplace(r, std::move(narrow)).first->second;
+    // Local buffer: a rebuild can run nested inside a sweep's row fetch.
+    return owned_rows_.emplace(r, narrow(sweeper_.engine().align_one(job)))
+        .first->second;
   }
 
   void serve_row(int src, int r) {
@@ -793,61 +714,35 @@ class Worker {
       comm_.send(rank_, 0, {kReject, {r0, v}});
       return;
     }
-    const int m = s_.length();
-
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = v == 0 ? nullptr : &triangle_;
-    job.r0 = r0;
-    job.count = count;
-    out_rows_.resize(static_cast<std::size_t>(count));
-    std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k) {
-      out_rows_[static_cast<std::size_t>(k)].resize(
-          static_cast<std::size_t>(m - (r0 + k)));
-      outs[static_cast<std::size_t>(k)] = out_rows_[static_cast<std::size_t>(k)];
-    }
-    engine_.align(job, outs);
-
+    const std::span<const align::Score> scores = sweeper_.sweep(r0, count, v);
+    sweeper_.commit();
     Message result;
     result.tag = kResult;
     result.data = {r0, count, v};
-    for (int k = 0; k < count; ++k) {
-      const int r = r0 + k;
-      const auto& row = out_rows_[static_cast<std::size_t>(k)];
-      align::Score score;
-      if (v == 0) {
-        score = align::find_best_end(row).score;
-        std::vector<std::int16_t> narrow(row.size());
-        for (std::size_t x = 0; x < row.size(); ++x)
-          narrow[x] = static_cast<std::int16_t>(row[x]);
-        if (partitioned()) {
-          // Route the row to its owner (in-process sends are causally
-          // ordered before our result reaches the master, so the deposit is
-          // always in the owner's mailbox before any consumer's request —
-          // and if the fault plan drops it, the owner rebuilds on demand).
-          const int owner = owner_of_alive(r);
-          if (owner == rank_) {
-            owned_rows_.emplace(r, std::move(narrow));
-          } else {
-            comm_.send(rank_, owner, make_row_message(kRowDeposit, r, narrow));
-            recovery_.bump(recovery_.deposits);
-            row_cache_.emplace(r, std::move(narrow));  // keep our own copy
-          }
-        } else {
+    result.data.insert(result.data.end(), scores.begin(), scores.end());
+    if (v == 0 && archived()) {
+      for (int k = 0; k < count; ++k) {
+        const int r = r0 + k;
+        std::vector<std::int16_t> row = narrow(sweeper_.row(k));
+        if (!partitioned()) {
           // Replica mode: cache locally; the archive copy rides the result.
-          row_cache_.emplace(r, std::move(narrow));
+          result.data.insert(result.data.end(), row.begin(), row.end());
+          row_cache_.emplace(r, std::move(row));
+          continue;
         }
-      } else {
-        score = align::find_best_end(row, original_row(r)).score;
+        // Route the row to its owner (in-process sends are causally ordered
+        // before our result reaches the master, so the deposit is always in
+        // the owner's mailbox before any consumer's request — and if the
+        // fault plan drops it, the owner rebuilds on demand).
+        const int owner = owner_of_alive(r);
+        if (owner == rank_) {
+          owned_rows_.emplace(r, std::move(row));
+        } else {
+          comm_.send(rank_, owner, make_row_message(kRowDeposit, r, row));
+          recovery_.bump(recovery_.deposits);
+          row_cache_.emplace(r, std::move(row));  // keep our own copy
+        }
       }
-      result.data.push_back(score);
-    }
-    if (v == 0 && !partitioned()) {
-      for (int k = 0; k < count; ++k)
-        for (align::Score x : out_rows_[static_cast<std::size_t>(k)])
-          result.data.push_back(x);
     }
     comm_.send(rank_, 0, std::move(result));
   }
@@ -858,14 +753,13 @@ class Worker {
   const seq::Scoring& scoring_;
   const ClusterOptions& options_;
   RecoveryStats& recovery_;
-  align::Engine& engine_;
   align::OverrideTriangle triangle_;
+  core::Sweeper sweeper_;
   int version_ = 0;
   bool registered_ = false;  ///< the master has provably seen our hello
   std::deque<Message> pending_assigns_;
   std::unordered_map<int, std::vector<std::int16_t>> row_cache_;
   std::unordered_map<int, std::vector<std::int16_t>> owned_rows_;
-  std::vector<std::vector<align::Score>> out_rows_;
 };
 
 }  // namespace
@@ -876,13 +770,6 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
                                                const align::EngineFactory& factory,
                                                ClusterRunInfo* info) {
   REPRO_CHECK(options.ranks >= 1);
-  REPRO_CHECK(options.finder.min_score >= 1);
-  REPRO_CHECK_MSG(options.finder.memory == core::MemoryMode::kArchiveRows,
-                  "the distributed finder manages rows via RowStorage; "
-                  "MemoryMode::kRecomputeRows applies to the sequential "
-                  "finder only");
-  REPRO_CHECK_MSG(options.finder.traceback == core::TracebackMode::kFullMatrix,
-                  "the distributed master uses the full-matrix traceback");
   const auto crashed = options.fault_plan.crashed_ranks();
   for (int c : crashed)
     REPRO_CHECK_MSG(c > 0 && c < options.ranks,
@@ -898,28 +785,53 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     return core::find_top_alignments(s, scoring, options.finder, *engine);
   }
 
+  // One engine per worker; the master needs one only to recompute the
+  // accepted rows under MemoryMode::kRecomputeRows.
+  const bool recompute =
+      options.finder.memory == core::MemoryMode::kRecomputeRows;
   std::vector<std::unique_ptr<align::Engine>> engines(
       static_cast<std::size_t>(options.ranks));
-  for (int w = 1; w < options.ranks; ++w) {
-    engines[static_cast<std::size_t>(w)] = factory();
-    REPRO_CHECK(engines[static_cast<std::size_t>(w)] != nullptr);
+  for (int rank = recompute ? 0 : 1; rank < options.ranks; ++rank) {
+    engines[static_cast<std::size_t>(rank)] = factory();
+    REPRO_CHECK(engines[static_cast<std::size_t>(rank)] != nullptr);
   }
-  const int lanes = engines[1]->lanes();
-  for (int w = 2; w < options.ranks; ++w)
-    REPRO_CHECK_MSG(engines[static_cast<std::size_t>(w)]->lanes() == lanes,
+  const int lanes = engines.back()->lanes();
+  for (const auto& e : engines)
+    REPRO_CHECK_MSG(e == nullptr || e->lanes() == lanes,
                     "all worker engines must have the same lane count");
 
+  core::Search search(s, scoring, options.finder, lanes);
+  std::optional<align::BottomRowStore> archive;
+  if (!recompute && options.row_storage == RowStorage::kMasterReplica)
+    archive.emplace(s.length());
+  const std::size_t budget = std::max<std::size_t>(
+      1, options.finder.checkpoint_mem /
+             static_cast<std::size_t>(options.ranks - 1));
+  std::optional<core::Sweeper> master_sweeper;
+  std::vector<core::Sweeper*> sweepers;
+  if (recompute) {
+    master_sweeper.emplace(search, *engines[0], budget, core::RowSource{});
+    sweepers.push_back(&*master_sweeper);
+  }
   RecoveryStats recovery;
   Comm comm(options.ranks, options.fault_plan);
-  Master master(comm, s, scoring, options, lanes, recovery);
-  core::FinderResult result;
+  std::vector<std::unique_ptr<Worker>> workers(
+      static_cast<std::size_t>(options.ranks));
+  for (int rank = 1; rank < options.ranks; ++rank) {
+    auto& w = workers[static_cast<std::size_t>(rank)];
+    w = std::make_unique<Worker>(comm, rank, s, scoring, options,
+                                 *engines[static_cast<std::size_t>(rank)],
+                                 budget, recovery);
+    sweepers.push_back(&w->sweeper());
+  }
+  Master master(comm, search, options, recovery,
+                archive ? &*archive : nullptr,
+                master_sweeper ? &*master_sweeper : nullptr);
   run_ranks(comm, [&](int rank) {
     if (rank == 0) {
-      result = master.run();
+      master.run();
     } else {
-      Worker worker(comm, rank, s, scoring, options,
-                    *engines[static_cast<std::size_t>(rank)], recovery);
-      worker.run();
+      workers[static_cast<std::size_t>(rank)]->run();
     }
   });
 
@@ -975,8 +887,7 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
           .add(comm.words_sent_from(rank));
     }
   }
-  core::publish_finder_stats(result.stats, s.length(), "cluster.");
-  return result;
+  return search.finish(sweepers, "cluster.");
 }
 
 }  // namespace repro::cluster

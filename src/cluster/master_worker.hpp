@@ -1,14 +1,16 @@
 // Distributed-memory master/worker finder (paper §4.3) over the MPI-shaped
 // message substrate (cluster/mpisim.hpp).
 //
-// Rank 0 is sacrificed as the master: it owns the task queue, the
-// bottom-row archive, and the acceptance step (including the sequential
-// traceback). Workers own a private engine and a replicated override
-// triangle, kept current by update broadcasts; original bottom rows are
-// fetched from the master on demand and cached ("once computed, the last
-// row data never changes"). Acceptance uses the same deterministic guard as
-// the shared-memory finder, so the accepted top alignments are identical
-// for every rank count — and identical to the sequential algorithm's.
+// Rank 0 is sacrificed as the master: it owns the core::Search (queue,
+// acceptance guard and the sequential traceback) and the bottom-row
+// archive, and otherwise only messages and recovers. Workers sweep through
+// a core::Sweeper — a private engine and checkpoint partition — over a
+// replicated override triangle, kept current by update broadcasts;
+// original bottom rows are fetched from the master on demand and cached
+// ("once computed, the last row data never changes"), or recomputed under
+// MemoryMode::kRecomputeRows. The search is the sequential finder's, so
+// the accepted top alignments are identical for every rank count and every
+// finder option.
 //
 // Unlike the paper's reliable Myrinet deployment, this implementation is
 // fault tolerant. The protocol survives message drops, bounded delays,

@@ -1,7 +1,7 @@
 #include "cluster/oracle.hpp"
 
-#include "align/traceback.hpp"
-#include "core/top_alignment_finder.hpp"
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace repro::cluster {
@@ -14,11 +14,8 @@ AlignmentOracle::AlignmentOracle(const seq::Sequence& s,
       engine_(engine),
       triangle_(s.length()),
       rows_(s.length()),
-      layout_(core::make_groups(s.length(), engine.lanes())) {
-  out_rows_.resize(static_cast<std::size_t>(engine.lanes()));
-}
-
-int AlignmentOracle::lanes() const { return engine_.lanes(); }
+      sweeper_(s, scoring, options_, triangle_, engine, /*checkpoint_budget=*/0,
+               core::RowSource{&rows_, {}}) {}
 
 void AlignmentOracle::begin_run() {
   triangle_.clear();
@@ -33,54 +30,25 @@ const std::vector<align::Score>& AlignmentOracle::member_scores(
                                               << version_);
   const auto key = std::make_pair(gi, version_);
   if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
-
-  const core::GroupTask& g = layout_[static_cast<std::size_t>(gi)];
-  const int m = s_.length();
-  align::GroupJob job;
-  job.seq = s_.codes();
-  job.scoring = &scoring_;
-  job.overrides = version_ == 0 ? nullptr : &triangle_;
-  job.r0 = g.r0;
-  job.count = g.count;
-  std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(g.count));
-  for (int k = 0; k < g.count; ++k) {
-    out_rows_[static_cast<std::size_t>(k)].resize(
-        static_cast<std::size_t>(m - (g.r0 + k)));
-    outs[static_cast<std::size_t>(k)] = out_rows_[static_cast<std::size_t>(k)];
-  }
-  engine_.align(job, outs);
+  const int r0 = 1 + gi * lanes();
+  const int count = std::min(lanes(), s_.length() - r0);
+  const auto scores = sweeper_.sweep(r0, count, version_);
   ++computed_;
-
-  std::vector<align::Score> scores(static_cast<std::size_t>(g.count));
-  for (int k = 0; k < g.count; ++k) {
-    const int r = g.r0 + k;
-    const auto& row = out_rows_[static_cast<std::size_t>(k)];
-    if (version_ == 0) {
-      if (!rows_.computed(r)) rows_.store(r, row);
-      scores[static_cast<std::size_t>(k)] = align::find_best_end(row).score;
-    } else {
-      scores[static_cast<std::size_t>(k)] =
-          align::find_best_end(row, rows_.row(r)).score;
-    }
-  }
-  return cache_.emplace(key, std::move(scores)).first->second;
+  return cache_.emplace(key, std::vector(scores.begin(), scores.end()))
+      .first->second;
 }
 
-const core::TopAlignment& AlignmentOracle::accept(int r, align::Score expected) {
-  if (static_cast<std::size_t>(version_) < accepted_.size()) {
-    // Replay: the acceptance sequence is version-deterministic.
-    const core::TopAlignment& top = accepted_[static_cast<std::size_t>(version_)];
-    REPRO_CHECK_MSG(top.r == r && top.score == expected,
-                    "replayed acceptance diverged at version " << version_);
-    for (const auto& [i, j] : top.pairs) triangle_.set(i, j);
-    ++version_;
-    return top;
-  }
-  core::TopAlignment top =
-      core::accept_alignment(s_, scoring_, triangle_, rows_, r, expected);
-  accepted_.push_back(std::move(top));
+const core::TopAlignment& AlignmentOracle::accept(const core::Search& search,
+                                                  const core::Acceptance& a) {
+  if (static_cast<std::size_t>(version_) == accepted_.size())
+    accepted_.push_back(search.trace(a, rows_.row(a.r)));
+  // The acceptance sequence is version-deterministic: replays must agree.
+  const core::TopAlignment& top = accepted_[static_cast<std::size_t>(version_)];
+  REPRO_CHECK_MSG(top.r == a.r && top.score == a.expected,
+                  "replayed acceptance diverged at version " << version_);
+  for (const auto& [i, j] : top.pairs) triangle_.set(i, j);
   ++version_;
-  return accepted_.back();
+  return top;
 }
 
 }  // namespace repro::cluster

@@ -27,7 +27,7 @@
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
 #include "core/options.hpp"
-#include "core/task_queue.hpp"
+#include "core/search.hpp"
 #include "seq/scoring.hpp"
 #include "seq/sequence.hpp"
 
@@ -39,24 +39,24 @@ class AlignmentOracle {
                   align::Engine& engine);
 
   [[nodiscard]] const seq::Sequence& sequence() const { return s_; }
-  [[nodiscard]] int lanes() const;
-  [[nodiscard]] const std::vector<core::GroupTask>& group_layout() const {
-    return layout_;
-  }
+  [[nodiscard]] const seq::Scoring& scoring() const { return scoring_; }
+  [[nodiscard]] int lanes() const { return engine_.lanes(); }
 
   /// Resets the replayed triangle to version 0 for a fresh simulation.
   void begin_run();
 
   [[nodiscard]] int version() const { return version_; }
 
-  /// Member scores of group `gi` aligned against the current triangle.
-  /// Cached across runs; `expected_version` must equal version().
+  /// Member scores of group `gi` (the core::make_groups layout) aligned
+  /// against the current triangle. Cached across runs; `expected_version`
+  /// must equal version().
   const std::vector<align::Score>& member_scores(int gi, int expected_version);
 
-  /// Advances the triangle by accepting split r with the given score; the
-  /// acceptance sequence is recorded on the first run and verified (and the
-  /// traceback skipped) on replays. Returns the accepted alignment.
-  const core::TopAlignment& accept(int r, align::Score expected);
+  /// Advances the triangle by the search's acceptance `a`; the acceptance
+  /// sequence is recorded on the first run and verified (and the traceback
+  /// skipped) on replays. Returns the accepted alignment.
+  const core::TopAlignment& accept(const core::Search& search,
+                                   const core::Acceptance& a);
 
   /// Alignments actually computed by the engine (cache misses) — the
   /// speculation-overhead measure ("up to 8.4 % more alignments", §5.2).
@@ -70,14 +70,14 @@ class AlignmentOracle {
   const seq::Sequence& s_;
   const seq::Scoring& scoring_;
   align::Engine& engine_;
+  core::FinderOptions options_;
   align::OverrideTriangle triangle_;
   align::BottomRowStore rows_;
-  std::vector<core::GroupTask> layout_;  // geometry only (r0, count)
+  core::Sweeper sweeper_;  ///< no checkpoint cache: scores are memoised
   int version_ = 0;
   std::map<std::pair<int, int>, std::vector<align::Score>> cache_;
   std::vector<core::TopAlignment> accepted_;
   std::uint64_t computed_ = 0;
-  std::vector<std::vector<align::Score>> out_rows_;
 };
 
 }  // namespace repro::cluster

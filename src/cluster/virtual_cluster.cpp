@@ -3,28 +3,17 @@
 #include <queue>
 #include <set>
 
-#include "core/task_queue.hpp"
+#include "core/search.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace repro::cluster {
 namespace {
 
-using core::GroupTask;
-using core::TaskKey;
-
-struct KeyCmp {
-  bool operator()(const TaskKey& a, const TaskKey& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.r < b.r;
-  }
-};
-
 struct Completion {
   double time = 0.0;
-  int gi = 0;
-  int version = 0;  // triangle version the alignment ran against
-  TaskKey bound;
+  core::SweepOrder order;
+  std::vector<align::Score> scores;
   int worker = 0;
   bool lost = false;  // worker died mid-task; `time` is the detection time
 
@@ -37,12 +26,11 @@ class Simulation {
              const core::FinderOptions& finder)
       : oracle_(oracle),
         model_(model),
-        finder_(finder),
+        search_(oracle.sequence(), oracle.scoring(), finder, oracle.lanes()),
         m_(oracle.sequence().length()),
         lanes_(oracle.lanes()),
         workers_(model.processors <= 1 ? 1 : model.processors - 1) {
     REPRO_CHECK(model.processors >= 1);
-    REPRO_CHECK(finder.min_score >= 1);
     if (model.processors > 1 && !model.worker_failure_times.empty()) {
       // Same recovery regime as the live protocol: at least one worker must
       // outlive the run for the output guarantee to hold.
@@ -54,20 +42,13 @@ class Simulation {
       has_failures_ = true;
     }
     oracle_.begin_run();
-    const auto& layout = oracle_.group_layout();
-    groups_.assign(layout.begin(), layout.end());
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue_.push(static_cast<int>(gi), groups_[gi].key());
     for (int w = 0; w < workers_; ++w) idle_.push_back(w);
   }
 
   SimResult run() {
-    for (;;) {
-      if (static_cast<int>(result_.accept_times.size()) >=
-          finder_.num_top_alignments)
-        break;
+    while (!search_.done()) {
       if (try_accept()) continue;
-      if (exhausted_) break;
+      if (search_.done()) break;
       if (try_assign()) continue;
       if (running_.empty()) break;  // nothing runs, nothing accepted: done
       process_completion();
@@ -82,7 +63,7 @@ class Simulation {
   }
 
  private:
-  int version() const { return oracle_.version(); }
+  int version() const { return search_.version(); }
 
   /// Scheduled failure time for worker `w`; <= 0 means "never fails".
   double failure_time(int w) const {
@@ -102,11 +83,6 @@ class Simulation {
     if (lost_workers_.insert(w).second) ++result_.workers_lost;
   }
 
-  bool group_stale(int gi) const {
-    const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    return g.version[static_cast<std::size_t>(g.best_member())] != version();
-  }
-
   double worker_rate() const {
     const bool dual =
         model_.cpus_per_node >= 2 && model_.processors > model_.cpus_per_node;
@@ -115,28 +91,17 @@ class Simulation {
   }
 
   bool try_accept() {
-    const auto head = queue_.peek();
-    if (!head || group_stale(head->second)) return false;
-    if (!inflight_.empty() && KeyCmp{}(*inflight_.begin(), head->first))
-      return false;
-    if (head->first.score < finder_.min_score) {
-      exhausted_ = true;
-      return false;
-    }
-    const auto popped = queue_.pop_best();
-    REPRO_CHECK(popped && *popped == head->second);
-    GroupTask& g = groups_[static_cast<std::size_t>(*popped)];
-    const int b = g.best_member();
-    const int r = g.r0 + b;
-    oracle_.accept(r, g.score[static_cast<std::size_t>(b)]);
+    const auto a = search_.begin_accept();
+    if (!a) return false;
+    search_.finish_accept(*a, oracle_.accept(search_, *a));
     // The sequential master-side traceback: a full scalar matrix of r x (m-r)
     // cells. It occupies the master (and, at P = 1, the only CPU).
     const double start = std::max(now_, master_free_);
-    const double cost = static_cast<double>(r) * static_cast<double>(m_ - r) /
+    const double cost = static_cast<double>(a->r) *
+                        static_cast<double>(m_ - a->r) /
                         model_.traceback_cells_per_sec;
     master_free_ = start + cost;
     result_.accept_times.push_back(master_free_);
-    queue_.push(*popped, g.key());
     return true;
   }
 
@@ -149,22 +114,23 @@ class Simulation {
       idle_.pop_back();
     }
     if (idle_.empty()) return false;
-    const auto gi = queue_.pop_best_if([this](int g) { return group_stale(g); });
-    if (!gi) return false;
+    const auto o = search_.begin_sweep();
+    if (!o) return false;
     const int w = idle_.back();
     idle_.pop_back();
-    GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
 
+    Completion c;
+    c.order = *o;
     // Real scores, computed eagerly at assignment time (the triangle is at
     // exactly this version now).
-    const std::vector<align::Score>& scores =
-        oracle_.member_scores(*gi, version());
+    c.scores = oracle_.member_scores(o->gi, o->version);
+    c.worker = w;
     ++result_.assignments;
 
     const bool distributed = model_.processors > 1;
     const double start = std::max(now_, master_free_);
-    double duration = static_cast<double>(g.r0 + g.count - 1) *
-                      static_cast<double>(m_ - g.r0) *
+    double duration = static_cast<double>(o->r0 + o->count - 1) *
+                      static_cast<double>(m_ - o->r0) *
                       static_cast<double>(lanes_) / worker_rate();
     if (distributed) {
       double comm = 2.0 * model_.latency_sec;  // assign + result messages
@@ -173,8 +139,8 @@ class Simulation {
       // first alignment instead uploads its bottom rows with the result.
       const int node = (w + 1) / std::max(1, model_.cpus_per_node);
       std::uint64_t bytes = 0;
-      for (int k = 0; k < g.count; ++k) {
-        const int r = g.r0 + k;
+      for (int k = 0; k < o->count; ++k) {
+        const int r = o->r0 + k;
         if (version() == 0) {
           bytes += static_cast<std::uint64_t>(m_ - r) * 2;  // upload
           node_cache_.insert({node, r});
@@ -191,12 +157,7 @@ class Simulation {
       result_.row_replica_bytes += bytes;
     }
 
-    Completion c;
     c.time = start + duration;
-    c.gi = *gi;
-    c.version = version();
-    c.bound = g.key();
-    c.worker = w;
     if (fails_before(w, c.time)) {
       // Worker dies mid-task: the result never arrives. The master notices
       // the closed channel one latency after the failure and requeues the
@@ -208,10 +169,8 @@ class Simulation {
       c.time = fail + (distributed ? model_.latency_sec : 0.0);
       c.lost = true;
     }
-    running_.push(c);
-    inflight_.insert(c.bound);
+    running_.push(std::move(c));
     busy_time_ += duration;
-    pending_scores_[{*gi, c.version}] = scores;
     return true;
   }
 
@@ -219,43 +178,26 @@ class Simulation {
     const Completion c = running_.top();
     running_.pop();
     now_ = std::max(now_, c.time);
-    const auto inflight_it = inflight_.find(c.bound);
-    REPRO_CHECK(inflight_it != inflight_.end());
-    inflight_.erase(inflight_it);
-    GroupTask& g = groups_[static_cast<std::size_t>(c.gi)];
     if (c.lost) {
       // Detection of a failed worker: discard the undelivered scores and
       // requeue the task (unchanged key); the worker never returns to idle.
-      pending_scores_.erase({c.gi, c.version});
       ++result_.reassignments;
-      queue_.push(c.gi, g.key());
+      search_.cancel_sweep(c.order);
       return;
     }
-    const auto scores_it = pending_scores_.find({c.gi, c.version});
-    REPRO_CHECK(scores_it != pending_scores_.end());
-    for (int k = 0; k < g.count; ++k) {
-      g.score[static_cast<std::size_t>(k)] =
-          scores_it->second[static_cast<std::size_t>(k)];
-      g.version[static_cast<std::size_t>(k)] = c.version;
-    }
-    pending_scores_.erase(scores_it);
-    queue_.push(c.gi, g.key());
+    search_.finish_sweep(c.order, c.scores);
     idle_.push_back(c.worker);
   }
 
   AlignmentOracle& oracle_;
   const ClusterModel& model_;
-  const core::FinderOptions& finder_;
+  core::Search search_;
   int m_;
   int lanes_;
   int workers_;
 
-  std::vector<GroupTask> groups_;
-  core::GroupQueue queue_;
-  std::multiset<TaskKey, KeyCmp> inflight_;
   std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
       running_;
-  std::map<std::pair<int, int>, std::vector<align::Score>> pending_scores_;
   std::set<std::pair<int, int>> node_cache_;
   std::vector<int> idle_;
   std::set<int> lost_workers_;
@@ -263,7 +205,6 @@ class Simulation {
   double now_ = 0.0;
   double master_free_ = 0.0;
   double busy_time_ = 0.0;
-  bool exhausted_ = false;
   bool has_failures_ = false;
   SimResult result_;
 };

@@ -54,7 +54,8 @@ struct FinderOptions {
   /// The override triangle only grows, so DP rows above the topmost
   /// newly-overridden pair are identical between rounds; sweeps resume below
   /// the deepest clean checkpoint instead of recomputing from row 1. The
-  /// parallel finder splits this budget evenly across worker threads.
+  /// shared-memory and cluster finders split this budget evenly across
+  /// their workers.
   std::size_t checkpoint_mem = std::size_t{256} << 20;  // 256 MiB
   /// Checkpoint rows emitted per sweep: the grid stride is
   /// ceil(rows / checkpoints_per_sweep); the row just above the group is

@@ -1,0 +1,466 @@
+#include "core/search.hpp"
+
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "align/linear_traceback.hpp"
+#include "align/traceback.hpp"
+#include "obs/metrics.hpp"
+#include "util/check.hpp"
+
+namespace repro::core {
+namespace {
+
+template <typename T>
+TopAlignment trace_top(const Search& search, const Acceptance& a,
+                       std::span<const T> original) {
+  align::GroupJob job;
+  job.seq = search.sequence().codes();
+  job.scoring = &search.scoring();
+  job.overrides = &search.triangle();
+  job.r0 = a.r;
+  job.count = 1;
+  align::Traceback tb =
+      search.options().traceback == TracebackMode::kLinearSpace
+          ? align::traceback_best_linear(job, original)
+          : align::traceback_best(job, original);
+  REPRO_CHECK_MSG(tb.score == a.expected,
+                  "acceptance score mismatch at r=" << a.r << ": queued "
+                                                    << a.expected << ", traced "
+                                                    << tb.score);
+  TopAlignment top;
+  top.r = a.r;
+  top.score = tb.score;
+  top.end_x = tb.end_x;
+  top.pairs = std::move(tb.pairs);
+  return top;
+}
+
+/// Publishes a run's FinderStats and queue counters under `prefix`: one
+/// counter per stat, the timers, and the derived gauges — among them the §3
+/// claim, realignments_avoided_pct, against the exhaustive-sweep baseline of
+/// (tops-1)*(m-1) realignments.
+void publish_finder_stats(const FinderStats& stats, const GroupQueue& queue,
+                          int m, std::string_view prefix) {
+  auto& reg = obs::Registry::global();
+  const auto key = [&prefix](std::string_view name) {
+    std::string k(prefix);
+    k += name;
+    return k;
+  };
+  reg.counter(key("first_alignments")).add(stats.first_alignments);
+  reg.counter(key("realignments")).add(stats.realignments);
+  reg.counter(key("speculative")).add(stats.speculative);
+  reg.counter(key("tracebacks")).add(stats.tracebacks);
+  reg.counter(key("queue_pops")).add(stats.queue_pops);
+  reg.counter(key("queue.pushes")).add(queue.pushes());
+  reg.counter(key("queue.stale_skips")).add(queue.stale_skips());
+  reg.counter(key("cells")).add(stats.cells);
+  reg.counter(key("ckpt_hits")).add(stats.ckpt_hits);
+  reg.counter(key("ckpt_misses")).add(stats.ckpt_misses);
+  reg.counter(key("ckpt_evictions")).add(stats.ckpt_evictions);
+  reg.counter(key("ckpt_rows_skipped")).add(stats.rows_skipped);
+  reg.counter(key("ckpt_rows_swept")).add(stats.rows_swept);
+  reg.counter(key("skipped_realignments")).add(stats.skipped_realignments);
+  reg.counter(key("i8_sweeps")).add(stats.i8_sweeps);
+  reg.counter(key("i16_sweeps")).add(stats.i16_sweeps);
+  reg.counter(key("precision_escalations")).add(stats.precision_escalations);
+  reg.counter(key("profile_hits")).add(stats.profile_hits);
+  if (stats.realign_seconds > 0.0)
+    reg.timer(key("realign_seconds")).add_seconds(stats.realign_seconds);
+  if (stats.ckpt_hits + stats.ckpt_misses > 0)
+    reg.set_gauge(key("ckpt_hit_rate_pct"),
+                  100.0 * static_cast<double>(stats.ckpt_hits) /
+                      static_cast<double>(stats.ckpt_hits + stats.ckpt_misses));
+  if (stats.rows_swept > 0)
+    reg.set_gauge(key("ckpt_rows_skipped_pct"),
+                  100.0 * static_cast<double>(stats.rows_skipped) /
+                      static_cast<double>(stats.rows_swept));
+  reg.timer(key("seconds")).add_seconds(stats.seconds);
+  if (stats.idle_seconds > 0.0)
+    reg.timer(key("idle_seconds")).add_seconds(stats.idle_seconds);
+  if (stats.seconds > 0.0)
+    reg.set_gauge(key("cells_per_sec"),
+                  static_cast<double>(stats.cells) / stats.seconds);
+  if (stats.tracebacks >= 2 && m >= 2) {
+    const double sweep = static_cast<double>(stats.tracebacks - 1) *
+                         static_cast<double>(m - 1);
+    reg.set_gauge(key("realignments_avoided_pct"),
+                  100.0 * (1.0 - static_cast<double>(stats.realignments) /
+                                     sweep));
+  }
+}
+
+}  // namespace
+
+// ------------------------------------------------------------------ Search
+
+Search::Search(const seq::Sequence& s, const seq::Scoring& scoring,
+               const FinderOptions& options, int lanes)
+    : s_(s),
+      scoring_(scoring),
+      options_(options),
+      triangle_(s.length()),
+      groups_(make_groups(s.length(), lanes)) {
+  REPRO_CHECK(options.min_score >= 1);
+  REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
+                  "scoring matrix alphabet does not match the sequence");
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi)
+    queue_.push(static_cast<int>(gi), groups_[gi].key());
+}
+
+bool Search::done() const {
+  return version() >= options_.num_top_alignments || exhausted_ ||
+         (queue_.empty() && inflight_.empty());
+}
+
+/// Low-memory fast path: when no pair accepted since a stale member's
+/// version reaches its rectangle, its row and score are provably unchanged,
+/// so its version is bumped without a sweep.
+bool Search::skip_untouched(GroupTask& g) {
+  if (options_.memory != MemoryMode::kRecomputeRows ||
+      options_.checkpoint_mem == 0)
+    return false;
+  for (int k = 0; k < g.count; ++k) {
+    const int v = g.version[static_cast<std::size_t>(k)];
+    if (v == version()) continue;
+    if (v < 0) return false;
+    const int r = g.r0 + k;
+    for (int t = v; t < version(); ++t)
+      if (dirty_[static_cast<std::size_t>(t)].min_dirty_row(r) <= r)
+        return false;
+  }
+  for (int& v : g.version) {
+    if (v == version()) continue;
+    v = version();
+    ++stats_.skipped_realignments;
+  }
+  return true;
+}
+
+std::optional<Acceptance> Search::begin_accept() {
+  if (done()) return std::nullopt;
+  const auto head = queue_.peek();
+  if (!head) return std::nullopt;
+  GroupTask& g = groups_[static_cast<std::size_t>(head->second)];
+  if (stale(g) && !skip_untouched(g)) return std::nullopt;
+  if (!inflight_.empty() && inflight_.begin()->before(head->first))
+    return std::nullopt;
+  if (head->first.score < options_.min_score) {
+    exhausted_ = true;  // every bound is lower: nothing left can qualify
+    return std::nullopt;
+  }
+  const auto popped = queue_.pop_best();
+  REPRO_CHECK(popped && *popped == head->second);
+  inflight_.insert(head->first);
+  ++accepting_;
+  return Acceptance{head->second, head->first.r, head->first.score,
+                    head->first};
+}
+
+TopAlignment Search::trace(const Acceptance& a,
+                           std::span<const std::int16_t> original) const {
+  return trace_top(*this, a, original);
+}
+
+TopAlignment Search::trace(const Acceptance& a,
+                           std::span<const align::Score> original) const {
+  return trace_top(*this, a, original);
+}
+
+void Search::finish_accept(const Acceptance& a, TopAlignment top) {
+  for (const auto& [i, j] : top.pairs) triangle_.set(i, j);
+  tops_.push_back(std::move(top));
+  // Acceptance order (§2.2): scores never increase down the top list.
+  REPRO_DCHECK_MSG(tops_.size() < 2 ||
+                       tops_.back().score <= tops_[tops_.size() - 2].score,
+                   "acceptance " << tops_.size() - 1 << " (score "
+                                 << tops_.back().score
+                                 << ") outranks its predecessor");
+  dirty_.emplace_back(std::span<const std::pair<int, int>>(tops_.back().pairs));
+  ++stats_.tracebacks;
+  --accepting_;
+  release(a.bound);
+  queue_.push(a.gi, groups_[static_cast<std::size_t>(a.gi)].key());
+}
+
+std::optional<SweepOrder> Search::begin_sweep(bool any_member) {
+  while (!done()) {
+    const auto gi = queue_.pop_best_if([this, any_member](int i) {
+      const GroupTask& g = groups_[static_cast<std::size_t>(i)];
+      return any_member ? std::any_of(g.version.begin(), g.version.end(),
+                                      [this](int v) { return v != version(); })
+                        : stale(g);
+    });
+    if (!gi) break;
+    GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
+    if (skip_untouched(g)) {
+      queue_.push(*gi, g.key());
+      continue;
+    }
+    const SweepOrder o{*gi, g.r0, g.count, version(), g.key(),
+                       /*exact=*/accepting_ == 0};
+    inflight_.insert(o.bound);
+    return o;
+  }
+  return std::nullopt;
+}
+
+void Search::release(const TaskKey& bound) {
+  const auto it = inflight_.find(bound);
+  REPRO_CHECK(it != inflight_.end());
+  inflight_.erase(it);
+}
+
+void Search::finish_sweep(const SweepOrder& o,
+                          std::span<const align::Score> scores) {
+  release(o.bound);
+  GroupTask& g = groups_[static_cast<std::size_t>(o.gi)];
+  REPRO_CHECK(static_cast<int>(scores.size()) == g.count);
+  // With no acceptance under way since the order was taken, the sweep saw
+  // exactly its version's triangle, so recomputing a current member must
+  // reproduce its score.
+  [[maybe_unused]] const bool exact =
+      o.exact && accepting_ == 0 && version() == o.version;
+  for (int k = 0; k < g.count; ++k) {
+    const auto ks = static_cast<std::size_t>(k);
+    int& v = g.version[ks];
+    if (v == -1) {
+      // kScoreInf keys pin never-aligned groups above every real score, so
+      // all first alignments precede the first acceptance.
+      REPRO_CHECK(o.version == 0);
+      ++stats_.first_alignments;
+    } else {
+      if (v == o.version) {
+        ++stats_.speculative;  // recomputed although already current
+      } else {
+        ++stats_.realignments;
+      }
+      // Upper-bound property (Fig. 5): the triangle only removes scoring
+      // mass, so a realignment can never raise a member's score.
+      REPRO_DCHECK_MSG(scores[ks] <= g.score[ks],
+                       "realignment raised r=" << g.r0 + k << " from "
+                           << g.score[ks] << " to " << scores[ks]);
+      REPRO_DCHECK_MSG(!exact || v != o.version || scores[ks] == g.score[ks],
+                       "speculative recompute changed r=" << g.r0 + k);
+    }
+    g.score[ks] = scores[ks];
+    v = o.version;
+  }
+  queue_.push(o.gi, g.key());
+}
+
+void Search::cancel_sweep(const SweepOrder& o) {
+  release(o.bound);
+  const GroupTask& g = groups_[static_cast<std::size_t>(o.gi)];
+  // Only an applied result moves a group's key.
+  REPRO_DCHECK(!g.key().before(o.bound) && !o.bound.before(g.key()));
+  queue_.push(o.gi, g.key());
+}
+
+void Search::sync(Sweeper& sweeper) const {
+  for (int t = sweeper.version(); t < version(); ++t)
+    sweeper.invalidate(dirty_[static_cast<std::size_t>(t)]);
+}
+
+FinderResult Search::finish(std::span<Sweeper* const> sweepers,
+                            std::string_view prefix, double idle_seconds) {
+  FinderResult res;
+  res.stats = stats_;
+  for (const Sweeper* sw : sweepers) sw->add_stats(res.stats);
+  res.stats.queue_pops = queue_.pops();
+  res.stats.idle_seconds = idle_seconds;
+  res.stats.seconds = timer_.seconds();
+  if constexpr (obs::kEnabled)
+    publish_finder_stats(res.stats, queue_, s_.length(), prefix);
+  res.tops = std::move(tops_);
+  return res;
+}
+
+// ----------------------------------------------------------------- Sweeper
+
+Sweeper::Sweeper(const seq::Sequence& s, const seq::Scoring& scoring,
+                 const FinderOptions& options,
+                 const align::OverrideTriangle& triangle, align::Engine& engine,
+                 std::size_t checkpoint_budget, RowSource rows)
+    : s_(s),
+      scoring_(scoring),
+      options_(options),
+      triangle_(triangle),
+      engine_(engine),
+      rows_(std::move(rows)),
+      out_rows_(static_cast<std::size_t>(engine.lanes())),
+      plain_rows_(static_cast<std::size_t>(engine.lanes())),
+      cells0_(engine.cells_computed()),
+      prec0_(engine.precision_stats()) {
+  if (options.checkpoint_mem > 0 && checkpoint_budget > 0 &&
+      engine.supports_checkpoints())
+    cache_.emplace(checkpoint_budget);
+}
+
+Sweeper::Sweeper(const Search& search, align::Engine& engine,
+                 std::size_t checkpoint_budget, RowSource rows)
+    : Sweeper(search.sequence(), search.scoring(), search.options(),
+              search.triangle(), engine, checkpoint_budget, std::move(rows)) {}
+
+void Sweeper::invalidate(align::PairDirtyIndex dirty) {
+  if (cache_) cache_->invalidate(dirty);
+  dirty_.push_back(std::move(dirty));
+}
+
+void Sweeper::reset(int version, align::PairDirtyIndex cumulative) {
+  REPRO_CHECK(version >= 1);
+  if (cache_) cache_.emplace(cache_->budget());
+  dirty_.clear();
+  dirty_.push_back(std::move(cumulative));
+  dirty_base_ = version - 1;
+}
+
+int Sweeper::attach(align::GroupJob& job, align::CheckpointSink& sink,
+                    align::CheckpointView& view, bool plain, bool lookup) {
+  if (!cache_) return 0;
+  int resumed = 0;
+  if (lookup) {
+    // Plain rows serve an overridden sweep only above every accepted pair.
+    int limit = std::numeric_limits<int>::max();
+    if (!plain)
+      for (const auto& d : dirty_)
+        limit = std::min(limit, d.min_dirty_row(job.r0) - 1);
+    if (const auto found = cache_->find(job.r0, plain, limit)) {
+      view = *found;
+      job.resume = &view;
+      resumed = view.row;
+      // The kernel re-enters at row + 1, inside the group's row range.
+      REPRO_DCHECK(view.row >= 1 && view.row < job.r0);
+    }
+  }
+  const int rows = job.r0 + job.count - 1;
+  const int per_sweep = std::max(1, options_.checkpoints_per_sweep);
+  sink.stride = std::max(1, (rows + per_sweep - 1) / per_sweep);
+  sink.top_row = job.r0 - 1;
+  job.sink = &sink;
+  return resumed;
+}
+
+void Sweeper::prepare(std::vector<std::vector<align::Score>>& rows,
+                      std::vector<std::span<align::Score>>& outs, int r0,
+                      int count) {
+  outs.resize(static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    auto& row = rows[static_cast<std::size_t>(k)];
+    row.resize(static_cast<std::size_t>(s_.length() - (r0 + k)));
+    outs[static_cast<std::size_t>(k)] = row;
+  }
+}
+
+std::span<const align::Score> Sweeper::sweep(int r0, int count, int version) {
+  const bool realign = version > 0;
+  align::GroupJob job;
+  job.seq = s_.codes();
+  job.scoring = &scoring_;
+  job.overrides = realign ? &triangle_ : nullptr;
+  job.r0 = r0;
+  job.count = count;
+  prepare(out_rows_, outs_, r0, count);
+  // First alignments run under the empty triangle and are cached as plain
+  // sweeps; nothing can be cached before them, so they skip the lookup.
+  const int resumed = attach(job, sink_, view_, /*plain=*/!realign, realign);
+  util::WallTimer timer;
+  engine_.align(job, outs_);
+
+  // Low-memory mode: recompute the empty-triangle originals with one extra
+  // group sweep (only realignments pay this).
+  swept_plain_ = realign && recompute();
+  if (swept_plain_) {
+    align::GroupJob plain = job;
+    plain.overrides = nullptr;
+    plain.resume = nullptr;
+    prepare(plain_rows_, plain_outs_, r0, count);
+    const int plain_resumed =
+        attach(plain, plain_sink_, plain_view_, /*plain=*/true, true);
+    engine_.align(plain, plain_outs_);
+    rows_swept_ += static_cast<std::uint64_t>(r0 + count - 1);
+    rows_skipped_ += static_cast<std::uint64_t>(plain_resumed);
+  }
+  if (realign) {
+    realign_seconds_ += timer.seconds();
+    rows_swept_ += static_cast<std::uint64_t>(r0 + count - 1);
+    rows_skipped_ += static_cast<std::uint64_t>(resumed);
+  }
+
+  scores_.resize(static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    const auto ks = static_cast<std::size_t>(k);
+    const int r = r0 + k;
+    const std::span<const align::Score> row = out_rows_[ks];
+    if (!realign) {
+      if (rows_.archive != nullptr) rows_.archive->store(r, row);
+      scores_[ks] = align::find_best_end(row).score;
+    } else if (swept_plain_) {
+      const std::span<const align::Score> original = plain_rows_[ks];
+      scores_[ks] = align::find_best_end(row, original).score;
+    } else {
+      scores_[ks] = align::find_best_end(row, archived(r)).score;
+    }
+  }
+  swept_r0_ = r0;
+  swept_version_ = version;
+  return scores_;
+}
+
+void Sweeper::commit() {
+  if (!cache_) return;
+  // Rows at or past the first row an acceptance since the sweep's version
+  // dirties may reflect override bits set while the sweep ran.
+  int md = align::PairDirtyIndex::kNoDirtyRow;
+  for (int t = std::max(swept_version_, dirty_base_); t < version(); ++t)
+    md = std::min(md, dirty_[static_cast<std::size_t>(t - dirty_base_)]
+                          .min_dirty_row(swept_r0_));
+  sink_.drop_from(md);
+  for (int i = 0; i < sink_.count; ++i)
+    REPRO_DCHECK_MSG(sink_.rows[static_cast<std::size_t>(i)].row < md,
+                     "torn checkpoint row survived drop_from(" << md << ")");
+  const align::Score priority =
+      *std::max_element(scores_.begin(), scores_.end());
+  cache_->store(swept_r0_, /*plain_class=*/swept_version_ == 0, priority,
+                sink_);
+  if (swept_plain_)
+    cache_->store(swept_r0_, /*plain_class=*/true, priority, plain_sink_);
+}
+
+TopAlignment Sweeper::trace(const Search& search, const Acceptance& a) {
+  if (!recompute()) return search.trace(a, archived(a.r));
+  // Recompute the original row; empty-triangle sweeps resume from (and
+  // refresh) plain checkpoints.
+  align::GroupJob plain;
+  plain.seq = s_.codes();
+  plain.scoring = &scoring_;
+  plain.r0 = a.r;
+  plain.count = 1;
+  attach(plain, plain_sink_, plain_view_, /*plain=*/true, /*lookup=*/true);
+  const std::vector<align::Score> original = engine_.align_one(plain);
+  if (cache_) cache_->store(a.r, /*plain_class=*/true, a.expected, plain_sink_);
+  return search.trace(a, std::span<const align::Score>(original));
+}
+
+void Sweeper::add_stats(FinderStats& stats) const {
+  // Engines may be reused across runs: count this run's activity only.
+  stats.cells += engine_.cells_computed() - cells0_;
+  const align::PrecisionStats p = engine_.precision_stats();
+  stats.i8_sweeps += p.i8_sweeps - prec0_.i8_sweeps;
+  stats.i16_sweeps += p.i16_sweeps - prec0_.i16_sweeps;
+  stats.precision_escalations += p.escalations - prec0_.escalations;
+  stats.profile_hits += p.profile_hits - prec0_.profile_hits;
+  stats.rows_swept += rows_swept_;
+  stats.rows_skipped += rows_skipped_;
+  stats.realign_seconds += realign_seconds_;
+  if (cache_) {
+    stats.ckpt_hits += cache_->stats().hits;
+    stats.ckpt_misses += cache_->stats().misses;
+    stats.ckpt_evictions += cache_->stats().evictions;
+  }
+}
+
+}  // namespace repro::core

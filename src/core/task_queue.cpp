@@ -3,7 +3,7 @@
 namespace repro::core {
 
 std::vector<GroupTask> make_groups(int m, int lanes) {
-  REPRO_CHECK(m >= 2);
+  REPRO_CHECK_MSG(m >= 2, "sequence too short for top alignments");
   REPRO_CHECK(lanes >= 1);
   std::vector<GroupTask> groups;
   for (int r0 = 1; r0 <= m - 1; r0 += lanes)
@@ -31,11 +31,6 @@ std::optional<int> GroupQueue::pop_best() {
                        << ") orders before the popped key (score="
                        << head.first.score << ", r=" << head.first.r << ")");
   return head.second;
-}
-
-std::optional<TaskKey> GroupQueue::peek_key() const {
-  if (entries_.empty()) return std::nullopt;
-  return entries_.begin()->first;
 }
 
 std::optional<std::pair<TaskKey, int>> GroupQueue::peek() const {

@@ -60,11 +60,6 @@ struct GroupTask {
     const int b = best_member();
     return {score[static_cast<std::size_t>(b)], r0 + b};
   }
-
-  /// True when the best member was aligned against the current triangle.
-  [[nodiscard]] bool best_up_to_date(int current_version) const {
-    return version[static_cast<std::size_t>(best_member())] == current_version;
-  }
 };
 
 /// Builds the fixed group partition for a sequence of length m: groups of
@@ -96,12 +91,9 @@ class GroupQueue {
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<TaskKey> peek_key() const;
-
   /// Key and group index of the current head; nullopt when empty.
   [[nodiscard]] std::optional<std::pair<TaskKey, int>> peek() const;
   [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Lifetime push / pop counts and the number of up-to-date entries skipped
   /// over by pop_best_if while hunting for a stale group (a direct measure of
@@ -115,8 +107,8 @@ class GroupQueue {
   struct Cmp {
     bool operator()(const std::pair<TaskKey, int>& a,
                     const std::pair<TaskKey, int>& b) const {
-      if (a.first.score != b.first.score) return a.first.score > b.first.score;
-      if (a.first.r != b.first.r) return a.first.r < b.first.r;
+      if (a.first.before(b.first)) return true;
+      if (b.first.before(a.first)) return false;
       return a.second < b.second;
     }
   };

@@ -1,558 +1,43 @@
 #include "core/top_alignment_finder.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <optional>
-#include <utility>
-#include <vector>
 
-#include "align/checkpoint_cache.hpp"
-#include "align/linear_traceback.hpp"
-#include "align/traceback.hpp"
-#include "core/task_queue.hpp"
+#include "align/bottom_row_store.hpp"
+#include "core/search.hpp"
 #include "obs/metrics.hpp"
-#include "util/check.hpp"
-#include "util/timer.hpp"
+#include "parallel/parallel_finder.hpp"
 
 namespace repro::core {
-namespace {
-
-/// Shared per-run state and the group realignment step (used by both rescan
-/// policies).
-class SequentialRun {
- public:
-  SequentialRun(const seq::Sequence& s, const seq::Scoring& scoring,
-                const FinderOptions& options, align::Engine& engine)
-      : s_(s),
-        scoring_(scoring),
-        options_(options),
-        engine_(engine),
-        m_(s.length()),
-        triangle_(m_),
-        groups_(make_groups(m_, engine.lanes())) {
-    REPRO_CHECK_MSG(m_ >= 2, "sequence too short for top alignments");
-    REPRO_CHECK(options.min_score >= 1);
-    if (options.memory == MemoryMode::kArchiveRows)
-      rows_.emplace(m_);  // otherwise: Appendix-A linear-memory mode
-    REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
-                    "scoring matrix alphabet does not match the sequence");
-    out_rows_.resize(static_cast<std::size_t>(engine.lanes()));
-    plain_rows_.resize(static_cast<std::size_t>(engine.lanes()));
-    if (options.checkpoint_mem > 0 && engine.supports_checkpoints())
-      cache_.emplace(options.checkpoint_mem);
-  }
-
-  FinderResult run() {
-    obs::ScopedSpan span(obs::Registry::global(), "finder.run");
-    util::WallTimer timer;
-    const std::uint64_t cells0 = engine_.cells_computed();
-    const align::PrecisionStats prec0 = engine_.precision_stats();
-    if (options_.policy == RescanPolicy::kBestFirst) {
-      run_best_first();
-    } else {
-      run_exhaustive();
-    }
-    result_.stats.cells = engine_.cells_computed() - cells0;
-    // Engines may be reused across runs (their query profile persists by
-    // design); report this run's precision activity as a delta.
-    const align::PrecisionStats prec = engine_.precision_stats();
-    result_.stats.i8_sweeps = prec.i8_sweeps - prec0.i8_sweeps;
-    result_.stats.i16_sweeps = prec.i16_sweeps - prec0.i16_sweeps;
-    result_.stats.precision_escalations = prec.escalations - prec0.escalations;
-    result_.stats.profile_hits = prec.profile_hits - prec0.profile_hits;
-    result_.stats.seconds = timer.seconds();
-    if (cache_) {
-      const align::CheckpointCacheStats& cs = cache_->stats();
-      result_.stats.ckpt_hits = cs.hits;
-      result_.stats.ckpt_misses = cs.misses;
-      result_.stats.ckpt_evictions = cs.evictions;
-    }
-    publish_finder_stats(result_.stats, m_, "finder.");
-    return std::move(result_);
-  }
-
- private:
-  int version() const { return static_cast<int>(result_.tops.size()); }
-
-  bool incremental() const { return options_.checkpoint_mem > 0; }
-
-  int ckpt_stride(int rows) const {
-    const int c = std::max(1, options_.checkpoints_per_sweep);
-    return std::max(1, (rows + c - 1) / c);
-  }
-
-  /// Deepest plain-checkpoint row still usable by an *overridden* sweep of
-  /// the group at r0: no accepted pair reaches rows at or above it.
-  int plain_valid_limit(int r0) const {
-    const int md = all_dirty_.min_dirty_row(r0);
-    return md == align::PairDirtyIndex::kNoDirtyRow
-               ? std::numeric_limits<int>::max()
-               : md - 1;
-  }
-
-  /// True when no pair accepted since a stale member's version intersects
-  /// its rectangle — row and score are then provably unchanged.
-  bool group_untouched(const GroupTask& g) const {
-    for (int k = 0; k < g.count; ++k) {
-      const int v = g.version[static_cast<std::size_t>(k)];
-      if (v == version()) continue;
-      if (v < 0) return false;
-      const int r = g.r0 + k;
-      for (int t = v; t < version(); ++t)
-        if (dirty_[static_cast<std::size_t>(t)].min_dirty_row(r) <= r)
-          return false;
-    }
-    return true;
-  }
-
-  /// Wires checkpoint resume/emission into a sweep job; returns the number
-  /// of DP rows the sweep will restore instead of computing. `lookup` is off
-  /// for first alignments (nothing can be cached yet, and counting them as
-  /// misses would dilute the hit rate).
-  int attach_checkpoints(align::GroupJob& job, align::CheckpointSink& sink,
-                         align::CheckpointView& view, int rows,
-                         bool plain_sweep, bool lookup) {
-    if (!cache_) return 0;
-    int resumed = 0;
-    if (lookup) {
-      const auto found =
-          cache_->find(job.r0, plain_sweep,
-                       plain_sweep ? 0 : plain_valid_limit(job.r0));
-      if (found) {
-        view = *found;
-        job.resume = &view;
-        resumed = view.row;
-        // Checkpoint-resume consistency: a resume point must lie strictly
-        // inside the group's row range (the kernel re-enters at row + 1).
-        REPRO_DCHECK(view.row >= 1 && view.row < job.r0);
-      }
-    }
-    sink.stride = ckpt_stride(rows);
-    sink.top_row = job.r0 - 1;
-    job.sink = &sink;
-    return resumed;
-  }
-
-  /// (Re)aligns every member of a group against the current triangle and
-  /// refreshes the member scores (shadow-rejected bottom-row maxima).
-  void realign_group(GroupTask& g) {
-    FinderStats& st = result_.stats;
-    const bool is_realign = version() > 0;
-    const int rows_g = g.r0 + g.count - 1;
-
-    // Low-memory fast path: when every stale member's rectangle is untouched
-    // by the pairs accepted since its version, both the overridden sweep and
-    // the paired empty-triangle recompute are provably no-ops — bump the
-    // versions without computing anything.
-    if (incremental() && !rows_.has_value() && is_realign &&
-        group_untouched(g)) {
-      for (int k = 0; k < g.count; ++k) {
-        auto& v = g.version[static_cast<std::size_t>(k)];
-        if (v != version()) {
-          v = version();
-          ++st.skipped_realignments;
-        }
-      }
-      return;
-    }
-
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = version() == 0 ? nullptr : &triangle_;
-    job.r0 = g.r0;
-    job.count = g.count;
-    outs_.resize(static_cast<std::size_t>(g.count));
-    for (int k = 0; k < g.count; ++k) {
-      out_rows_[static_cast<std::size_t>(k)].resize(
-          static_cast<std::size_t>(m_ - (g.r0 + k)));
-      outs_[static_cast<std::size_t>(k)] = out_rows_[static_cast<std::size_t>(k)];
-    }
-    // A version-0 sweep runs under the empty triangle and is cached as a
-    // plain sweep; overridden checkpoints stay valid via invalidation.
-    const int resumed = attach_checkpoints(job, sink_, resume_view_, rows_g,
-                                           /*plain_sweep=*/version() == 0,
-                                           /*lookup=*/is_realign);
-    util::WallTimer sweep_timer;
-    engine_.align(job, outs_);
-
-    // Low-memory mode: no archive — recompute the empty-triangle originals
-    // with one extra group alignment (only realignments pay this).
-    const bool recompute = !rows_.has_value() && is_realign;
-    int plain_resumed = 0;
-    if (recompute) {
-      align::GroupJob plain = job;
-      plain.overrides = nullptr;
-      plain.resume = nullptr;
-      plain.sink = nullptr;
-      plain_outs_.resize(static_cast<std::size_t>(g.count));
-      for (int k = 0; k < g.count; ++k) {
-        plain_rows_[static_cast<std::size_t>(k)].resize(
-            static_cast<std::size_t>(m_ - (g.r0 + k)));
-        plain_outs_[static_cast<std::size_t>(k)] =
-            plain_rows_[static_cast<std::size_t>(k)];
-      }
-      plain_resumed =
-          attach_checkpoints(plain, plain_sink_, plain_resume_view_, rows_g,
-                             /*plain_sweep=*/true, /*lookup=*/true);
-      engine_.align(plain, plain_outs_);
-    }
-    if (is_realign) {
-      st.realign_seconds += sweep_timer.seconds();
-      st.rows_swept += static_cast<std::uint64_t>(rows_g);
-      st.rows_skipped += static_cast<std::uint64_t>(resumed);
-      if (recompute) {
-        st.rows_swept += static_cast<std::uint64_t>(rows_g);
-        st.rows_skipped += static_cast<std::uint64_t>(plain_resumed);
-      }
-    }
-
-    for (int k = 0; k < g.count; ++k) {
-      const int r = g.r0 + k;
-      auto& row = out_rows_[static_cast<std::size_t>(k)];
-      if (g.version[static_cast<std::size_t>(k)] == -1) {
-        // Every rectangle is first-aligned while all queue keys are still
-        // infinite, i.e. before any acceptance; the archived bottom rows are
-        // therefore always empty-triangle originals.
-        REPRO_CHECK(version() == 0);
-        if (rows_.has_value()) rows_->store(r, row);
-        ++st.first_alignments;
-        g.score[static_cast<std::size_t>(k)] = align::find_best_end(row).score;
-      } else {
-        const align::Score old_score = g.score[static_cast<std::size_t>(k)];
-        const bool was_current =
-            g.version[static_cast<std::size_t>(k)] == version();
-        if (was_current) {
-          ++st.speculative;  // lane-mate recomputed although already current
-        } else {
-          ++st.realignments;
-        }
-        g.score[static_cast<std::size_t>(k)] =
-            rows_.has_value()
-                ? align::find_best_end(row, rows_->row(r)).score
-                : align::find_best_end(
-                      row, std::span<const align::Score>(
-                               plain_rows_[static_cast<std::size_t>(k)]))
-                      .score;
-        if constexpr (check::kContractsEnabled) {
-          // Upper-bound property (Fig. 5): the triangle only removes
-          // scoring mass, so a realignment against a grown triangle can
-          // never raise a member's score — and recomputing an up-to-date
-          // member (same triangle, same shadow row) is deterministic.
-          if (was_current) {
-            REPRO_DCHECK_MSG(
-                g.score[static_cast<std::size_t>(k)] == old_score,
-                "speculative recompute changed r=" << r << " from "
-                    << old_score << " to "
-                    << g.score[static_cast<std::size_t>(k)]);
-          } else {
-            REPRO_DCHECK_MSG(
-                g.score[static_cast<std::size_t>(k)] <= old_score,
-                "realignment raised r=" << r << " from " << old_score
-                    << " to " << g.score[static_cast<std::size_t>(k)]
-                    << " — upper-bound property violated");
-          }
-        }
-      }
-      g.version[static_cast<std::size_t>(k)] = version();
-    }
-
-    if (cache_) {
-      const align::Score priority =
-          *std::max_element(g.score.begin(), g.score.end());
-      cache_->store(g.r0, /*plain_class=*/version() == 0, priority, sink_);
-      if (recompute)
-        cache_->store(g.r0, /*plain_class=*/true, priority, plain_sink_);
-    }
-  }
-
-  void accept(GroupTask& g, int member) {
-    const int r = g.r0 + member;
-    const align::Score expected = g.score[static_cast<std::size_t>(member)];
-    if (options_.traceback == TracebackMode::kLinearSpace) {
-      accept_linear(r, expected);
-    } else if (rows_.has_value()) {
-      result_.tops.push_back(
-          accept_alignment(s_, scoring_, triangle_, *rows_, r, expected));
-    } else {
-      // Recompute the original row for the shadow check of the traceback.
-      // Empty-triangle sweeps resume from (and refresh) plain checkpoints.
-      align::GroupJob plain;
-      plain.seq = s_.codes();
-      plain.scoring = &scoring_;
-      plain.r0 = r;
-      plain.count = 1;
-      attach_checkpoints(plain, plain_sink_, plain_resume_view_, r,
-                         /*plain_sweep=*/true, /*lookup=*/true);
-      const std::vector<align::Score> original = engine_.align_one(plain);
-      if (cache_) cache_->store(r, /*plain_class=*/true, expected, plain_sink_);
-      result_.tops.push_back(accept_alignment(s_, scoring_, triangle_,
-                                              original, r, expected));
-    }
-    ++result_.stats.tracebacks;
-    record_acceptance();
-  }
-
-  /// Acceptance via the O(rows+cols)-memory traceback (TracebackMode::
-  /// kLinearSpace); shares the shadow-rejection reference with accept().
-  void accept_linear(int r, align::Score expected) {
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = &triangle_;
-    job.r0 = r;
-    job.count = 1;
-    align::Traceback tb;
-    if (rows_.has_value()) {
-      tb = align::traceback_best_linear(job, rows_->row(r));
-    } else {
-      align::GroupJob plain = job;
-      plain.overrides = nullptr;
-      attach_checkpoints(plain, plain_sink_, plain_resume_view_, r,
-                         /*plain_sweep=*/true, /*lookup=*/true);
-      const std::vector<align::Score> original = engine_.align_one(plain);
-      if (cache_) cache_->store(r, /*plain_class=*/true, expected, plain_sink_);
-      tb = align::traceback_best_linear(
-          job, std::span<const align::Score>(original));
-    }
-    REPRO_CHECK(tb.score == expected);
-    for (const auto& [i, j] : tb.pairs) triangle_.set(i, j);
-    TopAlignment top;
-    top.r = r;
-    top.score = tb.score;
-    top.end_x = tb.end_x;
-    top.pairs = std::move(tb.pairs);
-    result_.tops.push_back(std::move(top));
-  }
-
-  /// Indexes the just-accepted alignment's pairs and invalidates checkpoints
-  /// the new override bits can reach.
-  void record_acceptance() {
-    if constexpr (check::kContractsEnabled) {
-      REPRO_DCHECK(!result_.tops.empty());
-      const std::size_t n = result_.tops.size();
-      // Acceptance order (§2.2): scores never increase down the top list.
-      REPRO_DCHECK_MSG(
-          n < 2 || result_.tops[n - 1].score <= result_.tops[n - 2].score,
-          "acceptance " << n - 1 << " (score "
-                        << result_.tops[n - 1].score
-                        << ") outranks its predecessor (score "
-                        << result_.tops[n - 2].score << ")");
-      // Triangle monotone growth: every accepted pair is now overridden.
-      for (const auto& [i, j] : result_.tops.back().pairs)
-        REPRO_DCHECK(triangle_.contains(i, j));
-    }
-    if (!incremental()) return;
-    const TopAlignment& top = result_.tops.back();
-    const std::span<const std::pair<int, int>> pairs(top.pairs);
-    dirty_.emplace_back(pairs);
-    all_pairs_.insert(all_pairs_.end(), top.pairs.begin(), top.pairs.end());
-    all_dirty_ = align::PairDirtyIndex(
-        std::span<const std::pair<int, int>>(all_pairs_));
-    if (cache_) cache_->invalidate(dirty_.back());
-  }
-
-  void run_best_first() {
-    GroupQueue queue;
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue.push(static_cast<int>(gi), groups_[gi].key());
-
-    while (static_cast<int>(result_.tops.size()) < options_.num_top_alignments) {
-      const auto gi = queue.pop_best();
-      if (!gi) break;
-      GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
-      ++result_.stats.queue_pops;
-      const int b = g.best_member();
-      if (g.version[static_cast<std::size_t>(b)] == version()) {
-        if (g.score[static_cast<std::size_t>(b)] < options_.min_score) {
-          queue.push(*gi, g.key());
-          break;  // nothing left can reach min_score: all bounds are lower
-        }
-        accept(g, b);
-      } else {
-        realign_group(g);
-      }
-      queue.push(*gi, g.key());
-    }
-
-    if constexpr (obs::kEnabled) {
-      auto& reg = obs::Registry::global();
-      reg.counter("finder.queue.pushes").add(queue.pushes());
-      reg.counter("finder.queue.pops").add(queue.pops());
-      reg.counter("finder.queue.stale_skips").add(queue.stale_skips());
-    }
-  }
-
-  void run_exhaustive() {
-    while (static_cast<int>(result_.tops.size()) < options_.num_top_alignments) {
-      // Old-style schedule: bring every rectangle up to date, then accept
-      // the global best. Produces the same tops as best-first.
-      for (auto& g : groups_) {
-        bool stale = false;
-        for (int k = 0; k < g.count; ++k)
-          stale |= g.version[static_cast<std::size_t>(k)] != version();
-        if (stale) realign_group(g);
-      }
-      int best_gi = -1;
-      TaskKey best_key;
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        const TaskKey k = groups_[gi].key();
-        if (best_gi < 0 || k.before(best_key)) {
-          best_gi = static_cast<int>(gi);
-          best_key = k;
-        }
-      }
-      REPRO_CHECK(best_gi >= 0);
-      if (best_key.score < options_.min_score) break;
-      GroupTask& g = groups_[static_cast<std::size_t>(best_gi)];
-      accept(g, g.best_member());
-    }
-  }
-
-  const seq::Sequence& s_;
-  const seq::Scoring& scoring_;
-  const FinderOptions& options_;
-  align::Engine& engine_;
-  int m_;
-  align::OverrideTriangle triangle_;
-  std::optional<align::BottomRowStore> rows_;
-  std::vector<GroupTask> groups_;
-  std::vector<std::vector<align::Score>> out_rows_;
-  std::vector<std::vector<align::Score>> plain_rows_;
-  std::vector<std::span<align::Score>> outs_;        ///< reused across sweeps
-  std::vector<std::span<align::Score>> plain_outs_;  ///< reused across sweeps
-  // Checkpoint-resume state: one dirty index per acceptance (low-memory
-  // untouched-lane skip), the cumulative index (plain-entry validity), and
-  // reusable sinks/views so warm realignments allocate nothing.
-  std::optional<align::CheckpointCache> cache_;
-  std::vector<align::PairDirtyIndex> dirty_;
-  std::vector<std::pair<int, int>> all_pairs_;
-  align::PairDirtyIndex all_dirty_;
-  align::CheckpointSink sink_;
-  align::CheckpointSink plain_sink_;
-  align::CheckpointView resume_view_;
-  align::CheckpointView plain_resume_view_;
-  FinderResult result_;
-};
-
-}  // namespace
-
-namespace {
-
-template <typename T>
-TopAlignment accept_with_row(const seq::Sequence& s, const seq::Scoring& scoring,
-                             align::OverrideTriangle& triangle,
-                             std::span<const T> original_row, int r,
-                             align::Score expected) {
-  align::GroupJob job;
-  job.seq = s.codes();
-  job.scoring = &scoring;
-  job.overrides = &triangle;
-  job.r0 = r;
-  job.count = 1;
-  align::Traceback tb = align::traceback_best(job, original_row);
-  REPRO_CHECK_MSG(tb.score == expected,
-                  "acceptance score mismatch at r=" << r << ": queued "
-                                                    << expected << ", traced "
-                                                    << tb.score);
-  for (const auto& [i, j] : tb.pairs) triangle.set(i, j);
-  TopAlignment top;
-  top.r = r;
-  top.score = tb.score;
-  top.end_x = tb.end_x;
-  top.pairs = std::move(tb.pairs);
-  return top;
-}
-
-}  // namespace
-
-TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              const align::BottomRowStore& rows, int r,
-                              align::Score expected) {
-  return accept_with_row<std::int16_t>(s, scoring, triangle, rows.row(r), r,
-                                       expected);
-}
-
-TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              std::span<const align::Score> original_row, int r,
-                              align::Score expected) {
-  return accept_with_row<align::Score>(s, scoring, triangle, original_row, r,
-                                       expected);
-}
-
-TopAlignment accept_alignment(const seq::Sequence& s, const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              std::span<const std::int16_t> original_row, int r,
-                              align::Score expected) {
-  return accept_with_row<std::int16_t>(s, scoring, triangle, original_row, r,
-                                       expected);
-}
-
-void publish_finder_stats(const FinderStats& stats, int m,
-                          std::string_view prefix) {
-  if constexpr (!obs::kEnabled) {
-    (void)stats;
-    (void)m;
-    (void)prefix;
-    return;
-  }
-  auto& reg = obs::Registry::global();
-  const auto key = [&prefix](std::string_view name) {
-    std::string k(prefix);
-    k += name;
-    return k;
-  };
-  reg.counter(key("first_alignments")).add(stats.first_alignments);
-  reg.counter(key("realignments")).add(stats.realignments);
-  reg.counter(key("speculative")).add(stats.speculative);
-  reg.counter(key("tracebacks")).add(stats.tracebacks);
-  reg.counter(key("queue_pops")).add(stats.queue_pops);
-  reg.counter(key("cells")).add(stats.cells);
-  reg.counter(key("ckpt_hits")).add(stats.ckpt_hits);
-  reg.counter(key("ckpt_misses")).add(stats.ckpt_misses);
-  reg.counter(key("ckpt_evictions")).add(stats.ckpt_evictions);
-  reg.counter(key("ckpt_rows_skipped")).add(stats.rows_skipped);
-  reg.counter(key("ckpt_rows_swept")).add(stats.rows_swept);
-  reg.counter(key("skipped_realignments")).add(stats.skipped_realignments);
-  reg.counter(key("i8_sweeps")).add(stats.i8_sweeps);
-  reg.counter(key("i16_sweeps")).add(stats.i16_sweeps);
-  reg.counter(key("precision_escalations")).add(stats.precision_escalations);
-  reg.counter(key("profile_hits")).add(stats.profile_hits);
-  if (stats.realign_seconds > 0.0)
-    reg.timer(key("realign_seconds")).add_seconds(stats.realign_seconds);
-  if (stats.ckpt_hits + stats.ckpt_misses > 0)
-    reg.set_gauge(key("ckpt_hit_rate_pct"),
-                  100.0 * static_cast<double>(stats.ckpt_hits) /
-                      static_cast<double>(stats.ckpt_hits + stats.ckpt_misses));
-  if (stats.rows_swept > 0)
-    reg.set_gauge(key("ckpt_rows_skipped_pct"),
-                  100.0 * static_cast<double>(stats.rows_skipped) /
-                      static_cast<double>(stats.rows_swept));
-  reg.timer(key("seconds")).add_seconds(stats.seconds);
-  if (stats.idle_seconds > 0.0)
-    reg.timer(key("idle_seconds")).add_seconds(stats.idle_seconds);
-  if (stats.seconds > 0.0)
-    reg.set_gauge(key("cells_per_sec"),
-                  static_cast<double>(stats.cells) / stats.seconds);
-  if (stats.tracebacks >= 2 && m >= 2) {
-    // Exhaustive-sweep baseline: each of the tops-1 later acceptances would
-    // realign all m-1 rectangles (the first sweep is first-alignments).
-    const double sweep = static_cast<double>(stats.tracebacks - 1) *
-                         static_cast<double>(m - 1);
-    reg.set_gauge(key("realignments_avoided_pct"),
-                  100.0 * (1.0 - static_cast<double>(stats.realignments) /
-                                     sweep));
-  }
-}
 
 FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options,
                                  align::Engine& engine) {
-  SequentialRun run(s, scoring, options, engine);
-  return run.run();
+  obs::ScopedSpan span(obs::Registry::global(), "finder.run");
+  Search search(s, scoring, options, engine.lanes());
+  std::optional<align::BottomRowStore> archive;
+  if (options.memory == MemoryMode::kArchiveRows) archive.emplace(s.length());
+  Sweeper sweeper(search, engine, options.checkpoint_mem,
+                  RowSource{archive ? &*archive : nullptr, {}});
+  Sweeper* const sweepers[] = {&sweeper};
+  if (options.policy == RescanPolicy::kBestFirst) {
+    parallel::run_workers(search, sweepers);
+  } else {
+    // The old algorithm's schedule: bring every rectangle up to date, then
+    // accept the global best. Produces the same tops as best-first.
+    while (!search.done()) {
+      while (const auto o = search.begin_sweep(/*any_member=*/true)) {
+        search.sync(sweeper);
+        const auto scores = sweeper.sweep(o->r0, o->count, o->version);
+        sweeper.commit();
+        search.finish_sweep(*o, scores);
+      }
+      const auto a = search.begin_accept();
+      if (!a) break;
+      search.finish_accept(*a, sweeper.trace(search, *a));
+    }
+  }
+  return search.finish(sweepers, "finder.");
 }
 
 FinderResult find_top_alignments(const seq::Sequence& s,

@@ -18,17 +18,14 @@
 // accepted top alignments are identical for every engine and group width.
 #pragma once
 
-#include <string_view>
-
-#include "align/bottom_row_store.hpp"
 #include "align/engine.hpp"
-#include "align/override_triangle.hpp"
 #include "core/options.hpp"
 #include "seq/sequence.hpp"
 
 namespace repro::core {
 
-/// Runs the new algorithm with the given engine.
+/// Runs the new algorithm with the given engine: the shared-memory loop
+/// (parallel/parallel_finder.hpp) with one worker on the calling thread.
 FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options,
@@ -38,41 +35,5 @@ FinderResult find_top_alignments(const seq::Sequence& s,
 FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options = {});
-
-/// Accepts rectangle r as the next top alignment: recomputes its full matrix
-/// under `triangle`, traces back the best valid end cell, verifies the score
-/// equals `expected`, and marks the alignment's pairs in `triangle`.
-/// Shared by the sequential, shared-memory, and distributed finders.
-TopAlignment accept_alignment(const seq::Sequence& s,
-                              const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              const align::BottomRowStore& rows, int r,
-                              align::Score expected);
-
-/// Overload taking a freshly recomputed original bottom row (the Appendix-A
-/// low-memory mode, MemoryMode::kRecomputeRows).
-TopAlignment accept_alignment(const seq::Sequence& s,
-                              const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              std::span<const align::Score> original_row, int r,
-                              align::Score expected);
-
-/// Overload taking an archived (i16) original row directly — used by the
-/// distributed master, whose row may be a fetched replica.
-TopAlignment accept_alignment(const seq::Sequence& s,
-                              const seq::Scoring& scoring,
-                              align::OverrideTriangle& triangle,
-                              std::span<const std::int16_t> original_row, int r,
-                              align::Score expected);
-
-/// Publishes a finished run's FinderStats to the global obs registry under
-/// `prefix` (e.g. "finder." / "parallel." / "cluster."): one counter per
-/// stat, a `<prefix>seconds` timer, a `<prefix>cells_per_sec` gauge, and —
-/// when at least two tops were accepted — `<prefix>realignments_avoided_pct`,
-/// the §3 claim measured against the exhaustive-sweep baseline of
-/// (tops-1)*(m-1) realignments. No-op when REPRO_OBS is off. Shared by the
-/// sequential, shared-memory, and distributed finders.
-void publish_finder_stats(const FinderStats& stats, int m,
-                          std::string_view prefix);
 
 }  // namespace repro::core

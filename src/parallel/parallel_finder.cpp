@@ -3,20 +3,14 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
-#include <limits>
+#include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "align/bottom_row_store.hpp"
-#include "align/checkpoint_cache.hpp"
-#include "align/override_triangle.hpp"
-#include "align/traceback.hpp"
-#include "core/task_queue.hpp"
-#include "core/top_alignment_finder.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -24,378 +18,88 @@
 namespace repro::parallel {
 namespace {
 
-using core::GroupTask;
-using core::TaskKey;
-
-struct InflightCmp {
-  bool operator()(const TaskKey& a, const TaskKey& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.r < b.r;
-  }
-};
-
-/// Per-worker checkpoint state. Each worker owns a private cache partition
-/// (checkpoint_mem / threads) and touches it only from its own thread;
-/// invalidations are replayed from the shared dirty list under the run lock
-/// before every lookup (`synced` is the replay cursor). The sink and output
-/// spans are hoisted here so steady-state realignments allocate nothing.
-struct WorkerCkpt {
-  std::optional<align::CheckpointCache> cache;
-  align::CheckpointSink sink;
-  align::CheckpointView view;
-  std::vector<std::span<align::Score>> outs;
-  int synced = 0;  ///< shared dirty entries already applied to `cache`
-};
-
-/// All state shared between worker threads; one mutex guards everything
-/// except the override triangle (atomic bits, see OverrideTriangle) and the
-/// bottom-row store (first alignments write disjoint rows).
+/// The workers' shared lock around the search.
 class SharedRun {
  public:
-  SharedRun(const seq::Sequence& s, const seq::Scoring& scoring,
-            const ParallelOptions& options, int lanes)
-      : s_(s),
-        scoring_(scoring),
-        options_(options),
-        triangle_(s.length()),
-        rows_(s.length()),
-        groups_(core::make_groups(s.length(), lanes)) {
-    REPRO_CHECK(options.threads >= 1);
-    REPRO_CHECK(options.finder.min_score >= 1);
-    REPRO_CHECK_MSG(options.finder.memory == core::MemoryMode::kArchiveRows,
-                    "the shared-memory finder archives bottom rows (the "
-                    "store is shared); use the sequential finder for "
-                    "MemoryMode::kRecomputeRows");
-    REPRO_CHECK_MSG(
-        options.finder.traceback == core::TracebackMode::kFullMatrix,
-        "the shared-memory finder uses the full-matrix traceback; use the "
-        "sequential finder for TracebackMode::kLinearSpace");
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-      queue_.push(static_cast<int>(gi), groups_[gi].key());
-  }
+  explicit SharedRun(core::Search& search) : search_(search) {}
 
-  void worker(align::Engine& engine, int thread_index) {
-    double idle = 0.0;
-    WorkerCkpt ck;
-    if (options_.finder.checkpoint_mem > 0 && engine.supports_checkpoints()) {
-      const std::size_t budget = std::max<std::size_t>(
-          1, options_.finder.checkpoint_mem /
-                 static_cast<std::size_t>(options_.threads));
-      ck.cache.emplace(budget);
-    }
+  void work(core::Sweeper& sweeper, double& idle) {
     try {
-      worker_impl(engine, ck, idle);
+      loop(sweeper, idle);
     } catch (...) {
       std::lock_guard lock(mutex_);
       if (!error_) error_ = std::current_exception();
-      done_ = true;
-      cv_.notify_all();
     }
-    if constexpr (obs::kEnabled) {
-      auto& reg = obs::Registry::global();
-      reg.timer("parallel.idle_wait_sec").add_seconds(idle);
-      reg.timer("parallel.idle_wait_sec.t" + std::to_string(thread_index))
-          .add_seconds(idle);
-    }
-    std::lock_guard lock(mutex_);
-    stats_.idle_seconds += idle;
-    if (ck.cache) {
-      const align::CheckpointCacheStats& cs = ck.cache->stats();
-      stats_.ckpt_hits += cs.hits;
-      stats_.ckpt_misses += cs.misses;
-      stats_.ckpt_evictions += cs.evictions;
-    }
+    cv_.notify_all();  // finished or failed: the others re-check
   }
 
-  core::FinderResult finish(double seconds, std::uint64_t cells,
-                            const align::PrecisionStats& prec) {
+  void rethrow() const {
     if (error_) std::rethrow_exception(error_);
-    stats_.seconds = seconds;
-    stats_.cells = cells;
-    stats_.i8_sweeps = prec.i8_sweeps;
-    stats_.i16_sweeps = prec.i16_sweeps;
-    stats_.precision_escalations = prec.escalations;
-    stats_.profile_hits = prec.profile_hits;
-    if constexpr (obs::kEnabled) {
-      auto& reg = obs::Registry::global();
-      reg.counter("parallel.queue.pushes").add(queue_.pushes());
-      reg.counter("parallel.queue.pops").add(queue_.pops());
-      reg.counter("parallel.queue.stale_skips").add(queue_.stale_skips());
-      reg.counter("parallel.threads").add(
-          static_cast<std::uint64_t>(options_.threads));
-    }
-    core::publish_finder_stats(stats_, s_.length(), "parallel.");
-    core::FinderResult res;
-    res.tops = std::move(tops_);
-    res.stats = stats_;
-    return res;
   }
 
  private:
-  int version() const { return static_cast<int>(tops_.size()); }
-
-  bool group_stale(int gi) const {
-    const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    return g.version[static_cast<std::size_t>(g.best_member())] != version();
-  }
-
-  int ckpt_stride(int rows) const {
-    const int c = std::max(1, options_.finder.checkpoints_per_sweep);
-    return std::max(1, (rows + c - 1) / c);
-  }
-
-  /// Deepest plain-checkpoint row still clean for the group at r0, over every
-  /// acceptance so far. Caller holds the run lock (dirty_ is shared).
-  int plain_valid_limit_locked(int r0) const {
-    int md = align::PairDirtyIndex::kNoDirtyRow;
-    for (const auto& d : dirty_) md = std::min(md, d.min_dirty_row(r0));
-    return md == align::PairDirtyIndex::kNoDirtyRow
-               ? std::numeric_limits<int>::max()
-               : md - 1;
-  }
-
-  /// `idle` accumulates this thread's cv-wait wall time locally and is
-  /// published once by worker(); per-wait publication would add registry
-  /// traffic inside the scheduler's lock dance.
-  void worker_impl(align::Engine& engine, WorkerCkpt& ck, double& idle) {
-    std::vector<std::vector<align::Score>> out_rows(
-        static_cast<std::size_t>(engine.lanes()));
+  void loop(core::Sweeper& sweeper, double& idle) {
     util::WallTimer wait_timer;
     std::unique_lock lock(mutex_);
-    while (!done_) {
-      // 1. Acceptance: the head is up to date, nothing in flight can order
-      //    before it, and no other acceptance is running.
-      if (!accepting_) {
-        const auto head = queue_.peek();
-        if (head && !group_stale(head->second)) {
-          const bool blocked =
-              !inflight_.empty() &&
-              InflightCmp{}(*inflight_.begin(), head->first);
-          if (!blocked) {
-            if (head->first.score < options_.finder.min_score) {
-              done_ = true;  // every bound is lower: search exhausted
-              cv_.notify_all();
-              return;
-            }
-            accept_head(lock, head->second);
-            if (static_cast<int>(tops_.size()) >=
-                options_.finder.num_top_alignments)
-              done_ = true;
-            cv_.notify_all();
-            continue;
-          }
-        }
-      }
-
-      // 2. Speculation: realign the best stale group not yet assigned.
-      const auto gi = queue_.pop_best_if([this](int g) { return group_stale(g); });
-      if (gi) {
-        realign(lock, *gi, engine, ck, out_rows);
-        cv_.notify_all();
+    while (!error_ && !search_.done()) {
+      if (const auto a = search_.begin_accept()) {
+        lock.unlock();
+        core::TopAlignment top = sweeper.trace(search_, *a);
+        lock.lock();
+        search_.finish_accept(*a, std::move(top));
+      } else if (const auto o = search_.begin_sweep()) {
+        // The partition is this worker's, but the acceptances it replays
+        // belong to the search: sync under the lock, before the sweep and
+        // again before its checkpoints are committed.
+        search_.sync(sweeper);
+        lock.unlock();
+        const auto scores = sweeper.sweep(o->r0, o->count, o->version);
+        lock.lock();
+        search_.sync(sweeper);
+        sweeper.commit();
+        search_.finish_sweep(*o, scores);
+      } else if (!search_.done()) {  // begin_accept may have exhausted it
+        wait_timer.reset();
+        cv_.wait(lock);
+        idle += wait_timer.seconds();
         continue;
       }
-
-      // 3. Exhaustion: nothing queued, nothing running, nothing accepting.
-      if (queue_.empty() && inflight_.empty() && !accepting_) {
-        done_ = true;
-        cv_.notify_all();
-        return;
-      }
-      wait_timer.reset();
-      cv_.wait(lock);
-      idle += wait_timer.seconds();
+      cv_.notify_all();
     }
   }
 
-  void accept_head(std::unique_lock<std::mutex>& lock, int gi) {
-    const auto popped = queue_.pop_best();
-    REPRO_CHECK(popped && *popped == gi);
-    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    const int b = g.best_member();
-    const int r = g.r0 + b;
-    const align::Score expected = g.score[static_cast<std::size_t>(b)];
-    accepting_ = true;
-    lock.unlock();
-    // Traceback runs unlocked (the paper notes it is the slow sequential
-    // part); it is the only writer of the triangle while accepting_ holds.
-    core::TopAlignment top = core::accept_alignment(s_, scoring_, triangle_,
-                                                    rows_, r, expected);
-    lock.lock();
-    tops_.push_back(std::move(top));
-    if constexpr (check::kContractsEnabled) {
-      // Acceptance order and triangle growth, as in the sequential finder.
-      const std::size_t n = tops_.size();
-      REPRO_DCHECK_MSG(n < 2 || tops_[n - 1].score <= tops_[n - 2].score,
-                       "parallel acceptance " << n - 1 << " (score "
-                           << tops_[n - 1].score
-                           << ") outranks its predecessor (score "
-                           << tops_[n - 2].score << ")");
-      for (const auto& [pi, pj] : tops_.back().pairs)
-        REPRO_DCHECK(triangle_.contains(pi, pj));
-    }
-    if (options_.finder.checkpoint_mem > 0)
-      dirty_.emplace_back(
-          std::span<const std::pair<int, int>>(tops_.back().pairs));
-    ++stats_.tracebacks;
-    accepting_ = false;
-    queue_.push(gi, g.key());
-  }
-
-  void realign(std::unique_lock<std::mutex>& lock, int gi,
-               align::Engine& engine, WorkerCkpt& ck,
-               std::vector<std::vector<align::Score>>& out_rows) {
-    GroupTask& g = groups_[static_cast<std::size_t>(gi)];
-    const TaskKey bound = g.key();
-    const int v = version();  // label: triangle version at kernel start
-    const std::vector<int> prev_version = g.version;
-    std::vector<align::Score> prev_score;  // contracts-only snapshot
-    if constexpr (check::kContractsEnabled) prev_score = g.score;
-    const auto it = inflight_.insert(bound);
-    ++stats_.queue_pops;
-    const int rows_g = g.r0 + g.count - 1;
-    // Checkpoint sync + lookup while still locked: the dirty list is shared,
-    // and replaying it keeps this worker's overridden entries current. The
-    // returned view stays valid unlocked — only this thread mutates the cache.
-    int resumed = 0;
-    if (ck.cache) {
-      for (; ck.synced < v; ++ck.synced)
-        ck.cache->invalidate(dirty_[static_cast<std::size_t>(ck.synced)]);
-      if (v > 0) {
-        const auto found =
-            ck.cache->find(g.r0, /*plain_sweep=*/false,
-                           plain_valid_limit_locked(g.r0));
-        if (found) {
-          ck.view = *found;
-          resumed = ck.view.row;
-        }
-      }
-    }
-    lock.unlock();
-
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = v == 0 ? nullptr : &triangle_;
-    job.r0 = g.r0;
-    job.count = g.count;
-    job.resume = resumed > 0 ? &ck.view : nullptr;
-    if (ck.cache) {
-      ck.sink.stride = ckpt_stride(rows_g);
-      ck.sink.top_row = g.r0 - 1;
-      job.sink = &ck.sink;
-    }
-    ck.outs.resize(static_cast<std::size_t>(g.count));
-    for (int k = 0; k < g.count; ++k) {
-      out_rows[static_cast<std::size_t>(k)].resize(
-          static_cast<std::size_t>(s_.length() - (g.r0 + k)));
-      ck.outs[static_cast<std::size_t>(k)] =
-          out_rows[static_cast<std::size_t>(k)];
-    }
-    util::WallTimer sweep_timer;
-    engine.align(job, ck.outs);
-    const double sweep_seconds = sweep_timer.seconds();
-
-    std::vector<align::Score> new_scores(static_cast<std::size_t>(g.count));
-    for (int k = 0; k < g.count; ++k) {
-      const int r = g.r0 + k;
-      auto& row = out_rows[static_cast<std::size_t>(k)];
-      if (prev_version[static_cast<std::size_t>(k)] == -1) {
-        REPRO_CHECK(v == 0);  // first alignments precede any acceptance
-        rows_.store(r, row);  // disjoint rows: safe unlocked
-        new_scores[static_cast<std::size_t>(k)] =
-            align::find_best_end(row).score;
-      } else {
-        new_scores[static_cast<std::size_t>(k)] =
-            align::find_best_end(row, rows_.row(r)).score;
-      }
-    }
-
-    lock.lock();
-    inflight_.erase(it);
-    if (ck.cache) {
-      // The sweep ran unlocked, so the triangle may have grown under it:
-      // staged rows at or past any mid-sweep acceptance's dirty row could
-      // reflect torn override bits — drop them before committing. Rows below
-      // every dirty row are pure and current by the monotone-growth argument.
-      int md = align::PairDirtyIndex::kNoDirtyRow;
-      for (int t = v; t < version(); ++t)
-        md = std::min(md,
-                      dirty_[static_cast<std::size_t>(t)].min_dirty_row(g.r0));
-      ck.sink.drop_from(md);
-      if constexpr (check::kContractsEnabled) {
-        // Partition-commit correctness: no staged row at or past the min
-        // dirty row of any mid-sweep acceptance may survive the drop —
-        // such rows could reflect torn override-bit reads.
-        for (int idx = 0; idx < ck.sink.count; ++idx)
-          REPRO_DCHECK_MSG(
-              ck.sink.rows[static_cast<std::size_t>(idx)].row < md,
-              "torn-read-unsafe checkpoint row "
-                  << ck.sink.rows[static_cast<std::size_t>(idx)].row
-                  << " survived drop_from(" << md << ") for group r0="
-                  << g.r0);
-      }
-      const align::Score priority =
-          *std::max_element(new_scores.begin(), new_scores.end());
-      ck.cache->store(g.r0, /*plain_class=*/v == 0, priority, ck.sink);
-    }
-    if (v > 0) {
-      stats_.realign_seconds += sweep_seconds;
-      stats_.rows_swept += static_cast<std::uint64_t>(rows_g);
-      stats_.rows_skipped += static_cast<std::uint64_t>(resumed);
-    }
-    for (int k = 0; k < g.count; ++k) {
-      if (prev_version[static_cast<std::size_t>(k)] == -1) {
-        ++stats_.first_alignments;
-      } else if (prev_version[static_cast<std::size_t>(k)] == v) {
-        ++stats_.speculative;
-      } else {
-        ++stats_.realignments;
-      }
-      if constexpr (check::kContractsEnabled) {
-        // Upper-bound property under speculation: the sweep observed at
-        // least the version-v triangle (bits only get added), so a member
-        // aligned before can never come back with a higher score.
-        if (prev_version[static_cast<std::size_t>(k)] >= 0)
-          REPRO_DCHECK_MSG(
-              new_scores[static_cast<std::size_t>(k)] <=
-                  prev_score[static_cast<std::size_t>(k)],
-              "parallel realignment raised r=" << g.r0 + k << " from "
-                  << prev_score[static_cast<std::size_t>(k)] << " to "
-                  << new_scores[static_cast<std::size_t>(k)]);
-      }
-      g.score[static_cast<std::size_t>(k)] = new_scores[static_cast<std::size_t>(k)];
-      g.version[static_cast<std::size_t>(k)] = v;
-    }
-    queue_.push(gi, g.key());
-  }
-
-  const seq::Sequence& s_;
-  const seq::Scoring& scoring_;
-  const ParallelOptions& options_;
-  align::OverrideTriangle triangle_;
-  align::BottomRowStore rows_;
-  std::vector<GroupTask> groups_;
-  core::GroupQueue queue_;
-  std::multiset<TaskKey, InflightCmp> inflight_;
-  std::vector<align::PairDirtyIndex> dirty_;  ///< one entry per acceptance
-
+  core::Search& search_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool accepting_ = false;
-  bool done_ = false;
   std::exception_ptr error_;
-
-  std::vector<core::TopAlignment> tops_;
-  core::FinderStats stats_;
 };
 
 }  // namespace
+
+std::vector<double> run_workers(core::Search& search,
+                                std::span<core::Sweeper* const> sweepers) {
+  SharedRun run(search);
+  std::vector<double> idle(sweepers.size(), 0.0);
+  if (sweepers.size() == 1) {
+    run.work(*sweepers[0], idle[0]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(sweepers.size());
+    for (std::size_t t = 0; t < sweepers.size(); ++t)
+      threads.emplace_back([&run, &idle, sweepers, t] {
+        run.work(*sweepers[t], idle[t]);
+      });
+    for (auto& th : threads) th.join();
+  }
+  run.rethrow();
+  return idle;
+}
 
 core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
                                                 const seq::Scoring& scoring,
                                                 const ParallelOptions& options,
                                                 const EngineFactory& factory) {
-  util::WallTimer timer;
+  REPRO_CHECK(options.threads >= 1);
   std::vector<std::unique_ptr<align::Engine>> engines;
   engines.reserve(static_cast<std::size_t>(options.threads));
   for (int t = 0; t < options.threads; ++t) {
@@ -405,30 +109,35 @@ core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
                     "all worker engines must have the same lane count");
   }
 
-  SharedRun run(s, scoring, options, engines.front()->lanes());
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(options.threads));
-  for (int t = 0; t < options.threads; ++t)
-    threads.emplace_back([&run, &engines, t] {
-      run.worker(*engines[static_cast<std::size_t>(t)], t);
-    });
-  for (auto& th : threads) th.join();
+  core::Search search(s, scoring, options.finder, engines.front()->lanes());
+  // One shared archive: first alignments write disjoint rows.
+  std::optional<align::BottomRowStore> archive;
+  if (options.finder.memory == core::MemoryMode::kArchiveRows)
+    archive.emplace(s.length());
+  const std::size_t budget =
+      std::max<std::size_t>(1, options.finder.checkpoint_mem /
+                                   static_cast<std::size_t>(options.threads));
+  std::vector<core::Sweeper> sweepers;
+  sweepers.reserve(engines.size());
+  for (const auto& e : engines)
+    sweepers.emplace_back(search, *e, budget,
+                          core::RowSource{archive ? &*archive : nullptr, {}});
+  std::vector<core::Sweeper*> workers;
+  for (auto& sw : sweepers) workers.push_back(&sw);
 
-  std::uint64_t cells = 0;
-  align::PrecisionStats prec;
-  for (const auto& e : engines) {
-    cells += e->cells_computed();
-    // Worker engines are fresh from the factory, so their lifetime counters
-    // are exactly this run's; each worker builds its profile once and every
-    // later sweep of its partition is a hit.
-    const align::PrecisionStats p = e->precision_stats();
-    prec.i8_sweeps += p.i8_sweeps;
-    prec.i16_sweeps += p.i16_sweeps;
-    prec.escalations += p.escalations;
-    prec.profile_hits += p.profile_hits;
-    prec.profile_builds += p.profile_builds;
+  const std::vector<double> idle = run_workers(search, workers);
+  if constexpr (obs::kEnabled) {
+    auto& reg = obs::Registry::global();
+    for (std::size_t t = 0; t < idle.size(); ++t) {
+      reg.timer("parallel.idle_wait_sec").add_seconds(idle[t]);
+      reg.timer("parallel.idle_wait_sec.t" + std::to_string(t))
+          .add_seconds(idle[t]);
+    }
+    reg.counter("parallel.threads")
+        .add(static_cast<std::uint64_t>(options.threads));
   }
-  return run.finish(timer.seconds(), cells, prec);
+  return search.finish(workers, "parallel.",
+                       std::accumulate(idle.begin(), idle.end(), 0.0));
 }
 
 }  // namespace repro::parallel

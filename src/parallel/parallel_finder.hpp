@@ -1,29 +1,29 @@
 // Shared-memory dynamic speculative scheduler (paper §4.2).
 //
-// Worker threads share the task queue, the override triangle, and the
-// bottom-row store. Each idle worker takes the best *stale* group from the
-// queue, realigns it with its private engine, and requeues it. A top
-// alignment is accepted when the queue head is up to date — with one
-// determinism refinement over the paper's prose: acceptance also waits until
-// no in-flight realignment holds an upper bound that would order *before*
-// the head (scores only decrease under a grown triangle, so an in-flight
-// task whose bound precedes the head might still beat it). This makes the
-// parallel finder produce byte-identical top alignments for every thread
-// count, at the price of exactly the end-of-iteration idling the paper
-// measures (§5.2).
+// Workers share one core::Search under one lock; each owns an engine and a
+// core::Sweeper (with a private slice of the checkpoint budget). An idle
+// worker accepts the queue head when the search's guard allows it, and
+// otherwise realigns the best stale group not yet taken — speculatively,
+// while an acceptance is under way. Sweeps and tracebacks run outside the
+// lock: the triangle's bits are atomic, a sweep is labelled with the version
+// it started at, and results labelled with a stale version are never
+// accepted. Realignments that overlap an acceptance are kept — their scores
+// are upper bounds for the grown triangle (the paper's "the work for the
+// superfluous tasks is not wasted").
 //
-// Speculation: realignments that overlap an acceptance are kept — their
-// results are upper bounds for the grown triangle and are simply requeued
-// (the paper's "the work for the superfluous tasks is not wasted").
+// The sequential finder is this loop with one worker on the calling thread,
+// so every FinderOptions mode runs here, and the tops are byte-identical for
+// every thread count.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "align/engine.hpp"
 #include "core/options.hpp"
+#include "core/search.hpp"
 #include "seq/scoring.hpp"
 #include "seq/sequence.hpp"
-
-#include <functional>
-#include <memory>
 
 namespace repro::parallel {
 
@@ -41,5 +41,11 @@ core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
                                                 const seq::Scoring& scoring,
                                                 const ParallelOptions& options,
                                                 const EngineFactory& factory);
+
+/// Runs `search` to completion with one worker per sweeper: one worker runs
+/// on the calling thread, more run on threads of their own. Rethrows the
+/// first worker failure. Returns each worker's idle (waiting) seconds.
+std::vector<double> run_workers(core::Search& search,
+                                std::span<core::Sweeper* const> sweepers);
 
 }  // namespace repro::parallel

@@ -1,7 +1,9 @@
 // End-to-end tests of the reprofind CLI binary (path injected by CMake).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -37,8 +39,8 @@ std::string temp_fasta() {
   // entry, and a parallel ctest run must not let one test's `generate`
   // truncate a FASTA another test is reading.
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string name =
-      std::string("reprofind_cli_") + info->name() + ".fa";
+  std::string name = std::string("reprofind_cli_") + info->name() + ".fa";
+  std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
@@ -110,6 +112,36 @@ TEST(Cli, LowMemoryAndLinearTracebackFlags) {
   EXPECT_EQ(r.status, 0) << r.out;
   EXPECT_NE(r.out.find("top alignments"), std::string::npos);
 }
+
+// Every finder option runs in every driver, with the sequential tops.
+class CliDriverOptions
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
+
+TEST_P(CliDriverOptions, AgreeWithSequential) {
+  const auto [driver, option] = GetParam();
+  const std::string fasta = temp_fasta();
+  ASSERT_EQ(run_cli("generate --kind titin --length 400 --out " + fasta).status, 0);
+  const std::string find =
+      "find --fasta " + fasta + " --tops 5 --format csv " + option;
+  const RunResult seq = run_cli(find);
+  const RunResult run = run_cli(find + " " + driver);
+  EXPECT_EQ(seq.status, 0) << seq.out;
+  EXPECT_EQ(run.status, 0) << run.out;
+  EXPECT_EQ(seq.out, run.out);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, CliDriverOptions,
+    ::testing::Values(
+        std::pair<std::string, std::string>{"--threads 2", "--low-memory"},
+        std::pair<std::string, std::string>{"--threads 2", "--linear-traceback"},
+        std::pair<std::string, std::string>{"--ranks 3", "--low-memory"},
+        std::pair<std::string, std::string>{"--ranks 3", "--linear-traceback"}),
+    [](const auto& info) {
+      std::string name = info.param.first + info.param.second;
+      std::erase_if(name, [](char c) { return !std::isalnum(c); });
+      return name;
+    });
 
 TEST(Cli, ParallelThreadsAgreeWithSequential) {
   const std::string fasta = temp_fasta();

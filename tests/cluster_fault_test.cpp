@@ -389,12 +389,15 @@ TEST(ChaosTargeted, CrashMidBroadcastWindow) {
 }
 
 TEST(ChaosTargeted, CrashDuringPartitionedRowFetch) {
-  // Partitioned mode: every deposit worker 1 makes is dropped, and it dies
-  // mid-v0 — so every row it computed is simply gone. Consumers (including
-  // the master's traceback fetches) must re-route to the survivor, which
-  // rebuilds the lost rows from scratch.
+  // Partitioned mode: every deposit worker 1 makes is dropped, and it is
+  // killed mid-v0 — so every row it computed is simply gone. Worker 2's
+  // first two hellos are dropped, so worker 1 alone runs the first sweep
+  // until the kill (worker 2's retried hello lands 120 ms in). Consumers
+  // (including the master's traceback fetches) must re-route to the
+  // survivor, which rebuilds the lost rows from scratch.
   ChaosFixture fx;
-  FaultPlan plan = FaultPlan::parse("crash:rank=1,op=150");
+  FaultPlan plan = FaultPlan::parse(
+      "kill:rank=1,op=150;drop:from=2,to=0,op=0;drop:from=2,to=0,op=1");
   for (std::uint64_t op = 0; op < 80; ++op)
     plan.events.push_back({FaultKind::kDrop, 1, 2, op, 0});
   ClusterRunInfo info;

@@ -1,13 +1,15 @@
 // Shared-memory finder (§4.2): identical results for every thread count,
-// determinism across repeats, and the thread pool itself.
+// determinism across repeats, and every finder option in every driver.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <string>
+#include <vector>
 
+#include "cluster/master_worker.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/parallel_finder.hpp"
-#include "parallel/thread_pool.hpp"
 #include "seq/generator.hpp"
 
 namespace repro::parallel {
@@ -15,60 +17,6 @@ namespace {
 
 using core::FinderOptions;
 using seq::Scoring;
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i)
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&hits](int i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesTaskException) {
-  ThreadPool pool(4);
-  try {
-    pool.parallel_for(64, [](int i) {
-      if (i % 7 == 0) throw std::runtime_error("task failed");
-    });
-    FAIL() << "expected the task exception to propagate";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task failed");
-  }
-}
-
-TEST(ThreadPool, ParallelForDrainsAllWorkersBeforeThrowing) {
-  // parallel_for's loop state lives on the caller's stack; every worker
-  // future must be awaited before the exception escapes, or the pool would
-  // race on dead stack frames. Observable contract: the pool is immediately
-  // reusable and later runs see no leftover work.
-  ThreadPool pool(4);
-  for (int round = 0; round < 5; ++round) {
-    EXPECT_THROW(
-        pool.parallel_for(64,
-                          [](int i) {
-                            if (i == 3) throw std::runtime_error("boom");
-                          }),
-        std::runtime_error);
-    std::atomic<int> covered{0};
-    pool.parallel_for(50, [&covered](int) { covered.fetch_add(1); });
-    EXPECT_EQ(covered.load(), 50);
-  }
-}
 
 class ParallelFinderTest : public ::testing::TestWithParam<int> {};
 
@@ -162,23 +110,6 @@ TEST(ParallelFinder, WorkerEnginePropagatesFailure) {
                std::logic_error);
 }
 
-TEST(ParallelFinder, RejectsSequentialOnlyModes) {
-  const auto g = seq::synthetic_titin(150, 1);
-  ParallelOptions popt;
-  popt.threads = 2;
-  popt.finder.memory = core::MemoryMode::kRecomputeRows;
-  EXPECT_THROW(find_top_alignments_parallel(
-                   g.sequence, Scoring::protein_default(), popt,
-                   align::engine_factory(align::EngineKind::kScalar)),
-               std::logic_error);
-  popt.finder.memory = core::MemoryMode::kArchiveRows;
-  popt.finder.traceback = core::TracebackMode::kLinearSpace;
-  EXPECT_THROW(find_top_alignments_parallel(
-                   g.sequence, Scoring::protein_default(), popt,
-                   align::engine_factory(align::EngineKind::kScalar)),
-               std::logic_error);
-}
-
 TEST(ParallelFinder, StatsAccumulate) {
   const auto g = seq::synthetic_titin(220, 88);
   ParallelOptions popt;
@@ -191,6 +122,134 @@ TEST(ParallelFinder, StatsAccumulate) {
             static_cast<std::uint64_t>(g.sequence.length() - 1));
   EXPECT_EQ(res.stats.tracebacks, res.tops.size());
   EXPECT_GT(res.stats.cells, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Every driver accepts every finder option and finds the sequential tops.
+
+struct Sequential {
+  static std::string name() { return "Sequential"; }
+  static core::FinderResult run(const seq::Sequence& s, const Scoring& sc,
+                                const FinderOptions& opt,
+                                const align::EngineFactory& factory) {
+    const auto engine = factory();
+    return core::find_top_alignments(s, sc, opt, *engine);
+  }
+};
+
+template <int kThreads>
+struct Threads {
+  static std::string name() { return "Threads" + std::to_string(kThreads); }
+  static core::FinderResult run(const seq::Sequence& s, const Scoring& sc,
+                                const FinderOptions& opt,
+                                const align::EngineFactory& factory) {
+    ParallelOptions popt;
+    popt.threads = kThreads;
+    popt.finder = opt;
+    return find_top_alignments_parallel(s, sc, popt, factory);
+  }
+};
+
+/// Three ranks; kSeed > 0 injects that seeded fault schedule.
+template <cluster::RowStorage kStorage, int kSeed>
+struct Ranks {
+  static std::string name() {
+    return std::string("Ranks3") +
+           (kStorage == cluster::RowStorage::kPartitioned ? "Partitioned"
+                                                           : "Replica") +
+           (kSeed > 0 ? "Faulted" : "");
+  }
+  static core::FinderResult run(const seq::Sequence& s, const Scoring& sc,
+                                const FinderOptions& opt,
+                                const align::EngineFactory& factory) {
+    cluster::ClusterOptions copt;
+    copt.ranks = 3;
+    copt.row_storage = kStorage;
+    copt.finder = opt;
+    if (kSeed > 0) copt.fault_plan = cluster::FaultPlan::from_seed(kSeed, 3);
+    // Fast recovery: spurious timeouts only repeat deduplicated work.
+    copt.ft.task_timeout_ms = 60;
+    copt.ft.row_timeout_ms = 30;
+    copt.ft.hello_timeout_ms = 40;
+    copt.ft.max_backoff_ms = 400;
+    copt.ft.poll_ms = 5;
+    return cluster::find_top_alignments_cluster(s, sc, copt, factory);
+  }
+};
+
+template <typename Driver>
+class DriverMatrix : public ::testing::Test {};
+
+using Drivers =
+    ::testing::Types<Sequential, Threads<2>, Threads<4>,
+                     Ranks<cluster::RowStorage::kMasterReplica, 0>,
+                     Ranks<cluster::RowStorage::kPartitioned, 0>,
+                     Ranks<cluster::RowStorage::kMasterReplica, 5>>;
+struct DriverName {
+  template <typename T>
+  static std::string GetName(int) {
+    return T::name();
+  }
+};
+TYPED_TEST_SUITE(DriverMatrix, Drivers, DriverName);
+
+TYPED_TEST(DriverMatrix, EveryOptionMatchesSequential) {
+  const auto g = seq::synthetic_titin(260, 31);
+  const Scoring sc = Scoring::protein_default();
+  const auto factory = align::engine_factory(align::EngineKind::kSimdAuto);
+  for (const auto memory :
+       {core::MemoryMode::kArchiveRows, core::MemoryMode::kRecomputeRows}) {
+    for (const auto traceback : {core::TracebackMode::kFullMatrix,
+                                 core::TracebackMode::kLinearSpace}) {
+      for (const std::size_t ckpt :
+           {std::size_t{0}, FinderOptions{}.checkpoint_mem, std::size_t{1}}) {
+        FinderOptions opt;
+        opt.num_top_alignments = 6;
+        opt.memory = memory;
+        opt.traceback = traceback;
+        opt.checkpoint_mem = ckpt;
+        const auto reference = Sequential::run(g.sequence, sc, opt, factory);
+        const auto res = TypeParam::run(g.sequence, sc, opt, factory);
+        std::string diff;
+        EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
+            << "memory " << static_cast<int>(memory) << ", traceback "
+            << static_cast<int>(traceback) << ", checkpoint_mem " << ckpt
+            << ": " << diff;
+        EXPECT_EQ(res.tops.size(), 6u);
+      }
+    }
+  }
+}
+
+TYPED_TEST(DriverMatrix, StatsSumTheRunsEngines) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "REPRO_OBS=OFF build";
+  const auto g = seq::synthetic_titin(300, 12);
+  FinderOptions opt;
+  opt.num_top_alignments = 5;
+  auto& reg = obs::Registry::global();
+  const auto counter = [&reg](const char* name) {
+    const auto snap = reg.snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const char* const names[] = {
+      "align.lane_cells", "align.precision.i8_sweeps",
+      "align.precision.i16_sweeps", "align.precision.escalations",
+      "align.precision.profile_hits"};
+  std::vector<std::uint64_t> before;
+  for (const char* n : names) before.push_back(counter(n));
+  const auto res = TypeParam::run(
+      g.sequence, Scoring::protein_default(), opt,
+      align::engine_factory(align::EngineKind::kSimdAuto));
+  const std::uint64_t got[] = {res.stats.cells, res.stats.i8_sweeps,
+                               res.stats.i16_sweeps,
+                               res.stats.precision_escalations,
+                               res.stats.profile_hits};
+  for (std::size_t k = 0; k < before.size(); ++k)
+    EXPECT_EQ(got[k], counter(names[k]) - before[k]) << names[k];
+  EXPECT_GT(res.stats.cells, 0u);
+  EXPECT_GT(res.stats.i8_sweeps, 0u);
+  EXPECT_GE(res.stats.queue_pops, res.stats.tracebacks);
 }
 
 }  // namespace

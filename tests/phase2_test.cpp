@@ -6,6 +6,7 @@
 #include "core/significance.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "seq/generator.hpp"
+#include "util/check.hpp"
 
 namespace repro::core {
 namespace {
