@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "align/engine.hpp"
 #include "align/override_triangle.hpp"
+#include "align/row_kernel.hpp"
 #include "util/check.hpp"
 
 namespace repro::align {
@@ -289,9 +289,9 @@ Traceback linear_impl(const GroupJob& job, std::span<const T> original) {
   const int r = job.r0;
 
   // 1. Forward score-only pass: best valid end cell (shadow rejection).
-  const auto engine = make_engine(EngineKind::kScalar);
-  const std::vector<Score> bottom = engine->align_one(job);
-  const BestEnd end = find_best_end(bottom, original);
+  detail::RectangleRows dp(job);
+  const std::vector<Score> bottom = dp.sweep();
+  const BestEnd end = find_best_end(dp.columns(bottom), original);
   REPRO_CHECK_MSG(end.end_x != 0 && end.score > 0,
                   "linear traceback requested with no positive valid end cell "
                   "(r=" << r << ")");

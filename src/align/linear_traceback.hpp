@@ -3,12 +3,14 @@
 // The paper (§2.1): "Several memory-efficient algorithms exist that do
 // perform a traceback using only a linear amount of memory (at the expense
 // of extra computations), but these are not covered here." This module
-// covers them: the full-matrix traceback allocates rows x cols Scores —
-// 1.2 GB for the largest titin rectangle — while this implementation needs
-// O(rows + cols):
+// covers them: a full-matrix traceback allocates rows x cols Scores —
+// 1.1 GiB for the middle rectangle at the paper's m = 34,350 — and the
+// checkpointed traceback_best still O(sqrt(rows) * cols), while this
+// implementation needs O(rows + cols):
 //
-//   1. a forward score-only pass finds the best valid end cell exactly as
-//      traceback_best does (shadow rejection included);
+//   1. a forward score-only pass (the row kernel traceback_best sweeps
+//      with) finds the best valid end cell exactly as traceback_best does
+//      (shadow rejection included);
 //   2. a reverse score-only pass from that end cell finds the local
 //      alignment's start cell;
 //   3. a Myers–Miller divide-and-conquer *global* alignment of the spanned

@@ -1,10 +1,10 @@
 #include "align/traceback.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
-#include "align/engine_detail.hpp"
-#include "align/override_triangle.hpp"
+#include "align/row_kernel.hpp"
 #include "util/check.hpp"
 
 namespace repro::align {
@@ -26,49 +26,83 @@ BestEnd find_best_end_impl(std::span<const Score> row, std::span<const T> origin
   return best;
 }
 
+/// Rows per segment: balances the checkpoints (2 rows every s rows) against
+/// one refilled segment (s rows), i.e. s = ceil(sqrt(2 * rows)).
+int segment_rows(int rows) {
+  return static_cast<int>(std::ceil(std::sqrt(2.0 * rows)));
+}
+
+/// The H rows the walk reads, one segment at a time. Segment k holds rows
+/// k*s .. min(k*s+s-1, rows); it is recomputed from checkpoint k, the
+/// (H, MaxY) state of row k*s, when the walk first reads one of its rows,
+/// and only over the columns the walk can still reach: no cell depends on
+/// columns to its right, and the walk's rows and columns never increase.
+class SegmentRows {
+ public:
+  SegmentRows(detail::RectangleRows& dp, int stride,
+              const std::vector<Score>& checkpoints)
+      : dp_(dp),
+        stride_(stride),
+        size_(dp.row_size()),
+        checkpoints_(checkpoints),
+        max_y_(size_),
+        lo_(dp.rows() + 1) {
+    const std::vector<Score> zero = dp.zero_row();
+    seg_.reserve(static_cast<std::size_t>(stride) * size_);
+    for (int t = 0; t < stride; ++t) seg_.insert(seg_.end(), zero.begin(), zero.end());
+  }
+
+  /// H(y, x), where from now on the walk reads no row below y and no column
+  /// right of `limit` (>= x).
+  Score at(int y, int x, int limit) {
+    if (y < lo_) load(y / stride_, limit);
+    REPRO_DCHECK(y <= hi_ && x <= limit && limit <= width_);
+    return row(y)[x];
+  }
+
+ private:
+  Score* row(int y) {
+    return seg_.data() + static_cast<std::size_t>(y - lo_) * size_ + 1;
+  }
+
+  void load(int k, int width) {
+    lo_ = k * stride_;
+    hi_ = std::min(lo_ + stride_ - 1, dp_.rows());
+    width_ = width;
+    const auto size = static_cast<std::ptrdiff_t>(size_);
+    const auto h = checkpoints_.begin() + 2 * k * size;
+    std::copy(h, h + size, seg_.begin());
+    std::copy(h + size, h + 2 * size, max_y_.begin());
+    for (int y = lo_ + 1; y <= hi_; ++y)
+      dp_.row(y, row(y - 1), max_y_.data() + 1, row(y), width);
+  }
+
+  detail::RectangleRows& dp_;
+  int stride_;
+  std::size_t size_;
+  const std::vector<Score>& checkpoints_;
+  std::vector<Score> seg_;  ///< stride_ rows of the row layout
+  std::vector<Score> max_y_;
+  int lo_;
+  int hi_ = 0;
+  int width_ = 0;
+};
+
 template <typename T>
 Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original) {
-  REPRO_CHECK(job.count == 1);
+  detail::RectangleRows dp(job);
   const auto& seq = job.seq;
-  const int m = static_cast<int>(seq.size());
   const int r = job.r0;
-  const int rows = r;
-  const int cols = m - r;
+  const int rows = dp.rows();
   const seq::ScoreMatrix& ex = job.scoring->matrix;
   const Score open = job.scoring->gap.open;
   const Score ext = job.scoring->gap.extend;
 
-  // Full matrix, (rows+1) x (cols+1), boundary row/column zero.
-  const std::size_t w = static_cast<std::size_t>(cols) + 1;
-  std::vector<Score> mat((static_cast<std::size_t>(rows) + 1) * w, 0);
-  auto at = [&](int y, int x) -> Score& {
-    return mat[static_cast<std::size_t>(y) * w + static_cast<std::size_t>(x)];
-  };
-
-  std::vector<Score> max_y(w, kNegInf);
-  for (int y = 1; y <= rows; ++y) {
-    const int i = y - 1;
-    const std::int16_t* erow = ex.row(seq[static_cast<std::size_t>(i)]);
-    const std::atomic<std::uint64_t>* obits =
-        (job.overrides != nullptr && !job.overrides->row_empty(i))
-            ? job.overrides->row_bits(i)
-            : nullptr;
-    Score max_x = kNegInf;
-    for (int x = 1; x <= cols; ++x) {
-      const int j = r + x - 1;
-      const Score diag = at(y - 1, x - 1);
-      const Score inner = std::max({max_x, max_y[static_cast<std::size_t>(x)], diag});
-      Score h = std::max(Score{0}, erow[seq[static_cast<std::size_t>(j)]] + inner);
-      if (obits != nullptr && detail::override_bit(obits, i, j)) h = 0;
-      at(y, x) = h;
-      max_x = std::max(diag - open, max_x) - ext;
-      max_y[static_cast<std::size_t>(x)] =
-          std::max(diag - open, max_y[static_cast<std::size_t>(x)]) - ext;
-    }
-  }
-
-  const std::span<const Score> bottom(&at(rows, 1), static_cast<std::size_t>(cols));
-  const BestEnd end = find_best_end_impl<T>(bottom, original);
+  // Forward pass: two rows, plus the (H, MaxY) state of every s-th row.
+  const int stride = segment_rows(rows);
+  std::vector<Score> checkpoints;
+  const std::vector<Score> bottom = dp.sweep(stride, &checkpoints);
+  const BestEnd end = find_best_end_impl<T>(dp.columns(bottom), original);
   REPRO_CHECK_MSG(end.end_x != 0 && end.score > 0,
                   "traceback requested with no positive valid end cell (r="
                       << r << ")");
@@ -80,8 +114,10 @@ Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original) 
 
   // Walk back. Every cell on the path aligns one pair; the predecessor is
   // found by re-deriving which inner-max candidate produced the value.
+  SegmentRows segments(dp, stride, checkpoints);
   int y = rows;
   int x = end.end_x;
+  const auto at = [&](int yy, int xx) { return segments.at(yy, xx, x); };
   while (true) {
     const Score h = at(y, x);
     REPRO_DCHECK(h > 0);
@@ -121,6 +157,19 @@ Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original) 
 }
 
 }  // namespace
+
+TracebackPlan traceback_plan(const GroupJob& job) {
+  const detail::RectangleRows dp(job);
+  TracebackPlan plan;
+  plan.stride = segment_rows(dp.rows());
+  // Checkpoints (H and MaxY), one segment, the segment's MaxY, the
+  // forward pass's three rows and one profile row per residue code.
+  const std::size_t rows = 2 * static_cast<std::size_t>(dp.rows() / plan.stride + 1) +
+                           static_cast<std::size_t>(plan.stride) + 4 +
+                           static_cast<std::size_t>(job.scoring->matrix.size());
+  plan.scratch_bytes = rows * dp.row_size() * sizeof(Score);
+  return plan;
+}
 
 BestEnd find_best_end(std::span<const Score> row,
                       std::span<const std::int16_t> original) {

@@ -30,8 +30,11 @@ enum class RescanPolicy { kBestFirst, kExhaustiveSweep };
 enum class MemoryMode { kArchiveRows, kRecomputeRows };
 
 /// How accepted alignments are reconstructed.
-///   kFullMatrix  — the paper's traceback: recompute the rectangle's full
-///                  matrix (rows x cols Scores) and walk back.
+///   kFullMatrix  — the paper's traceback walk, checkpointed: one
+///                  score-only pass saves every s-th row (s ~ sqrt(2 rows)),
+///                  and the walk refills one s-row segment at a time, so the
+///                  pairs are the full-matrix walk's in O(sqrt(rows) * cols)
+///                  memory (align/traceback.hpp).
 ///   kLinearSpace — the memory-efficient traceback family the paper cites
 ///                  ("not covered here"): O(rows + cols) memory at ~2x the
 ///                  score-only work. Scores and validity are identical;
