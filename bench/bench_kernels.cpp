@@ -9,9 +9,12 @@
 // workload) and writes a repro-metrics-v1 record.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 
+#include "align/checkpoint_cache.hpp"
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
 #include "align/traceback.hpp"
@@ -229,6 +232,198 @@ BENCHMARK(BM_Simd8GenericResume)
     ->Args({2000, 0})
     ->Args({2000, 50})
     ->Args({2000, 90});
+
+// The lowcomplex-seq input of perfbench (seed 2003): protein tandem repeats
+// whose first sweep escalates 44 of its 94 `auto` groups from u8 to i16.
+const seq::Sequence& lowcomplex() {
+  static const seq::Sequence s = [] {
+    seq::RepeatSpec spec;
+    spec.unit_length = 24;
+    spec.copies = 62;
+    spec.conservation = 0.95;
+    spec.indel_rate = 0.01;
+    spec.tandem = true;
+    return seq::make_repeat_sequence(seq::Alphabet::protein(), 3000, spec,
+                                     2003)
+        .sequence;
+  }();
+  return s;
+}
+
+// The first sweep of lowcomplex(): every group through a fresh `auto`
+// engine (escalation is sticky per engine) with a checkpoint sink staging
+// 16 rows per sweep, as the finder does.
+void BM_AutoFirstSweepLowcomplex(benchmark::State& state) {
+  const seq::Sequence& s = lowcomplex();
+  const int m = s.length();
+  std::vector<std::vector<align::Score>> rows;
+  std::vector<std::span<align::Score>> outs;
+  align::CheckpointSink sink;
+  std::uint64_t escalations = 0;
+  for (auto _ : state) {
+    const auto engine = align::make_engine(align::EngineKind::kSimdAuto);
+    const int lanes = engine->lanes();
+    rows.resize(static_cast<std::size_t>(lanes));
+    for (int r0 = 1; r0 < m; r0 += lanes) {
+      const int count = std::min(lanes, m - r0);
+      outs.clear();
+      for (int k = 0; k < count; ++k) {
+        auto& row = rows[static_cast<std::size_t>(k)];
+        row.resize(static_cast<std::size_t>(m - r0 - k));
+        outs.emplace_back(row);
+      }
+      align::GroupJob job;
+      job.seq = s.codes();
+      job.scoring = &scoring();
+      job.r0 = r0;
+      job.count = count;
+      sink.stride = (r0 + count - 1 + 15) / 16;
+      sink.top_row = r0 - 1;
+      job.sink = &sink;
+      engine->align(job, outs);
+    }
+    escalations = engine->precision_stats().escalations;
+  }
+  state.counters["escalations"] = static_cast<double>(escalations);
+}
+BENCHMARK(BM_AutoFirstSweepLowcomplex)
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
+
+// Where one low-complexity realignment spends its time. The group is the
+// first escalated one (a double-pumped i16 group under `auto`) at or past
+// m/2 of lowcomplex() whose realignment under the
+// override triangle of the run's 25 tops resumes above its last staged row.
+// Each iteration times it five ways:
+//   full     resumed at the deepest clean staged row R, emitting, overrides
+//   no_emit  the same without the checkpoint sink
+//   plain    the same without the overrides
+//   one@R    split r0 alone (count 1, so only rows R+1..r0), from R, plain
+//   one@R2   split r0 alone from the last staged row R2 = r0 - 1: one row
+// and the best time of each gives, by differences: checkpoint emission
+// (full - no_emit); the restore and resume-diagonal capture (one@R2 less
+// its one row, a row costing (one@R - one@R2) / (R2 - R)); the column
+// loops (no_emit less the restore), of which the override cuts are
+// no_emit - plain.
+struct RealignCase {
+  const seq::Sequence& s;
+  std::unique_ptr<align::OverrideTriangle> tri;
+  std::unique_ptr<align::Engine> engine;
+  int r0 = 0;
+  align::CheckpointSink first;  ///< the group's first sweep's staged rows
+  int resume_t = 0;             ///< index of row R in first.rows
+};
+
+const RealignCase& lowcomplex_realign_case() {
+  static const RealignCase c = [] {
+    RealignCase rc{lowcomplex()};
+    const int m = rc.s.length();
+    core::FinderOptions opt;
+    opt.num_top_alignments = 25;
+    const auto finder_engine = align::make_engine(align::EngineKind::kSimdAuto);
+    const auto found =
+        core::find_top_alignments(rc.s, scoring(), opt, *finder_engine);
+    rc.tri = std::make_unique<align::OverrideTriangle>(m);
+    std::vector<std::pair<int, int>> pairs;
+    for (const auto& top : found.tops)
+      for (const auto& [i, j] : top.pairs) {
+        rc.tri->set(i, j);
+        pairs.emplace_back(i, j);
+      }
+    std::sort(pairs.begin(), pairs.end());
+    const align::PairDirtyIndex dirty(pairs);
+    rc.engine = align::make_engine(align::EngineKind::kSimdAuto);
+    const int lanes = rc.engine->lanes();
+    for (int r0 = 1; r0 < m; r0 += lanes) {
+      const int count = std::min(lanes, m - r0);
+      if (r0 < m / 2 || count < lanes) continue;
+      std::vector<std::vector<align::Score>> rows;
+      std::vector<std::span<align::Score>> outs;
+      for (int k = 0; k < count; ++k)
+        rows.emplace_back(static_cast<std::size_t>(m - r0 - k));
+      for (auto& row : rows) outs.emplace_back(row);
+      align::GroupJob job;
+      job.seq = rc.s.codes();
+      job.scoring = &scoring();
+      job.r0 = r0;
+      job.count = count;
+      rc.first.stride = (r0 + count - 1 + 15) / 16;  // 16 per sweep
+      rc.first.top_row = r0 - 1;
+      job.sink = &rc.first;
+      const auto escalations = rc.engine->precision_stats().escalations;
+      rc.engine->align(job, outs);
+      if (rc.engine->precision_stats().escalations == escalations) continue;
+      const int clean = dirty.min_dirty_row(r0);
+      int t = rc.first.count - 1;
+      while (t >= 0 && rc.first.rows[static_cast<std::size_t>(t)].row >= clean)
+        --t;
+      if (t < 0 || t == rc.first.count - 1) continue;
+      rc.r0 = r0;
+      rc.resume_t = t;
+      return rc;
+    }
+    REPRO_CHECK_MSG(false, "no escalated, partly clean lowcomplex group");
+    return rc;
+  }();
+  return c;
+}
+
+void BM_AutoI16RealignSplit(benchmark::State& state) {
+  const RealignCase& c = lowcomplex_realign_case();
+  const int m = c.s.length();
+  const int count = c.engine->lanes();
+  const int rows_total = c.r0 + count - 1;
+  std::vector<std::vector<align::Score>> rows;
+  std::vector<std::span<align::Score>> outs;
+  for (int k = 0; k < count; ++k)
+    rows.emplace_back(static_cast<std::size_t>(m - c.r0 - k));
+  for (auto& row : rows) outs.emplace_back(row);
+  const auto view_at = [&](int t) {
+    const align::CheckpointRow& cr = c.first.rows[static_cast<std::size_t>(t)];
+    return align::CheckpointView{cr.row,         c.first.lanes,
+                                 c.first.elem_size, cr.h.data(),
+                                 cr.max_y.data(), cr.h.size()};
+  };
+  const align::CheckpointView at_r = view_at(c.resume_t);
+  const align::CheckpointView at_r2 = view_at(c.first.count - 1);
+  align::CheckpointSink sink;
+  sink.stride = c.first.stride;
+  sink.top_row = c.r0 - 1;
+  const auto sweep = [&](const align::CheckpointView& from, int lanes,
+                         bool emit, bool overrides) {
+    align::GroupJob job;
+    job.seq = c.s.codes();
+    job.scoring = &scoring();
+    job.overrides = overrides ? c.tri.get() : nullptr;
+    job.r0 = c.r0;
+    job.count = lanes;
+    job.resume = &from;
+    job.sink = emit ? &sink : nullptr;
+    return bench::time_once([&] {
+      c.engine->align(job, std::span(outs).first(static_cast<std::size_t>(lanes)));
+    });
+  };
+  double full = 1e300, no_emit = 1e300, plain = 1e300;
+  double one_r = 1e300, one_r2 = 1e300;
+  for (auto _ : state) {
+    full = std::min(full, sweep(at_r, count, true, true));
+    no_emit = std::min(no_emit, sweep(at_r, count, false, true));
+    plain = std::min(plain, sweep(at_r, count, false, false));
+    one_r = std::min(one_r, sweep(at_r, 1, false, false));
+    one_r2 = std::min(one_r2, sweep(at_r2, 1, false, false));
+  }
+  const double restore = one_r2 - (one_r - one_r2) / (at_r2.row - at_r.row);
+  const auto ms = [](double secs) { return benchmark::Counter(secs * 1e3); };
+  state.counters["r0"] = c.r0;
+  state.counters["resume_row"] = at_r.row;
+  state.counters["rows"] = rows_total;
+  state.counters["full_ms"] = ms(full);
+  state.counters["restore_ms"] = ms(restore);
+  state.counters["loops_ms"] = ms(no_emit - restore);
+  state.counters["override_ms"] = ms(no_emit - plain);
+  state.counters["emit_ms"] = ms(full - no_emit);
+}
+BENCHMARK(BM_AutoI16RealignSplit)->Iterations(40)->Unit(benchmark::kMillisecond);
 
 void BM_GeneralGapCell(benchmark::State& state) {
   // The old algorithm's O(n)/cell kernel on a small rectangle.

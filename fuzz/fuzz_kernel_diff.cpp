@@ -9,11 +9,19 @@
 //     produce bit-identical bottom rows, and
 //   * resuming the scalar engine from any checkpoint row it emitted
 //     reproduces the fresh bottom row exactly (§3 checkpoint-resume
-//     bit-identity).
+//     bit-identity), and
+//   * the adaptive engines (auto, auto-generic, and auto-generic with a
+//     tiny explicit stripe), sweeping whole groups through a checkpoint
+//     sink, give the scalar bottom rows — also when resumed from any row
+//     they staged. Byte 1 can pick a uniform DNA scoring with a large
+//     match score, so the u8 pass saturates within m <= 34 and the group
+//     finishes in i16 from its last certified row (the precision ladder).
 //
 // Any divergence throws; the driver reports it with the reproducing input.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +35,7 @@ namespace {
 
 using repro::align::CheckpointSink;
 using repro::align::CheckpointView;
+using repro::align::EngineKind;
 using repro::align::GroupJob;
 using repro::align::Score;
 
@@ -45,15 +54,68 @@ void compare_rows(const std::vector<Score>& ref, const std::vector<Score>& got,
               std::to_string(got[x]) + ")");
 }
 
+CheckpointView view_of(const CheckpointSink& sink, int t) {
+  const auto& cr = sink.rows[static_cast<std::size_t>(t)];
+  CheckpointView view;
+  view.row = cr.row;
+  view.lanes = sink.lanes;
+  view.elem_size = sink.elem_size;
+  view.h = cr.h.data();
+  view.max_y = cr.max_y.data();
+  view.bytes = cr.h.size();
+  return view;
+}
+
+// Sweeps every group of `engine` (r0 = 1, 1 + L, ...) through a sink, then
+// resumes each group from every row it staged; all rows must match `ref`.
+void check_groups(repro::align::Engine& engine, const std::string& label,
+                  const GroupJob& base, int stride,
+                  const std::vector<std::vector<Score>>& ref) {
+  const int m = static_cast<int>(base.seq.size());
+  const int lanes = engine.lanes();
+  for (int r0 = 1; r0 < m; r0 += lanes) {
+    const int count = std::min(lanes, m - r0);
+    std::vector<std::vector<Score>> rows;
+    std::vector<std::span<Score>> outs;
+    for (int k = 0; k < count; ++k)
+      rows.emplace_back(static_cast<std::size_t>(m - r0 - k));
+    for (auto& row : rows) outs.emplace_back(row);
+    GroupJob job = base;
+    job.r0 = r0;
+    job.count = count;
+    CheckpointSink sink;
+    sink.stride = stride;
+    sink.top_row = r0 - 1;
+    job.sink = &sink;
+    const auto check = [&](const std::string& what) {
+      for (int k = 0; k < count; ++k)
+        compare_rows(ref[static_cast<std::size_t>(r0 + k)],
+                     rows[static_cast<std::size_t>(k)], label + what, r0 + k);
+    };
+    engine.align(job, outs);
+    check("");
+    job.sink = nullptr;
+    for (int t = 0; t < sink.count; ++t) {
+      const CheckpointView view = view_of(sink, t);
+      job.resume = &view;
+      engine.align(job, outs);
+      check(" resume@" + std::to_string(view.row));
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 4) return 0;
-  // Byte 0: sequence length m in [3, 34]. Byte 1: checkpoint stride seed.
-  // Bytes then alternate: residue stream (2 bits each), then override pairs.
+  // Byte 0: sequence length m in [3, 34]. Byte 1: checkpoint stride seed
+  // (mod 5) and scoring (/ 5 mod 4: paper_example, or match 20 / 40 / 60
+  // against mismatch -match/2 — u8 limits 225 / 195 / 165). Bytes then
+  // alternate: residue stream (2 bits each), then override pairs.
   const int m = 3 + static_cast<int>(data[0] % 32);
   const int stride = 1 + static_cast<int>(data[1] % 5);
+  const int match = 20 * (data[1] / 5 % 4);
   std::vector<std::uint8_t> seq(static_cast<std::size_t>(m));
   std::size_t p = 2;
   for (int i = 0; i < m; ++i) {
@@ -69,7 +131,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     tri.set(i, j);
   }
 
-  const repro::seq::Scoring scoring = repro::seq::Scoring::paper_example();
+  const repro::seq::Scoring scoring =
+      match == 0 ? repro::seq::Scoring::paper_example()
+                 : repro::seq::Scoring{repro::seq::ScoreMatrix::uniform(
+                                           repro::seq::Alphabet::dna(), match,
+                                           -match / 2),
+                                       repro::seq::GapPenalty{2, 1}};
   const auto scalar = repro::align::make_engine(
       repro::align::EngineKind::kScalar);
   // Stripe width 3 forces many stripe boundaries even on tiny rectangles.
@@ -80,11 +147,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto simd4x32 = repro::align::make_engine(
       repro::align::EngineKind::kSimd4x32Generic);
 
+  GroupJob base;
+  base.seq = seq;
+  base.scoring = &scoring;
+  base.overrides = &tri;
+  std::vector<std::vector<Score>> refs(static_cast<std::size_t>(m));
   for (int r = 1; r < m; ++r) {
-    GroupJob job;
-    job.seq = seq;
-    job.scoring = &scoring;
-    job.overrides = &tri;
+    GroupJob job = base;
     job.r0 = r;
     job.count = 1;
 
@@ -93,7 +162,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     sink.top_row = r - 1;
     GroupJob fresh = job;
     fresh.sink = &sink;
-    const auto ref = scalar->align_one(fresh);
+    const auto& ref = refs[static_cast<std::size_t>(r)] =
+        scalar->align_one(fresh);
 
     compare_rows(ref, striped->align_one(job), "striped", r);
     compare_rows(ref, simd8->align_one(job), "simd8generic", r);
@@ -102,20 +172,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // Resume from every emitted checkpoint row strictly above the bottom row
     // and demand the identical bottom row (§3 bit-identity on resume).
     for (int t = 0; t < sink.count; ++t) {
-      const auto& cr = sink.rows[static_cast<std::size_t>(t)];
-      if (cr.row >= r) continue;
-      CheckpointView view;
-      view.row = cr.row;
-      view.lanes = sink.lanes;
-      view.elem_size = sink.elem_size;
-      view.h = cr.h.data();
-      view.max_y = cr.max_y.data();
-      view.bytes = cr.h.size();
+      const CheckpointView view = view_of(sink, t);
+      if (view.row >= r) continue;
       GroupJob resumed = job;
       resumed.resume = &view;
       compare_rows(ref, scalar->align_one(resumed),
-                   "resume@" + std::to_string(cr.row), r);
+                   "resume@" + std::to_string(view.row), r);
     }
   }
+
+  const auto autobest = repro::align::make_engine(EngineKind::kSimdAuto);
+  const auto autogen = repro::align::make_engine(EngineKind::kSimdAutoGeneric);
+  const auto autostriped =
+      repro::align::make_engine(EngineKind::kSimdAutoGeneric, 3);
+  check_groups(*autobest, "auto", base, stride, refs);
+  check_groups(*autogen, "auto-generic", base, stride, refs);
+  check_groups(*autostriped, "auto-generic/stripe3", base, stride, refs);
   return 0;
 }

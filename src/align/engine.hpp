@@ -25,14 +25,14 @@ namespace repro::align {
 enum class Precision { kI8, kI16, kI32, kAdaptive };
 
 /// Adaptive-precision and query-profile activity since engine construction
-/// (all zero for engines without SIMD profiles). Escalated groups are swept
-/// twice on their first alignment (once per precision), so
-/// i8_sweeps + i16_sweeps >= alignments_performed() with equality only when
-/// nothing escalated.
+/// (all zero for engines without SIMD profiles). An escalated group's first
+/// alignment is one u8 sweep, stopped at its first saturating row, finished
+/// by one i16 sweep, so i8_sweeps + i16_sweeps >= alignments_performed()
+/// with equality only when nothing escalated.
 struct PrecisionStats {
   std::uint64_t i8_sweeps = 0;        ///< group sweeps run in u8 lanes
   std::uint64_t i16_sweeps = 0;       ///< group sweeps run in i16 lanes
-  std::uint64_t escalations = 0;      ///< i8 sweeps re-run at i16 (sticky)
+  std::uint64_t escalations = 0;      ///< i8 sweeps finished at i16 (sticky)
   std::uint64_t profile_hits = 0;     ///< sweeps served by a cached profile
   std::uint64_t profile_builds = 0;   ///< query profiles (re)built
 };
@@ -78,8 +78,8 @@ class Engine {
   [[nodiscard]] std::uint64_t cells_skipped() const { return cells_skipped_; }
 
   /// Adaptive-precision / query-profile counters (zeros for engines without
-  /// SIMD profiles). Escalated groups are swept at both precisions, so the
-  /// per-group cell accounting above slightly undercounts their first
+  /// SIMD profiles). Escalated groups are swept partly at both precisions,
+  /// so the per-group cell accounting above undercounts their first
   /// alignment; these counters make that visible.
   [[nodiscard]] virtual PrecisionStats precision_stats() const { return {}; }
 

@@ -8,21 +8,30 @@
 //     upfront check_headroom guard exists so explicit selections fail fast
 //     instead).
 //   * AdaptiveEngineT<Ops8, Ops16> — the adaptive driver: runs each group in
-//     u8 lanes, and when the sweep's saturation guard fires re-runs exactly
-//     that group in i16 lanes *at the same lane count* (DoublePumpOps splits
+//     u8 lanes over whole rows, and when the sweep's saturation guard fires
+//     (the kernel stops at the first row past the u8 limit) finishes that
+//     same sweep in i16 lanes *at the same lane count* (DoublePumpOps splits
 //     each u8 vector across two i16 registers), so group geometry, outputs,
-//     and checkpoint layouts stay native in both precisions. Escalation is
-//     sticky per split: override growth only ever zeroes cells, so DP values
-//     are monotonically nonincreasing across realignment rounds — a group
-//     that saturated once is swept at i16 from then on (and, conversely, a
-//     group certified clean can never saturate in a later round, which keeps
-//     each checkpoint-cache entry's layout stable for the whole run).
+//     and checkpoint layouts stay native in both precisions. The i16 pass
+//     resumes from the deepest certified u8 state, widened: the last staged
+//     checkpoint row above the break, else the job's u8 resume view, else
+//     row 0. The widened staged rows stay in front of the i16 pass's own,
+//     so the group's cache entry holds the same grid rows, all i16.
+//     Escalation is sticky per split: override growth only ever zeroes
+//     cells, so DP values are monotonically nonincreasing across
+//     realignment rounds — a group that saturated once is swept at i16 from
+//     then on (and, conversely, a group certified clean can never saturate
+//     in a later round, which keeps each checkpoint-cache entry's layout
+//     stable for the whole run).
 #pragma once
 
+#include <cstddef>
+#include <cstring>
 #include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "align/engine.hpp"
 #include "align/engine_detail.hpp"
@@ -139,6 +148,15 @@ struct DoublePumpOps {
   using Part = Base;
 };
 
+/// Widens n elements of a u8 row state into `wide`; the interleaved layout
+/// is kept.
+inline void widen_u8_state(const std::byte* u8, std::size_t n,
+                           std::vector<std::int16_t>& wide) {
+  wide.resize(n);
+  for (std::size_t e = 0; e < n; ++e)
+    wide[e] = std::to_integer<std::int16_t>(u8[e]);
+}
+
 template <class Ops8, class Ops16>
 class AdaptiveEngineT final : public Engine {
   static_assert(Ops8::kLanes == Ops16::kLanes,
@@ -148,12 +166,12 @@ class AdaptiveEngineT final : public Engine {
                 "adaptive driver escalates u8 -> i16");
 
  public:
+  // Both passes sweep whole rows by default (stripe 0): the u8 rows above
+  // a saturating one must be complete to seed the i16 pass, and whole rows
+  // also ran the double-pumped i16 pass faster than L1-sized stripes
+  // (EXPERIMENTS.md §5.1).
   AdaptiveEngineT(std::string name, int stripe_cols)
-      : name_(std::move(name)),
-        stripe8_(stripe_cols == 0 ? default_stripe(Ops8::kLanes, 1)
-                                  : stripe_cols),
-        stripe16_(stripe_cols == 0 ? default_stripe(Ops16::kLanes, 2)
-                                   : stripe_cols) {}
+      : name_(std::move(name)), stripe_(stripe_cols) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] int lanes() const override { return Ops8::kLanes; }
@@ -173,41 +191,102 @@ class AdaptiveEngineT final : public Engine {
     } else {
       note_profile_obs(false);
     }
-    if (profile8_.feasible() && escalated_.count(job.r0) == 0) {
-      GroupJob j8 = job;
-      // A checkpoint from the other precision's layout cannot seed this
-      // sweep; drop it and sweep from row 1 (correct, just undiscounted).
-      if (j8.resume != nullptr && j8.resume->elem_size != 1)
-        j8.resume = nullptr;
-      bool sat = false;
-      run_simd_group<Ops8>(j8, out, stripe8_, scratch8_, profile8_, &sat);
-      note_sweep<std::uint8_t>(stats_);
-      if (!sat) return;
-      // Escalate: outputs and staged checkpoints from the u8 attempt are
-      // uncertified; the i16 sweep below re-prepares the same sink, so the
-      // group's cache entry holds i16 rows from its very first store.
-      ++stats_.escalations;
-      note_escalation_obs();
-      escalated_.insert(job.r0);
-    }
-    note_profile_obs(profile16_.ensure(job.seq, *job.scoring, stats_));
+    // A checkpoint from the other precision's layout cannot seed a sweep;
+    // drop it and sweep from row 1 (correct, just undiscounted).
     GroupJob j16 = job;
     if (j16.resume != nullptr && j16.resume->elem_size != 2)
       j16.resume = nullptr;
-    run_simd_group<Ops16>(j16, out, stripe16_, scratch16_, profile16_);
+    int kept = 0;  // widened u8 rows staged in front of the i16 pass's own
+    if (profile8_.feasible() && escalated_.count(job.r0) == 0) {
+      GroupJob j8 = job;
+      if (j8.resume != nullptr && j8.resume->elem_size != 1)
+        j8.resume = nullptr;
+      bool sat = false;
+      run_simd_group<Ops8>(j8, out, stripe_, scratch8_, profile8_, &sat);
+      note_sweep<std::uint8_t>(stats_);
+      if (!sat) return;
+      ++stats_.escalations;
+      note_escalation_obs();
+      escalated_.insert(job.r0);
+      kept = resume_certified(j8, j16);
+    }
+    note_profile_obs(profile16_.ensure(job.seq, *job.scoring, stats_));
+    if (kept > 0) {
+      own_sink_.stride = job.sink->stride;
+      own_sink_.top_row = job.sink->top_row;
+      j16.sink = &own_sink_;
+    }
+    bool sat = false;
+    run_simd_group<Ops16>(j16, out, stripe_, scratch16_, profile16_, &sat);
     note_sweep<std::int16_t>(stats_);
+    REPRO_CHECK_MSG(!sat, "the auto engine (" << name_
+                          << ") reached its i16 ceiling in group r0="
+                          << job.r0
+                          << "; use simd8x32 or scalar for this input");
+    if (kept > 0) splice_own_rows(*job.sink, kept);
   }
 
  private:
+  /// Points j16 at the deepest state the broken u8 pass j8 certified,
+  /// widened to i16: the last staged row (the kernel keeps only certified
+  /// ones), else j8's resume view, else j16's own (i16 view or row 1).
+  /// Returns the number of staged rows, all widened in place.
+  int resume_certified(const GroupJob& j8, GroupJob& j16) {
+    CheckpointSink* sink = j8.sink;
+    const int kept = sink != nullptr ? sink->count : 0;
+    if (kept > 0) {
+      for (int t = 0; t < kept; ++t) {
+        CheckpointRow& cr = sink->rows[static_cast<std::size_t>(t)];
+        for (std::vector<std::byte>* buf : {&cr.h, &cr.max_y}) {
+          widen_u8_state(buf->data(), buf->size(), wide_h_);
+          buf->resize(2 * wide_h_.size());
+          std::memcpy(buf->data(), wide_h_.data(), buf->size());
+        }
+      }
+      sink->elem_size = 2;
+      const CheckpointRow& last = sink->rows[static_cast<std::size_t>(kept - 1)];
+      wide_view_ = {last.row, Ops16::kLanes, 2, last.h.data(),
+                    last.max_y.data(), last.h.size()};
+    } else if (j8.resume != nullptr) {
+      const CheckpointView& v = *j8.resume;
+      widen_u8_state(v.h, v.bytes, wide_h_);
+      widen_u8_state(v.max_y, v.bytes, wide_max_y_);
+      wide_view_ = {v.row,
+                    Ops16::kLanes,
+                    2,
+                    reinterpret_cast<const std::byte*>(wide_h_.data()),
+                    reinterpret_cast<const std::byte*>(wide_max_y_.data()),
+                    2 * v.bytes};
+    } else {
+      return 0;
+    }
+    j16.resume = &wide_view_;
+    return kept;
+  }
+
+  /// Moves the i16 pass's staged rows behind the `kept` widened ones.
+  void splice_own_rows(CheckpointSink& sink, int kept) {
+    const auto n = static_cast<std::size_t>(kept + own_sink_.count);
+    if (sink.rows.size() < n) sink.rows.resize(n);
+    for (int t = 0; t < own_sink_.count; ++t)
+      std::swap(sink.rows[static_cast<std::size_t>(kept + t)],
+                own_sink_.rows[static_cast<std::size_t>(t)]);
+    sink.count = static_cast<int>(n);
+    sink.lanes = own_sink_.lanes;
+    sink.elem_size = own_sink_.elem_size;
+  }
+
   std::string name_;
-  int stripe8_;
-  int stripe16_;
+  int stripe_;
   SimdScratchT<std::uint8_t> scratch8_;
   SimdScratchT<std::int16_t> scratch16_;
   QueryProfileT<std::uint8_t> profile8_;
   QueryProfileT<std::int16_t> profile16_;
   PrecisionStats stats_;
   std::set<int> escalated_;  ///< splits r0 pinned to the i16 path
+  CheckpointView wide_view_;  ///< the i16 pass's widened resume state
+  std::vector<std::int16_t> wide_h_, wide_max_y_;  ///< widened u8 states
+  CheckpointSink own_sink_;  ///< the i16 pass's rows when u8 rows are kept
 };
 
 }  // namespace repro::align::detail

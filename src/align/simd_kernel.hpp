@@ -44,9 +44,16 @@
 //     lane-cells cannot contribute) certifies the sweep. A sweep is clean
 //     when the peak stays at or below the element type's certification
 //     limit — the largest value from which one more profile add provably
-//     cannot saturate (i16: 32766; u8: 255 - bias - max_score). Peaks above
-//     the limit are reported conservatively as saturated: the caller either
-//     re-runs the group at a wider precision (adaptive engines) or throws.
+//     cannot saturate (i16: 32766; u8: 255 - bias - max_score). The peak
+//     is tested after every row (or row pair) and the sweep stops at the
+//     first one past the limit: the peak only grows, so that row decides
+//     what an end-of-sweep test would, and every row above it is exact.
+//     The caller either throws or finishes the same sweep at a wider
+//     precision from the deepest certified row state (adaptive engines).
+//     Widening that state is exact too: certified u8 H is the true H, and
+//     u8 MaxY (clamped at 0) still satisfies the invariant below, which
+//     i16 arithmetic preserves — so H, and every bottom row, match a sweep
+//     run wide from row 1; only MaxY entries clamped below zero differ.
 //   * Unsigned u8 lanes (Farrar/SSW-style): profile entries carry
 //     bias = max(0, -min_score()), the H update is
 //     subs(adds(inner, e_biased), bias) = max(0, inner + score), and gap
@@ -58,7 +65,9 @@
 //     value by the same invariant on diag-fed starts) — so whenever a
 //     clamped term wins the inner max it equals a value >= 0 that the true
 //     recurrence also produces, and H trajectories are identical as long as
-//     no adds saturates, which the peak certification guarantees.
+//     no adds saturates, which the peak certification guarantees. (The
+//     induction uses only diag >= 0 and the update's monotonicity, not the
+//     clamp, so a clamped X carried on in i16 lanes keeps the invariant.)
 //
 // The kernel is templated over an Ops policy (SSE2, AVX2, or a portable
 // scalar-lane fallback) providing saturating adds/subs, max, and masking.
@@ -478,9 +487,10 @@ void by_override_runs(const SweepRow<Ops>& a,
 /// sequence and scoring (biased for unsigned elements). `saturated` selects
 /// the saturation protocol: when null a saturating sweep throws (explicit
 /// fixed-precision engines); when non-null it is set to whether the sweep
-/// saturated — on saturation the sink is emptied (its rows were computed
-/// from possibly-clamped state and are uncertified) and the outputs are
-/// garbage the caller must discard by re-running at wider precision.
+/// saturated. A saturating sweep stops at the first row that breaks the
+/// certificate: the sink keeps only the staged rows above that row (none
+/// when striped), and the outputs are garbage the caller must discard by
+/// finishing the sweep at wider precision.
 template <class Ops>
 void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
                     int stripe_cols, SimdScratchT<typename Ops::Elem>& scratch,
@@ -643,10 +653,34 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
 
   // Running max of valid lane-cells per part (the saturation guard). Rows
   // <= y_begin-1 were certified by the sweep that emitted the restored
-  // checkpoint (saturating sweeps throw before their checkpoints are kept).
+  // checkpoint (saturating sweeps throw or stop before their uncertified
+  // rows are kept).
   std::array<PVec, kParts> v_peak;
   v_peak.fill(v_zero);
   std::array<PVec, kParts> carry_above;  // H of the row above, column c0-1
+
+  // Certification limit: the largest peak from which one more adds input
+  // provably could not have saturated. Every adds operand is an H value <=
+  // peak, so peak <= limit proves no clamp occurred in any row swept so far;
+  // peak > limit is treated as saturated (conservatively).
+  //   i16: limit 32766 (a peak of 32767 is indistinguishable from a clamp)
+  //   u8:  limit 255 - bias - max_score (one biased profile add of slack)
+  // Returns the first lane of the group past the limit, or -1. Lanes >=
+  // count carry garbage and are not checked.
+  const auto saturated_lane = [&] {
+    if constexpr (Ops::kSaturating) {
+      const int limit =
+          kUnsigned ? std::numeric_limits<Elem>::max() - profile.bias() -
+                          profile.max_score()
+                    : std::numeric_limits<Elem>::max() - 1;
+      alignas(64) Elem peakbuf[L];
+      for (int p = 0; p < kParts; ++p)
+        Part::store(peakbuf + p * PL, v_peak[static_cast<std::size_t>(p)]);
+      for (int k = 0; k < count; ++k)
+        if (peakbuf[k] > limit) return k;
+    }
+    return -1;
+  };
 
   for (int c0 = 0; c0 < width; c0 += stripe) {
     const int c1 = std::min(width, c0 + stripe);
@@ -735,6 +769,20 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
           }
         }
       }
+      // The peak only grows, so the first row past the limit decides the
+      // sweep: stop there. Rows above this pass are certified, and so are
+      // the checkpoint rows staged from them when every row is swept whole
+      // (a striped sweep has staged only some stripes of each row).
+      if (const int bad = saturated_lane(); bad >= 0) {
+        REPRO_CHECK_MSG(saturated != nullptr,
+                        (kUnsigned ? "u8" : "i16")
+                            << " SIMD lane saturated (split r=" << r0 + bad
+                            << "); use an adaptive or wider engine for this "
+                               "input");
+        *saturated = true;
+        if (sink != nullptr) sink->count = striped ? 0 : emit_idx;
+        return;
+      }
       // Extract lane k's bottom row when this is its last row.
       const int k = y - r0;
       if (k >= 0 && k < count) {
@@ -775,40 +823,6 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     }
   }
 
-  if constexpr (Ops::kSaturating) {
-    // Certification limit: the largest peak from which one more adds input
-    // provably could not have saturated. Every adds operand is an H value
-    // <= peak, so peak <= limit proves no clamp occurred anywhere in the
-    // sweep; peak > limit is treated as saturated (conservatively — the
-    // adaptive driver just re-runs the group at wider precision).
-    //   i16: limit 32766 (a peak of 32767 is indistinguishable from a clamp)
-    //   u8:  limit 255 - bias - max_score (one biased profile add of slack)
-    Elem sat_limit;
-    if constexpr (kUnsigned) {
-      sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() -
-                                    profile.bias() - profile.max_score());
-    } else {
-      sat_limit = static_cast<Elem>(std::numeric_limits<Elem>::max() - 1);
-    }
-    alignas(64) Elem peakbuf[L];
-    for (int p = 0; p < kParts; ++p)
-      Part::store(peakbuf + p * PL, v_peak[static_cast<std::size_t>(p)]);
-    for (int k = 0; k < count; ++k) {
-      if (peakbuf[k] <= sat_limit) continue;
-      if (saturated != nullptr) {
-        *saturated = true;
-        // The staged checkpoint rows were computed from possibly-clamped
-        // state; only certified rows may reach the cache.
-        if (sink != nullptr) sink->count = 0;
-        return;
-      }
-      REPRO_CHECK_MSG(false,
-                      (kUnsigned ? "u8" : "i16")
-                          << " SIMD lane saturated (split r=" << r0 + k
-                          << "); use an adaptive or wider engine for this "
-                             "input");
-    }
-  }
   if (saturated != nullptr) *saturated = false;
 }
 

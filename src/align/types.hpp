@@ -36,17 +36,21 @@ inline constexpr std::int16_t kNegInf16 = -30000;
 class OverrideTriangle;
 
 /// Non-owning view of a saved kernel row state for checkpoint-resume
-/// realignment: the interleaved (H, MaxY) column state exactly as the kernel
-/// leaves it after sweeping DP rows 1..row. Restoring it and re-entering the
-/// sweep at row+1 is bit-identical to a from-scratch sweep, because the only
-/// other carries (per-row stripe carries, the running MaxX) are recomputed
-/// from it before they are read. The byte layout is engine-specific — lanes
-/// interleaved at c*lanes+k, `elem_size` bytes per element — and guarded by
-/// the stamp fields; kernels reject mismatching layouts.
+/// realignment: the interleaved (H, MaxY) column state a kernel leaves
+/// after sweeping DP rows 1..row. Restoring it and re-entering the sweep at
+/// row+1 gives the H of a from-scratch sweep, because the only other
+/// carries (per-row stripe carries, the running MaxX) are recomputed from it
+/// before they are read. A state may come from a narrower precision widened
+/// (the adaptive engine keeps certified u8 rows as i16): its MaxY entries
+/// clamped at 0 differ from the wide sweep's negative ones, which never win
+/// an H update, so H and every bottom row stay identical. The byte layout
+/// is engine-specific — lanes interleaved at c*lanes+k, `elem_size` bytes
+/// per element — and guarded by the stamp fields; kernels reject
+/// mismatching layouts.
 struct CheckpointView {
   int row = 0;        ///< deepest DP row covered by this state (>= 1)
   int lanes = 0;      ///< interleave factor L of the producing kernel
-  int elem_size = 0;  ///< bytes per lane element (2 = i16, 4 = i32)
+  int elem_size = 0;  ///< bytes per lane element (1 = u8, 2 = i16, 4 = i32)
   const std::byte* h = nullptr;      ///< width x lanes elements of H
   const std::byte* max_y = nullptr;  ///< width x lanes elements of MaxY
   std::size_t bytes = 0;             ///< size of each buffer in bytes

@@ -83,7 +83,7 @@ struct FinderStats {
   // Adaptive-precision SIMD (zero for engines without precision tracking):
   std::uint64_t i8_sweeps = 0;             ///< group sweeps run in u8 lanes
   std::uint64_t i16_sweeps = 0;            ///< group sweeps run in i16 lanes
-  std::uint64_t precision_escalations = 0; ///< u8 sweeps re-run at i16
+  std::uint64_t precision_escalations = 0; ///< u8 sweeps finished at i16
   std::uint64_t profile_hits = 0;          ///< sweeps reusing a cached profile
   /// Wall time inside realignment-phase sweeps (version > 0); the parallel
   /// finder sums it across threads like idle_seconds.

@@ -194,7 +194,16 @@ struct DriverName {
 TYPED_TEST_SUITE(DriverMatrix, Drivers, DriverName);
 
 TYPED_TEST(DriverMatrix, EveryOptionMatchesSequential) {
-  const auto g = seq::synthetic_titin(260, 31);
+  // Conserved tandem protein repeats: blosum62 scores pass the u8 ceiling,
+  // so every driver and option also runs the u8 -> i16 precision ladder.
+  seq::RepeatSpec spec;
+  spec.unit_length = 24;
+  spec.copies = 8;
+  spec.conservation = 0.95;
+  spec.indel_rate = 0.0;
+  spec.tandem = true;
+  const auto g =
+      seq::make_repeat_sequence(seq::Alphabet::protein(), 240, spec, 22);
   const Scoring sc = Scoring::protein_default();
   const auto factory = align::engine_factory(align::EngineKind::kSimdAuto);
   for (const auto memory :
@@ -216,6 +225,8 @@ TYPED_TEST(DriverMatrix, EveryOptionMatchesSequential) {
             << static_cast<int>(traceback) << ", checkpoint_mem " << ckpt
             << ": " << diff;
         EXPECT_EQ(res.tops.size(), 6u);
+        EXPECT_GT(reference.stats.precision_escalations, 0u);
+        EXPECT_GT(res.stats.precision_escalations, 0u);
       }
     }
   }

@@ -1,14 +1,19 @@
 // Adaptive-precision SIMD: headroom boundaries (bias-aware, the
 // check_i16_headroom regression), saturation certification at the exact u8
-// ceiling, transparent i8 -> i16 escalation matching the scalar oracle, and
-// query-profile reuse across runs and parallel partitions.
+// ceiling, transparent i8 -> i16 escalation matching the scalar oracle, the
+// precision ladder (an escalated sweep finishing in i16 from the deepest
+// certified u8 row), and query-profile reuse across runs and parallel
+// partitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "align/engine.hpp"
+#include "align/override_triangle.hpp"
 #include "align/query_profile.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
@@ -239,6 +244,316 @@ TEST(PrecisionAdaptive, ParallelAutoMatchesSequentialAndSumsStats) {
   // summed into the parallel result.
   EXPECT_GT(par.stats.i8_sweeps + par.stats.i16_sweeps, 0u);
   EXPECT_GT(par.stats.precision_escalations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Precision ladder: a u8 sweep that breaks its certificate stops at that row
+// and the same sweep finishes in i16 from the deepest certified state — the
+// last staged checkpoint row above the break, else the job's u8 resume
+// view, else row 0. Every case must give the scalar engine's bottom rows.
+
+// A random DNA prefix followed by a tiled repetitive oligo (SNIPPETS.md's
+// gmap repetitive.c: AAAAAA, ACACAC, AGAGAG, ...). Under paper_example the
+// tandem's self-alignments gain 2 per row, so the u8 certificate (limit
+// 252) breaks about 126 rows below the prefix: its length sets the depth.
+seq::Sequence ladder_sequence(int prefix, int m, const std::string& oligo) {
+  std::string s = seq::random_sequence(seq::Alphabet::dna(), prefix, 2003)
+                      .to_string();
+  while (static_cast<int>(s.size()) < m) s += oligo;
+  s.resize(static_cast<std::size_t>(m));
+  return seq::Sequence::from_string("ladder", s, seq::Alphabet::dna());
+}
+
+// The DP row at which the adaptive engine's u8 pass over the group (r0,
+// count) stops: the first row where a lane holds an H above the u8
+// certification limit (0 = none). An independent override-free evaluation
+// of the recurrence, lane by lane.
+int u8_break_row(const seq::Sequence& s, const seq::Scoring& sc, int r0,
+                 int count) {
+  const int limit =
+      255 - std::max(0, -sc.matrix.min_score()) - sc.matrix.max_score();
+  const auto codes = s.codes();
+  int brk = 0;
+  for (int r = r0; r < r0 + count; ++r) {
+    const int cols = s.length() - r;
+    std::vector<int> h(static_cast<std::size_t>(cols) + 1, 0);
+    std::vector<int> my(h.size(), align::kNegInf);
+    for (int y = 1; y <= r && (brk == 0 || y < brk); ++y) {
+      const std::int16_t* e = sc.matrix.row(codes[static_cast<std::size_t>(y - 1)]);
+      int diag = 0;
+      int mx = align::kNegInf;
+      for (std::size_t x = 1; x < h.size(); ++x) {
+        const int up = h[x];
+        const int inner = std::max({mx, my[x], diag});
+        h[x] = std::max(0, e[codes[static_cast<std::size_t>(r) + x - 1]] + inner);
+        mx = std::max(diag - sc.gap.open, mx) - sc.gap.extend;
+        my[x] = std::max(diag - sc.gap.open, my[x]) - sc.gap.extend;
+        diag = up;
+        if (h[x] > limit) brk = y;
+      }
+    }
+  }
+  return brk;
+}
+
+struct LadderRun {
+  std::vector<std::vector<align::Score>> rows;
+  align::CheckpointSink sink;
+};
+
+// Sweeps the group (r0, lanes) of `s` under paper_example on `engine`.
+LadderRun ladder_sweep(align::Engine& engine, const seq::Sequence& s, int r0,
+                       int stride, bool with_sink,
+                       const align::CheckpointView* resume = nullptr,
+                       const align::OverrideTriangle* overrides = nullptr) {
+  static const seq::Scoring dna = seq::Scoring::paper_example();
+  LadderRun run;
+  const int count = engine.lanes();
+  std::vector<std::span<align::Score>> outs;
+  for (int k = 0; k < count; ++k)
+    run.rows.emplace_back(static_cast<std::size_t>(s.length() - r0 - k));
+  for (auto& row : run.rows) outs.emplace_back(row);
+  align::GroupJob job;
+  job.seq = s.codes();
+  job.scoring = &dna;
+  job.overrides = overrides;
+  job.r0 = r0;
+  job.count = count;
+  job.resume = resume;
+  run.sink.stride = stride;
+  run.sink.top_row = r0 - 1;
+  if (with_sink) job.sink = &run.sink;
+  engine.align(job, outs);
+  return run;
+}
+
+align::CheckpointView view_of(const align::CheckpointSink& sink, int t) {
+  const align::CheckpointRow& cr = sink.rows[static_cast<std::size_t>(t)];
+  return {cr.row, sink.lanes, sink.elem_size, cr.h.data(), cr.max_y.data(),
+          cr.h.size()};
+}
+
+// The group's bottom rows equal the scalar engine's, split by split.
+void expect_scalar_rows(const seq::Sequence& s, int r0,
+                        const std::vector<std::vector<align::Score>>& rows,
+                        const std::string& what) {
+  static const seq::Scoring dna = seq::Scoring::paper_example();
+  const auto scalar = align::make_engine(EngineKind::kScalar);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    align::GroupJob job;
+    job.seq = s.codes();
+    job.scoring = &dna;
+    job.r0 = r0 + static_cast<int>(k);
+    EXPECT_EQ(scalar->align_one(job), rows[k])
+        << what << ": split r=" << job.r0;
+  }
+}
+
+// A later sweep resumed from each staged (widened) row gives the rows of a
+// from-scratch sweep.
+void expect_resumes_match(align::Engine& engine, const seq::Sequence& s,
+                          int r0, const align::CheckpointSink& sink,
+                          const std::string& what) {
+  ASSERT_GT(sink.count, 0) << what;
+  EXPECT_EQ(sink.elem_size, 2) << what;
+  for (int t = 0; t < sink.count; ++t) {
+    const align::CheckpointView view = view_of(sink, t);
+    const auto again = ladder_sweep(engine, s, r0, 1, false, &view);
+    expect_scalar_rows(s, r0, again.rows,
+                       what + ", resumed at row " + std::to_string(view.row));
+  }
+}
+
+constexpr int kLadderPrefix = 40;
+constexpr int kLadderM = 520;
+constexpr int kLadderR0 = 300;  // the break lies well above the group's r0
+
+TEST(PrecisionLadder, BreakAboveTheFirstGridRowSweepsI16FromRowOne) {
+  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
+  for (const auto kind : adaptive_kinds()) {
+    const auto engine = align::make_engine(kind);
+    const int brk = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
+                                 engine->lanes());
+    ASSERT_GT(brk, 1);
+    const int stride = brk + 20;  // first grid row below the break
+    ASSERT_LT(stride, kLadderR0 - 1);
+    auto run = ladder_sweep(*engine, s, kLadderR0, stride, true);
+    EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
+    expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
+    ASSERT_EQ(run.sink.count, 2) << engine->name();  // stride and r0 - 1
+    EXPECT_EQ(run.sink.rows[0].row, stride);
+    expect_resumes_match(*engine, s, kLadderR0, run.sink, engine->name());
+  }
+}
+
+TEST(PrecisionLadder, BreakBetweenGridRowsResumesFromTheRowAbove) {
+  for (const std::string oligo : {"ACACAC", "AAAAAA", "AGAGAG"}) {
+    const auto s = ladder_sequence(kLadderPrefix, kLadderM, oligo);
+    for (const auto kind : adaptive_kinds()) {
+      const auto engine = align::make_engine(kind);
+      const std::string what = engine->name() + " " + oligo;
+      const int brk = u8_break_row(s, seq::Scoring::paper_example(),
+                                   kLadderR0, engine->lanes());
+      constexpr int kStride = 25;
+      ASSERT_GT(brk, kStride) << what;
+      ASSERT_LT(brk + kStride, kLadderR0) << what;
+      ASSERT_NE(brk % kStride, 0) << what;
+      auto run = ladder_sweep(*engine, s, kLadderR0, kStride, true);
+      EXPECT_EQ(engine->precision_stats().escalations, 1u) << what;
+      expect_scalar_rows(s, kLadderR0, run.rows, what);
+      // The same grid rows as a sweep run wide from row 1.
+      ASSERT_EQ(run.sink.count, (kLadderR0 - 1) / kStride + 1) << what;
+      for (int t = 0; t < run.sink.count; ++t)
+        EXPECT_EQ(run.sink.rows[static_cast<std::size_t>(t)].row,
+                  std::min((t + 1) * kStride, kLadderR0 - 1))
+            << what;
+      expect_resumes_match(*engine, s, kLadderR0, run.sink, what);
+    }
+  }
+}
+
+TEST(PrecisionLadder, KeptRowsAreTheWidenedU8Rows) {
+  // auto-generic shares its i16 layout with simd8-generic (8 x i16), so
+  // the escalated sweep's rows can be compared to a pure i16 sweep's: H is
+  // identical everywhere, and MaxY differs only in entries below zero —
+  // the kept u8 rows hold exactly max(MaxY, 0).
+  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
+  const auto adaptive = align::make_engine(EngineKind::kSimdAutoGeneric);
+  const auto wide = align::make_engine(EngineKind::kSimd8Generic);
+  ASSERT_EQ(adaptive->lanes(), wide->lanes());
+  const int brk = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
+                               adaptive->lanes());
+  constexpr int kStride = 25;
+  const auto got = ladder_sweep(*adaptive, s, kLadderR0, kStride, true);
+  const auto want = ladder_sweep(*wide, s, kLadderR0, kStride, true);
+  ASSERT_EQ(adaptive->precision_stats().escalations, 1u);
+  ASSERT_EQ(got.sink.count, want.sink.count);
+  int kept = 0;
+  for (int t = 0; t < got.sink.count; ++t) {
+    const auto& g = got.sink.rows[static_cast<std::size_t>(t)];
+    const auto& w = want.sink.rows[static_cast<std::size_t>(t)];
+    ASSERT_EQ(g.row, w.row);
+    ASSERT_EQ(g.h.size(), w.h.size());
+    EXPECT_EQ(g.h, w.h) << "row " << g.row;
+    const std::size_t n = g.max_y.size() / 2;
+    std::vector<std::int16_t> gy(n), wy(n);
+    std::memcpy(gy.data(), g.max_y.data(), g.max_y.size());
+    std::memcpy(wy.data(), w.max_y.data(), w.max_y.size());
+    const bool widened = g.row < brk;
+    kept += widened ? 1 : 0;
+    for (std::size_t e = 0; e < n; ++e) {
+      if (widened) {
+        ASSERT_EQ(gy[e], std::max<std::int16_t>(wy[e], 0))
+            << "row " << g.row << " elem " << e;
+      } else if (wy[e] >= 0) {
+        ASSERT_EQ(gy[e], wy[e]) << "row " << g.row << " elem " << e;
+      } else {
+        ASSERT_TRUE(gy[e] >= wy[e] && gy[e] <= 0)
+            << "row " << g.row << " elem " << e;
+      }
+    }
+  }
+  EXPECT_GT(kept, 1);
+}
+
+TEST(PrecisionLadder, BreakInsideTheDeepRowsKeepsEveryGridRow) {
+  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
+  for (const auto kind : adaptive_kinds()) {
+    const auto engine = align::make_engine(kind);
+    const int lanes = engine->lanes();
+    const int far = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
+                                 lanes);
+    const int r0 = far - lanes / 2;
+    const int brk = u8_break_row(s, seq::Scoring::paper_example(), r0, lanes);
+    ASSERT_GT(brk, r0) << engine->name();
+    ASSERT_LT(brk, r0 + lanes) << engine->name();
+    auto run = ladder_sweep(*engine, s, r0, 30, true);
+    EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
+    expect_scalar_rows(s, r0, run.rows, engine->name());
+    ASSERT_GT(run.sink.count, 0);
+    EXPECT_EQ(run.sink.rows[static_cast<std::size_t>(run.sink.count - 1)].row,
+              r0 - 1);
+    expect_resumes_match(*engine, s, r0, run.sink, engine->name());
+  }
+}
+
+TEST(PrecisionLadder, BreakAfterAU8ResumeViewWithNoStagedRow) {
+  // The u8 view comes from a clean sweep of the same group whose deep rows
+  // are overridden away: rows above r0 match the plain sweep's exactly.
+  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
+  for (const auto kind : adaptive_kinds()) {
+    const auto engine = align::make_engine(kind);
+    const int lanes = engine->lanes();
+    const int far = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
+                                 lanes);
+    const int r0 = far - lanes / 2;
+    ASSERT_GT(u8_break_row(s, seq::Scoring::paper_example(), r0, lanes), r0);
+    align::OverrideTriangle deep(s.length());
+    for (int i = r0 - 1; i < r0 + lanes - 1; ++i)
+      for (int j = i + 1; j < s.length(); ++j) deep.set(i, j);
+    const auto clean = ladder_sweep(*engine, s, r0, 1000, true, nullptr, &deep);
+    ASSERT_EQ(engine->precision_stats().escalations, 0u) << engine->name();
+    ASSERT_EQ(clean.sink.elem_size, 1);
+    const align::CheckpointView view =
+        view_of(clean.sink, clean.sink.count - 1);
+    ASSERT_EQ(view.row, r0 - 1);
+
+    auto run = ladder_sweep(*engine, s, r0, 1000, true, &view);
+    EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
+    EXPECT_EQ(run.sink.count, 0) << engine->name();
+    expect_scalar_rows(s, r0, run.rows, engine->name());
+  }
+}
+
+TEST(PrecisionLadder, BreakWithNoSink) {
+  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "AGAGAG");
+  for (const auto kind : adaptive_kinds()) {
+    const auto engine = align::make_engine(kind);
+    auto run = ladder_sweep(*engine, s, kLadderR0, 1, false);
+    EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
+    expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
+  }
+}
+
+TEST(PrecisionLadder, ExplicitStripeStartsTheI16PassAtRowOne) {
+  // A striped u8 pass has staged only some stripes of each row when it
+  // stops, so none are kept: the i16 pass re-sweeps from row 1.
+  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
+  for (const auto kind : adaptive_kinds()) {
+    const auto engine = align::make_engine(kind, 7);
+    auto run = ladder_sweep(*engine, s, kLadderR0, 25, true);
+    EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
+    expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
+    ASSERT_EQ(run.sink.count, (kLadderR0 - 1) / 25 + 1) << engine->name();
+    expect_resumes_match(*engine, s, kLadderR0, run.sink, engine->name());
+  }
+}
+
+TEST(PrecisionLadder, I16CeilingUnderAutoNamesTheWiderEngines) {
+  // Match 1000: i16 saturates within 100 residues, and the bias makes u8
+  // infeasible, so the adaptive engine goes straight to its i16 rung.
+  const seq::Scoring huge{
+      seq::ScoreMatrix::uniform(seq::Alphabet::dna(), 1000, -1000),
+      seq::GapPenalty{2, 1}};
+  const seq::Sequence s = homopolymer(100);
+  ASSERT_FALSE(align::precision_fits(Precision::kI8, s.length(), huge));
+  ASSERT_FALSE(align::precision_fits(Precision::kI16, s.length(), huge));
+  FinderOptions opt;
+  opt.num_top_alignments = 1;
+  for (const auto kind : adaptive_kinds()) {
+    const auto engine = align::make_engine(kind);
+    try {
+      (void)find_top_alignments(s, huge, opt, *engine);
+      ADD_FAILURE() << engine->name() << " did not throw";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("auto engine"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("i16 ceiling"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("simd8x32"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("scalar"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("use an adaptive"), std::string::npos) << msg;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
