@@ -64,10 +64,6 @@ std::vector<Score> RectangleRows::zero_row() const {
   return h;
 }
 
-std::vector<Score> RectangleRows::initial_max_y() const {
-  return std::vector<Score>(row_size_, kNegInf);
-}
-
 const Score* RectangleRows::profile(std::uint8_t code) {
   if (profiles_.empty()) profiles_.resize(built_.size() * row_size_, 0);
   Score* p = profiles_.data() + code * row_size_ + 1;
@@ -90,21 +86,19 @@ void RectangleRows::row(int y, const Score* prev, Score* max_y, Score* cur,
 }
 
 std::vector<Score> RectangleRows::sweep(int stride,
-                                        std::vector<Score>* checkpoints) {
+                                        std::vector<Score>& checkpoints) {
   std::vector<Score> prev = zero_row();
   std::vector<Score> cur = zero_row();
-  std::vector<Score> max_y = initial_max_y();
+  std::vector<Score> max_y(row_size_, kNegInf);  // the state before row 1
   const auto save = [&](const std::vector<Score>& h) {
-    checkpoints->insert(checkpoints->end(), h.begin(), h.end());
-    checkpoints->insert(checkpoints->end(), max_y.begin(), max_y.end());
+    checkpoints.insert(checkpoints.end(), h.begin(), h.end());
+    checkpoints.insert(checkpoints.end(), max_y.begin(), max_y.end());
   };
-  if (stride > 0) {
-    checkpoints->reserve(2 * static_cast<std::size_t>(rows_ / stride + 1) * row_size_);
-    save(prev);
-  }
+  checkpoints.reserve(2 * static_cast<std::size_t>(rows_ / stride + 1) * row_size_);
+  save(prev);
   for (int y = 1; y <= rows_; ++y) {
     row(y, prev.data() + 1, max_y.data() + 1, cur.data() + 1, cols_);
-    if (stride > 0 && y % stride == 0) save(cur);
+    if (y % stride == 0) save(cur);
     std::swap(prev, cur);
   }
   return prev;

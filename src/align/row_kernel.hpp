@@ -1,4 +1,4 @@
-// Row kernel of the single-rectangle DP behind the tracebacks (internal).
+// Row kernel of the single-rectangle DP behind the traceback (internal).
 //
 // The traceback needs the i32 H values of one rectangle, row by row, so it
 // computes them itself instead of asking a score-only engine. In Eq. 1 the
@@ -93,14 +93,11 @@ class RectangleRows {
   explicit RectangleRows(const GroupJob& job);
 
   [[nodiscard]] int rows() const { return rows_; }
-  [[nodiscard]] int cols() const { return cols_; }
   [[nodiscard]] std::size_t row_size() const { return row_size_; }
 
   /// A buffer holding H of row 0 (zeros, with the sentinel).
   [[nodiscard]] std::vector<Score> zero_row() const;
-  /// A buffer holding the MaxY state before row 1.
-  [[nodiscard]] std::vector<Score> initial_max_y() const;
-  /// Columns 1..cols() of a row buffer.
+  /// Columns 1..cols of a row buffer.
   [[nodiscard]] std::span<const Score> columns(const std::vector<Score>& h) const {
     return std::span<const Score>(h).subspan(2, static_cast<std::size_t>(cols_));
   }
@@ -110,10 +107,9 @@ class RectangleRows {
   void row(int y, const Score* prev, Score* max_y, Score* cur, int width);
 
   /// Sweeps rows 1..rows() over every column and returns the bottom row's
-  /// H buffer. With stride > 0 it also appends the H then MaxY buffers of
-  /// row 0 and of every stride-th row to `checkpoints`.
-  std::vector<Score> sweep(int stride = 0,
-                           std::vector<Score>* checkpoints = nullptr);
+  /// H buffer. It also appends the H then MaxY buffers of row 0 and of
+  /// every stride-th row to `checkpoints`.
+  std::vector<Score> sweep(int stride, std::vector<Score>& checkpoints);
 
  private:
   const Score* profile(std::uint8_t code);

@@ -101,7 +101,7 @@ Traceback traceback_best_impl(const GroupJob& job, std::span<const T> original) 
   // Forward pass: two rows, plus the (H, MaxY) state of every s-th row.
   const int stride = segment_rows(rows);
   std::vector<Score> checkpoints;
-  const std::vector<Score> bottom = dp.sweep(stride, &checkpoints);
+  const std::vector<Score> bottom = dp.sweep(stride, checkpoints);
   const BestEnd end = find_best_end_impl<T>(dp.columns(bottom), original);
   REPRO_CHECK_MSG(end.end_x != 0 && end.score > 0,
                   "traceback requested with no positive valid end cell (r="

@@ -29,20 +29,6 @@ enum class RescanPolicy { kBestFirst, kExhaustiveSweep };
 ///                     few percent while the O(n^2) archive disappears.
 enum class MemoryMode { kArchiveRows, kRecomputeRows };
 
-/// How accepted alignments are reconstructed.
-///   kFullMatrix  — the paper's traceback walk, checkpointed: one
-///                  score-only pass saves every s-th row (s ~ sqrt(2 rows)),
-///                  and the walk refills one s-row segment at a time, so the
-///                  pairs are the full-matrix walk's in O(sqrt(rows) * cols)
-///                  memory (align/traceback.hpp).
-///   kLinearSpace — the memory-efficient traceback family the paper cites
-///                  ("not covered here"): O(rows + cols) memory at ~2x the
-///                  score-only work. Scores and validity are identical;
-///                  among co-optimal paths it may mark different pairs, so
-///                  runs are internally deterministic but not byte-identical
-///                  to full-matrix runs beyond the first acceptance.
-enum class TracebackMode { kFullMatrix, kLinearSpace };
-
 struct FinderOptions {
   /// Top alignments requested; the paper uses 10–30, more for long
   /// sequences, 50 for Table 1 and up to 100 for Fig. 8.
@@ -51,7 +37,6 @@ struct FinderOptions {
   align::Score min_score = 1;
   RescanPolicy policy = RescanPolicy::kBestFirst;
   MemoryMode memory = MemoryMode::kArchiveRows;
-  TracebackMode traceback = TracebackMode::kFullMatrix;
   /// Byte budget of the checkpoint-resume realignment cache (0 disables all
   /// incremental realignment, including the low-memory untouched-lane skip).
   /// The override triangle only grows, so DP rows above the topmost
@@ -60,10 +45,6 @@ struct FinderOptions {
   /// shared-memory and cluster finders split this budget evenly across
   /// their workers.
   std::size_t checkpoint_mem = std::size_t{256} << 20;  // 256 MiB
-  /// Checkpoint rows emitted per sweep: the grid stride is
-  /// ceil(rows / checkpoints_per_sweep); the row just above the group is
-  /// always emitted as well, so untouched groups resume at full depth.
-  int checkpoints_per_sweep = 16;
 };
 
 struct FinderStats {

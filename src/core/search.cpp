@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "align/linear_traceback.hpp"
 #include "align/traceback.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -22,10 +21,7 @@ TopAlignment trace_top(const Search& search, const Acceptance& a,
   job.overrides = &search.triangle();
   job.r0 = a.r;
   job.count = 1;
-  align::Traceback tb =
-      search.options().traceback == TracebackMode::kLinearSpace
-          ? align::traceback_best_linear(job, original)
-          : align::traceback_best(job, original);
+  align::Traceback tb = align::traceback_best(job, original);
   REPRO_CHECK_MSG(tb.score == a.expected,
                   "acceptance score mismatch at r=" << a.r << ": queued "
                                                     << a.expected << ", traced "
@@ -287,7 +283,6 @@ Sweeper::Sweeper(const seq::Sequence& s, const seq::Scoring& scoring,
                  std::size_t checkpoint_budget, RowSource rows)
     : s_(s),
       scoring_(scoring),
-      options_(options),
       triangle_(triangle),
       engine_(engine),
       rows_(std::move(rows)),
@@ -336,9 +331,13 @@ int Sweeper::attach(align::GroupJob& job, align::CheckpointSink& sink,
       REPRO_DCHECK(view.row >= 1 && view.row < job.r0);
     }
   }
+  // Checkpoint rows emitted per sweep: the grid stride is
+  // ceil(rows / kCheckpointsPerSweep). The row just above the group is
+  // always emitted as well, so untouched groups resume at full depth.
+  constexpr int kCheckpointsPerSweep = 16;
   const int rows = job.r0 + job.count - 1;
-  const int per_sweep = std::max(1, options_.checkpoints_per_sweep);
-  sink.stride = std::max(1, (rows + per_sweep - 1) / per_sweep);
+  sink.stride = std::max(1, (rows + kCheckpointsPerSweep - 1) /
+                               kCheckpointsPerSweep);
   sink.top_row = job.r0 - 1;
   job.sink = &sink;
   return resumed;

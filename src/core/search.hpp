@@ -84,8 +84,8 @@ class Search {
 
   /// Takes the queue head for acceptance when the guard allows it.
   std::optional<Acceptance> begin_accept();
-  /// Traces acceptance `a` under the current triangle (TracebackMode
-  /// dispatch) against its first-alignment row and checks its score.
+  /// Traces acceptance `a` under the current triangle against its
+  /// first-alignment row and checks its score.
   [[nodiscard]] TopAlignment trace(
       const Acceptance& a, std::span<const std::int16_t> original) const;
   [[nodiscard]] TopAlignment trace(
@@ -201,7 +201,6 @@ class Sweeper {
 
   const seq::Sequence& s_;
   const seq::Scoring& scoring_;
-  const FinderOptions& options_;
   const align::OverrideTriangle& triangle_;
   align::Engine& engine_;
   RowSource rows_;

@@ -108,9 +108,17 @@ TEST(Cli, LowMemoryAndLinearTracebackFlags) {
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 300 --out " + fasta).status, 0);
   const RunResult r = run_cli("find --fasta " + fasta +
-                              " --tops 4 --low-memory --linear-traceback");
+                              " --tops 4 --low-memory");
   EXPECT_EQ(r.status, 0) << r.out;
   EXPECT_NE(r.out.find("top alignments"), std::string::npos);
+}
+
+TEST(Cli, RejectsLinearTracebackFlag) {
+  const RunResult r =
+      run_cli("find --fasta " + temp_fasta() + " --linear-traceback");
+  EXPECT_NE(r.status, 0) << r.out;
+  EXPECT_NE(r.out.find("unknown option --linear-traceback"), std::string::npos)
+      << r.out;
 }
 
 // Every finder option runs in every driver, with the sequential tops.
@@ -134,9 +142,9 @@ INSTANTIATE_TEST_SUITE_P(
     Drivers, CliDriverOptions,
     ::testing::Values(
         std::pair<std::string, std::string>{"--threads 2", "--low-memory"},
-        std::pair<std::string, std::string>{"--threads 2", "--linear-traceback"},
+        std::pair<std::string, std::string>{"--threads 2", "--checkpoint-mem 0"},
         std::pair<std::string, std::string>{"--ranks 3", "--low-memory"},
-        std::pair<std::string, std::string>{"--ranks 3", "--linear-traceback"}),
+        std::pair<std::string, std::string>{"--ranks 3", "--checkpoint-mem 0"}),
     [](const auto& info) {
       std::string name = info.param.first + info.param.second;
       std::erase_if(name, [](char c) { return !std::isalnum(c); });

@@ -208,26 +208,21 @@ TYPED_TEST(DriverMatrix, EveryOptionMatchesSequential) {
   const auto factory = align::engine_factory(align::EngineKind::kSimdAuto);
   for (const auto memory :
        {core::MemoryMode::kArchiveRows, core::MemoryMode::kRecomputeRows}) {
-    for (const auto traceback : {core::TracebackMode::kFullMatrix,
-                                 core::TracebackMode::kLinearSpace}) {
-      for (const std::size_t ckpt :
-           {std::size_t{0}, FinderOptions{}.checkpoint_mem, std::size_t{1}}) {
-        FinderOptions opt;
-        opt.num_top_alignments = 6;
-        opt.memory = memory;
-        opt.traceback = traceback;
-        opt.checkpoint_mem = ckpt;
-        const auto reference = Sequential::run(g.sequence, sc, opt, factory);
-        const auto res = TypeParam::run(g.sequence, sc, opt, factory);
-        std::string diff;
-        EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
-            << "memory " << static_cast<int>(memory) << ", traceback "
-            << static_cast<int>(traceback) << ", checkpoint_mem " << ckpt
-            << ": " << diff;
-        EXPECT_EQ(res.tops.size(), 6u);
-        EXPECT_GT(reference.stats.precision_escalations, 0u);
-        EXPECT_GT(res.stats.precision_escalations, 0u);
-      }
+    for (const std::size_t ckpt :
+         {std::size_t{0}, FinderOptions{}.checkpoint_mem, std::size_t{1}}) {
+      FinderOptions opt;
+      opt.num_top_alignments = 6;
+      opt.memory = memory;
+      opt.checkpoint_mem = ckpt;
+      const auto reference = Sequential::run(g.sequence, sc, opt, factory);
+      const auto res = TypeParam::run(g.sequence, sc, opt, factory);
+      std::string diff;
+      EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
+          << "memory " << static_cast<int>(memory) << ", checkpoint_mem "
+          << ckpt << ": " << diff;
+      EXPECT_EQ(res.tops.size(), 6u);
+      EXPECT_GT(reference.stats.precision_escalations, 0u);
+      EXPECT_GT(res.stats.precision_escalations, 0u);
     }
   }
 }

@@ -212,6 +212,10 @@ TEST(CheckpointedTraceback, MatchesFullMatrixOnProtein) {
     const auto noise = seq::random_sequence(Alphabet::protein(), 150, 70 + seed);
     grow_and_compare(noise, scoring, all_splits(noise, 4), 4);
   }
+  // The middle rectangle of a longer titin: a walk over about 20 segments.
+  const auto big = seq::synthetic_titin(1500, 99).sequence;
+  EXPECT_TRUE(
+      expect_same(testing::make_job(big, 750, scoring), "r=750").has_value());
 }
 
 TEST(CheckpointedTraceback, MatchesFullMatrixOnTieHeavyInputs) {

@@ -209,7 +209,6 @@ int cmd_find(int argc, char** argv) {
                    {"checkpoint-mem",
                     "realignment checkpoint cache budget in MiB (default 256; "
                     "0 disables incremental realignment)"},
-                   {"linear-traceback", "O(rows+cols)-memory traceback"},
                    {"repeats", "also delineate repeat regions"},
                    {"alignments", "print the gapped alignments (text format)"},
                    {"format", "text (default) | json | csv"},
@@ -236,8 +235,6 @@ int cmd_find(int argc, char** argv) {
   const auto ckpt_mib = args.get_int("checkpoint-mem", 256);
   REPRO_CHECK_MSG(ckpt_mib >= 0, "--checkpoint-mem must be >= 0 (MiB)");
   opt.checkpoint_mem = static_cast<std::size_t>(ckpt_mib) << 20;
-  if (args.get_flag("linear-traceback"))
-    opt.traceback = core::TracebackMode::kLinearSpace;
   const int threads = static_cast<int>(args.get_int("threads", 1));
   const int ranks = static_cast<int>(args.get_int("ranks", 1));
   REPRO_CHECK_MSG(ranks >= 1, "--ranks must be >= 1");
