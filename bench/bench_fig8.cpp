@@ -48,16 +48,11 @@ int main(int argc, char** argv) {
 
   // Calibrate the cost model with this host's real kernel rates.
   const auto scalar_probe = align::make_engine(align::EngineKind::kScalar);
-  auto make_worker_engine = [&]() -> std::unique_ptr<align::Engine> {
-#if REPRO_HAVE_SSE2
-    if (lanes == 4 || lanes == 8)
-      return align::make_engine(lanes == 4 ? align::EngineKind::kSimd4
-                                           : align::EngineKind::kSimd8);
-#endif
-    if (lanes == 16 && align::avx2_available())
-      return align::make_engine(align::EngineKind::kSimd16);
-    return align::make_engine(align::EngineKind::kSimd4Generic);
-  };
+  const align::EngineKind worker_kind =
+      lanes == 16 ? align::EngineKind::kSimd16
+      : lanes == 8 ? align::EngineKind::kSimd8
+                   : align::EngineKind::kSimd4;
+  const auto make_worker_engine = [&] { return align::make_engine(worker_kind); };
   const auto worker_probe = make_worker_engine();
   const int calib_m = std::min(m, 4000);
   const double scalar_rate =

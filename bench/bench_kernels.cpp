@@ -4,9 +4,10 @@
 // paper; bench_table*.cpp report the paper-shaped numbers.
 //
 // With --json <path> the binary instead runs the adaptive-precision
-// ablation (u8 vs i16 cell rates per ISA, a same-tops matrix over every
-// engine/precision combo, and the escalation behavior on a saturating
-// workload) and writes a repro-metrics-v1 record.
+// ablation (u8 vs i16 cell rates per ISA, the u8 side measured on the
+// ISA's adaptive engine where no sweep escalates; a same-tops matrix over
+// every engine; and the escalation behavior on a saturating workload) and
+// writes a repro-metrics-v1 record.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 
 #include "align/checkpoint_cache.hpp"
 #include "align/engine.hpp"
+#include "align/engine_detail.hpp"
 #include "align/override_triangle.hpp"
 #include "align/traceback.hpp"
 #include "bench_common.hpp"
@@ -48,8 +50,9 @@ const seq::Sequence& titin(int m) {
 // m = 6000, far inside the biased u8 ceiling of 240 — at any benchable
 // length. (Random DNA under the paper's cheap gap model open 2 / extend 1
 // drifts *positive* and saturates u8 past m ~ 600, so it is unusable here;
-// the static headroom bound is a worst case the adaptive engine guards
-// against, explicit u8 engines only need the *actual* peaks in range.)
+// the static headroom bound is a worst case; the adaptive engines stay in
+// u8 as long as the *actual* peaks are in range, which run_u8_engine_bench
+// checks.)
 const seq::Sequence& random_protein(int m) {
   static std::map<int, seq::Sequence> cache;
   auto it = cache.find(m);
@@ -65,10 +68,12 @@ const seq::Scoring& dna_scoring() {
   return s;
 }
 
-void run_engine_bench_on(benchmark::State& state, align::EngineKind kind,
-                         const seq::Sequence& s, const seq::Scoring& sc) {
+void run_engine_bench_on(benchmark::State& state, const align::EngineFactory& make,
+                         const seq::Sequence& s, const seq::Scoring& sc,
+                         bool u8_only = false) {
   const int m = s.length();
-  const auto engine = align::make_engine(kind);
+  const auto engine = make();
+  state.SetLabel(engine->name());
   const int r0 = m / 2;
   const int count = engine->lanes();
   std::vector<std::vector<align::Score>> store(static_cast<std::size_t>(count));
@@ -88,17 +93,26 @@ void run_engine_bench_on(benchmark::State& state, align::EngineKind kind,
   }
   state.counters["cells/s"] = benchmark::Counter(
       static_cast<double>(engine->cells_computed()), benchmark::Counter::kIsRate);
+  if (u8_only && engine->precision_stats().i16_sweeps > 0)
+    state.SkipWithError("escalated to i16; the rate is not a u8 rate");
+}
+
+void run_engine_bench(benchmark::State& state, const align::EngineFactory& make) {
+  run_engine_bench_on(state, make, titin(static_cast<int>(state.range(0))),
+                      scoring());
 }
 
 void run_engine_bench(benchmark::State& state, align::EngineKind kind) {
-  run_engine_bench_on(state, kind, titin(static_cast<int>(state.range(0))),
-                      scoring());
+  run_engine_bench(state, align::engine_factory(kind));
 }
 
-void run_u8_engine_bench(benchmark::State& state, align::EngineKind kind) {
-  run_engine_bench_on(state, kind,
+// u8 rates: the adaptive engine of one ISA on random protein, where no
+// sweep escalates (run_engine_bench_on rejects a run that does).
+void run_u8_engine_bench(benchmark::State& state,
+                         const align::EngineFactory& make) {
+  run_engine_bench_on(state, make,
                       random_protein(static_cast<int>(state.range(0))),
-                      scoring());
+                      scoring(), /*u8_only=*/true);
 }
 
 void BM_Scalar(benchmark::State& state) {
@@ -108,44 +122,48 @@ void BM_ScalarStriped(benchmark::State& state) {
   run_engine_bench(state, align::EngineKind::kScalarStriped);
 }
 void BM_Simd4Generic(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimd4Generic);
+  run_engine_bench(state,
+                   [] { return align::detail::make_simd_generic_engine(4, 0); });
 }
 void BM_Simd8Generic(benchmark::State& state) {
-  run_engine_bench(state, align::EngineKind::kSimd8Generic);
+  run_engine_bench(state,
+                   [] { return align::detail::make_simd_generic_engine(8, 0); });
 }
-#if REPRO_HAVE_SSE2
-void BM_Simd4Sse2(benchmark::State& state) {
+void BM_Simd4(benchmark::State& state) {
   run_engine_bench(state, align::EngineKind::kSimd4);
 }
-void BM_Simd8Sse2(benchmark::State& state) {
+void BM_Simd8(benchmark::State& state) {
   run_engine_bench(state, align::EngineKind::kSimd8);
 }
-#endif
-void BM_Simd16Avx2(benchmark::State& state) {
-  if (!align::avx2_available()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
+void BM_Simd16(benchmark::State& state) {
   run_engine_bench(state, align::EngineKind::kSimd16);
 }
+void BM_Simd8x32(benchmark::State& state) {
+  run_engine_bench(state, align::EngineKind::kSimd8x32);
+}
 
-// Saturating 8-bit engines (random-protein workload, see random_protein
-// above) and the adaptive engine (titin/protein — escalates transparently).
+// u8 lanes per ISA (random-protein workload, see random_protein above) and
+// the adaptive engine on titin/protein (escalates transparently).
 void BM_Simd8x8Generic(benchmark::State& state) {
-  run_u8_engine_bench(state, align::EngineKind::kSimd8x8Generic);
+  run_u8_engine_bench(
+      state, [] { return align::detail::make_adaptive_generic_engine(0); });
 }
 #if REPRO_HAVE_SSE2
 void BM_Simd16x8Sse2(benchmark::State& state) {
-  run_u8_engine_bench(state, align::EngineKind::kSimd16x8);
+  run_u8_engine_bench(state,
+                      [] { return align::detail::make_adaptive_sse2_engine(0); });
 }
 #endif
+#if REPRO_ENABLE_AVX2
 void BM_Simd32x8Avx2(benchmark::State& state) {
   if (!align::avx2_available()) {
     state.SkipWithError("AVX2 not available");
     return;
   }
-  run_u8_engine_bench(state, align::EngineKind::kSimd32x8);
+  run_u8_engine_bench(state,
+                      [] { return align::detail::make_adaptive_avx2_engine(0); });
 }
+#endif
 void BM_AutoBest(benchmark::State& state) {
   run_engine_bench(state, align::EngineKind::kSimdAuto);
 }
@@ -154,27 +172,28 @@ BENCHMARK(BM_Scalar)->Arg(1000)->Arg(3000);
 BENCHMARK(BM_ScalarStriped)->Arg(1000)->Arg(3000);
 BENCHMARK(BM_Simd4Generic)->Arg(3000);
 BENCHMARK(BM_Simd8Generic)->Arg(3000);
-#if REPRO_HAVE_SSE2
-BENCHMARK(BM_Simd4Sse2)->Arg(1000)->Arg(3000);
-BENCHMARK(BM_Simd8Sse2)->Arg(1000)->Arg(3000);
-#endif
-BENCHMARK(BM_Simd16Avx2)->Arg(1000)->Arg(3000);
+BENCHMARK(BM_Simd4)->Arg(1000)->Arg(3000);
+BENCHMARK(BM_Simd8)->Arg(1000)->Arg(3000);
+BENCHMARK(BM_Simd16)->Arg(1000)->Arg(3000);
+BENCHMARK(BM_Simd8x32)->Arg(1000)->Arg(3000);
 BENCHMARK(BM_Simd8x8Generic)->Arg(3000);
 #if REPRO_HAVE_SSE2
 BENCHMARK(BM_Simd16x8Sse2)->Arg(1000)->Arg(3000);
 #endif
+#if REPRO_ENABLE_AVX2
 BENCHMARK(BM_Simd32x8Avx2)->Arg(1000)->Arg(3000);
+#endif
 BENCHMARK(BM_AutoBest)->Arg(1000)->Arg(3000);
 
 // Checkpoint-resume kernel cost: a sweep resumed from a saved (H, MaxY) row
 // state at 50 % / 90 % of the group's depth versus the same sweep from
 // scratch (depth 0). The per-sweep rate ("sweeps/s") shows the resume win;
 // cells/s stays flat because resumed rows are discounted from the counter.
-void run_resume_bench(benchmark::State& state, align::EngineKind kind) {
+void run_resume_bench(benchmark::State& state, const align::EngineFactory& make) {
   const int m = static_cast<int>(state.range(0));
   const int pct = static_cast<int>(state.range(1));
   const auto& s = titin(m);
-  const auto engine = align::make_engine(kind);
+  const auto engine = make();
   const int r0 = m / 2;
   const int count = engine->lanes();
   std::vector<std::vector<align::Score>> store(static_cast<std::size_t>(count));
@@ -219,10 +238,11 @@ void run_resume_bench(benchmark::State& state, align::EngineKind kind) {
       static_cast<double>(engine->cells_computed()), benchmark::Counter::kIsRate);
 }
 void BM_ScalarResume(benchmark::State& state) {
-  run_resume_bench(state, align::EngineKind::kScalar);
+  run_resume_bench(state, align::engine_factory(align::EngineKind::kScalar));
 }
 void BM_Simd8GenericResume(benchmark::State& state) {
-  run_resume_bench(state, align::EngineKind::kSimd8Generic);
+  run_resume_bench(state,
+                   [] { return align::detail::make_simd_generic_engine(8, 0); });
 }
 BENCHMARK(BM_ScalarResume)
     ->Args({2000, 0})
@@ -503,12 +523,11 @@ BENCHMARK(BM_Traceback)->Arg(1000)->Arg(2000);
 // a same-tops matrix over every engine/precision combo, and the escalation
 // demonstration on a saturating workload.
 
-double kernel_rate(align::EngineKind kind, const seq::Sequence& s,
+double kernel_rate(align::Engine& engine, const seq::Sequence& s,
                    const seq::Scoring& sc) {
-  const auto engine = align::make_engine(kind);
   const int m = s.length();
   const int r0 = m / 2;
-  const int count = engine->lanes();
+  const int count = engine.lanes();
   std::vector<std::vector<align::Score>> store(static_cast<std::size_t>(count));
   std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(count));
   for (int k = 0; k < count; ++k) {
@@ -521,11 +540,11 @@ double kernel_rate(align::EngineKind kind, const seq::Sequence& s,
   job.scoring = &sc;
   job.r0 = r0;
   job.count = count;
-  engine->align(job, outs);  // warm-up: builds the query profile
-  engine->reset_counters();
+  engine.align(job, outs);  // warm-up: builds the query profile
+  engine.reset_counters();
   constexpr int kReps = 5;
-  const double secs = bench::time_best_of(kReps, [&] { engine->align(job, outs); });
-  const double cells = static_cast<double>(engine->cells_computed()) / kReps;
+  const double secs = bench::time_best_of(kReps, [&] { engine.align(job, outs); });
+  const double cells = static_cast<double>(engine.cells_computed()) / kReps;
   return cells / std::max(secs, 1e-12);
 }
 
@@ -549,27 +568,39 @@ int run_precision_ablation(int argc, char** argv) {
                 std::to_string(m) + ")");
   const auto& rate_seq = random_protein(m);
   const auto& rate_sc = scoring();
+  // The u8 side is the ISA's adaptive engine, which stays in u8 lanes on
+  // this input; the i16 side is the fixed i16 engine of the same ISA.
   struct IsaPair {
     std::string isa;
-    align::EngineKind u8;
-    align::EngineKind i16;
-    bool available;
+    align::EngineFactory u8;
+    align::EngineFactory i16;
   };
-  std::vector<IsaPair> pairs{{"generic", align::EngineKind::kSimd8x8Generic,
-                              align::EngineKind::kSimd8Generic, true}};
+  std::vector<IsaPair> pairs{
+      {"generic", [] { return align::detail::make_adaptive_generic_engine(0); },
+       [] { return align::detail::make_simd_generic_engine(8, 0); }}};
 #if REPRO_HAVE_SSE2
-  pairs.push_back({"sse2", align::EngineKind::kSimd16x8,
-                   align::EngineKind::kSimd8, true});
+  pairs.push_back(
+      {"sse2", [] { return align::detail::make_adaptive_sse2_engine(0); },
+       [] { return align::detail::make_simd_engine(8, 0); }});
 #endif
-  pairs.push_back({"avx2", align::EngineKind::kSimd32x8,
-                   align::EngineKind::kSimd16, align::avx2_available()});
+#if REPRO_ENABLE_AVX2
+  if (align::avx2_available())
+    pairs.push_back(
+        {"avx2", [] { return align::detail::make_adaptive_avx2_engine(0); },
+         [] { return align::detail::make_simd_avx2_engine(0); }});
+#endif
   util::Table rate_table({"isa", "u8 cells/s", "i16 cells/s", "speedup"});
   rate_table.set_precision(2);
   double best_speedup = 0.0;
+  bool u8_clean = true;
   for (const auto& p : pairs) {
-    if (!p.available) continue;
-    const double r8 = kernel_rate(p.u8, rate_seq, rate_sc);
-    const double r16 = kernel_rate(p.i16, rate_seq, rate_sc);
+    const auto u8 = p.u8();
+    const double r8 = kernel_rate(*u8, rate_seq, rate_sc);
+    const double r16 = kernel_rate(*p.i16(), rate_seq, rate_sc);
+    if (u8->precision_stats().i16_sweeps > 0) {
+      std::cout << "  " << u8->name() << " escalated: no u8 rate\n";
+      u8_clean = false;
+    }
     const double speedup = r8 / std::max(r16, 1e-12);
     rate_table.add_row({p.isa, r8, r16, speedup});
     report.metric("i8_cells_per_sec_" + p.isa, r8);
@@ -582,21 +613,20 @@ int run_precision_ablation(int argc, char** argv) {
   rate_table.print(std::cout);
   report.metric("i8_vs_i16_speedup_best", best_speedup);
 
-  // --- Same-tops matrix: every constructible engine/precision combo versus
-  // the scalar oracle, on an in-range DNA workload (u8 engines included)
-  // and a saturating protein workload (adaptive engines escalate).
+  // --- Same-tops matrix: every engine versus the scalar oracle, on an
+  // in-range DNA workload and a saturating protein workload.
   bench::header("same-tops matrix vs scalar");
   core::FinderOptions opt;
   opt.num_top_alignments = tops;
   std::int64_t combos = 0;
   bool all_match = true;
   const auto check_matrix = [&](const seq::Sequence& s, const seq::Scoring& sc,
-                                const std::vector<align::EngineKind>& kinds,
+                                const std::vector<align::EngineFactory>& engines,
                                 const std::string& label) {
     const auto scalar = align::make_engine(align::EngineKind::kScalar);
     const auto reference = find_top_alignments(s, sc, opt, *scalar);
-    for (const auto kind : kinds) {
-      const auto engine = align::make_engine(kind);
+    for (const auto& make : engines) {
+      const auto engine = make();
       const auto res = find_top_alignments(s, sc, opt, *engine);
       std::string diff;
       const bool ok = core::same_tops(reference.tops, res.tops, &diff);
@@ -606,31 +636,27 @@ int run_precision_ablation(int argc, char** argv) {
                 << (ok ? ": tops identical\n" : ": MISMATCH " + diff + "\n");
     }
   };
-  std::vector<align::EngineKind> wide_kinds{
-      align::EngineKind::kScalarStriped, align::EngineKind::kSimd4Generic,
-      align::EngineKind::kSimd8Generic, align::EngineKind::kSimd4x32Generic,
-      align::EngineKind::kSimdAutoGeneric, align::EngineKind::kSimdAuto};
+  // Every kind as dispatched, plus the portable and SSE2 instantiations
+  // that dispatch passes over on this host. The adaptive engines run u8
+  // lanes on the in-range workload and escalate on the saturating one.
+  std::vector<align::EngineFactory> engines;
+  for (const auto kind :
+       {align::EngineKind::kScalarStriped, align::EngineKind::kSimd4,
+        align::EngineKind::kSimd8, align::EngineKind::kSimd16,
+        align::EngineKind::kSimd8x32, align::EngineKind::kSimd4x32Generic,
+        align::EngineKind::kSimdAuto})
+    engines.push_back(align::engine_factory(kind));
+  for (const int lanes : {4, 8, 16})
+    engines.push_back(
+        [lanes] { return align::detail::make_simd_generic_engine(lanes, 0); });
+  engines.push_back([] { return align::detail::make_simd32_generic_engine(8, 0); });
+  engines.push_back([] { return align::detail::make_adaptive_generic_engine(0); });
 #if REPRO_HAVE_SSE2
-  wide_kinds.push_back(align::EngineKind::kSimd4);
-  wide_kinds.push_back(align::EngineKind::kSimd8);
-  if (align::sse41_available())
-    wide_kinds.push_back(align::EngineKind::kSimd4x32);
+  engines.push_back([] { return align::detail::make_adaptive_sse2_engine(0); });
 #endif
-  if (align::avx2_available()) {
-    wide_kinds.push_back(align::EngineKind::kSimd16);
-    wide_kinds.push_back(align::EngineKind::kSimd8x32);
-  }
-  std::vector<align::EngineKind> u8_kinds{align::EngineKind::kSimd8x8Generic};
-#if REPRO_HAVE_SSE2
-  u8_kinds.push_back(align::EngineKind::kSimd16x8);
-#endif
-  if (align::avx2_available())
-    u8_kinds.push_back(align::EngineKind::kSimd32x8);
 
   const auto in_range = seq::synthetic_dna_tandem(200, 9, 5, 21).sequence;
-  std::vector<align::EngineKind> in_range_kinds = wide_kinds;
-  in_range_kinds.insert(in_range_kinds.end(), u8_kinds.begin(), u8_kinds.end());
-  check_matrix(in_range, dna_scoring(), in_range_kinds, "dna-in-range");
+  check_matrix(in_range, dna_scoring(), engines, "dna-in-range");
 
   seq::RepeatSpec spec;
   spec.unit_length = 24;
@@ -640,7 +666,7 @@ int run_precision_ablation(int argc, char** argv) {
   spec.tandem = true;
   const auto saturating =
       seq::make_repeat_sequence(seq::Alphabet::protein(), 240, spec, 22);
-  check_matrix(saturating.sequence, scoring(), wide_kinds, "protein-saturating");
+  check_matrix(saturating.sequence, scoring(), engines, "protein-saturating");
   report.metric("same_tops", all_match ? 1.0 : 0.0);
   report.counter("combos_checked", static_cast<std::uint64_t>(combos));
 
@@ -666,7 +692,7 @@ int run_precision_ablation(int argc, char** argv) {
   report.metric("escalation_rate_pct", esc_rate);
 
   bench::maybe_write_json(args, report);
-  return all_match && prec.escalations > 0 ? 0 : 1;
+  return all_match && u8_clean && prec.escalations > 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     // Pairs marked by a real run (the triangle is sparse — paper §3).
     core::FinderOptions opt;
     opt.num_top_alignments = tops;
-    const auto engine = align::make_best_engine();
+    const auto engine = align::make_engine(align::EngineKind::kSimdAuto);
     const auto res = core::find_top_alignments(
         seq::synthetic_titin(m, 2003).sequence,
         seq::Scoring::protein_default(), opt, *engine);
@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   core::FinderOptions recompute = archive;
   recompute.memory = core::MemoryMode::kRecomputeRows;
 
-  const auto e1 = align::make_best_engine();
-  const auto e2 = align::make_best_engine();
+  const auto e1 = align::make_engine(align::EngineKind::kSimdAuto);
+  const auto e2 = align::make_engine(align::EngineKind::kSimdAuto);
   const auto res_archive = core::find_top_alignments(g.sequence, scoring, archive, *e1);
   const auto res_recompute =
       core::find_top_alignments(g.sequence, scoring, recompute, *e2);

@@ -102,11 +102,7 @@ int main(int argc, char** argv) {
 
     // SIMD grouping overhead: total rectangle alignments vs scalar. Groups
     // of 4 to match the paper's P-III SSE configuration.
-#if REPRO_HAVE_SSE2
     const auto e_simd = align::make_engine(align::EngineKind::kSimd4);
-#else
-    const auto e_simd = align::make_engine(align::EngineKind::kSimd4Generic);
-#endif
     const auto r_simd = core::find_top_alignments(g.sequence, scoring, best, *e_simd);
     const auto aligned = [](const core::FinderStats& st) {
       return st.first_alignments + st.realignments + st.speculative;

@@ -24,7 +24,6 @@ namespace {
 struct EngineRow {
   std::string label;
   repro::align::EngineKind kind;
-  int lanes;
 };
 
 }  // namespace
@@ -50,16 +49,13 @@ int main(int argc, char** argv) {
   const auto g = seq::synthetic_titin(m, 2003);
   const seq::Scoring scoring = seq::Scoring::protein_default();
 
-  std::vector<EngineRow> rows{
-      {"conventional (scalar, 32-bit)", align::EngineKind::kScalar, 1},
-      {"scalar + cache striping", align::EngineKind::kScalarStriped, 1},
+  const std::vector<EngineRow> rows{
+      {"conventional (scalar, 32-bit)", align::EngineKind::kScalar},
+      {"scalar + cache striping", align::EngineKind::kScalarStriped},
+      {"SIMD 4 x i16 (paper: P-III SSE)", align::EngineKind::kSimd4},
+      {"SIMD 8 x i16 (paper: P4 SSE2)", align::EngineKind::kSimd8},
+      {"SIMD 16 x i16 (AVX2 successor)", align::EngineKind::kSimd16},
   };
-#if REPRO_HAVE_SSE2
-  rows.push_back({"SIMD 4 x i16 (paper: P-III SSE)", align::EngineKind::kSimd4, 4});
-  rows.push_back({"SIMD 8 x i16 (paper: P4 SSE2)", align::EngineKind::kSimd8, 8});
-#endif
-  if (align::avx2_available())
-    rows.push_back({"SIMD 16 x i16 (AVX2 successor)", align::EngineKind::kSimd16, 16});
 
   util::Table table({"engine", "sec / group", "matrices", "per-matrix speedup",
                      "Mcells/s"});
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
   report.param("reps", reps);
   for (const auto& row : rows) {
     const auto engine = align::make_engine(row.kind);
-    const int count = row.lanes;
+    const int count = engine->lanes();
     std::vector<std::vector<align::Score>> outs_store(static_cast<std::size_t>(count));
     std::vector<std::span<align::Score>> outs(static_cast<std::size_t>(count));
     for (int k = 0; k < count; ++k) {
@@ -90,9 +86,10 @@ int main(int argc, char** argv) {
     const double per_matrix = secs / count;
     if (row.kind == align::EngineKind::kScalar) scalar_per_matrix = per_matrix;
     const double cells = static_cast<double>(r0 + count - 1) *
-                         static_cast<double>(m - r0) * row.lanes;
-    table.add_row({row.label, secs, static_cast<long long>(count),
-                   scalar_per_matrix / per_matrix, cells / secs / 1e6});
+                         static_cast<double>(m - r0) * count;
+    table.add_row({row.label + " [" + engine->name() + "]", secs,
+                   static_cast<long long>(count), scalar_per_matrix / per_matrix,
+                   cells / secs / 1e6});
     report.metric(engine->name() + ".cells_per_sec", cells / secs);
     report.metric(engine->name() + ".per_matrix_speedup",
                   scalar_per_matrix / per_matrix);
@@ -110,11 +107,7 @@ int main(int argc, char** argv) {
   const auto scalar_engine = align::make_engine(align::EngineKind::kScalar);
   const auto scalar_run =
       core::find_top_alignments(small.sequence, scoring, opt, *scalar_engine);
-#if REPRO_HAVE_SSE2
   const auto simd_engine = align::make_engine(align::EngineKind::kSimd8);
-#else
-  const auto simd_engine = align::make_engine(align::EngineKind::kSimd8Generic);
-#endif
   const auto simd_run =
       core::find_top_alignments(small.sequence, scoring, opt, *simd_engine);
   const auto aligned = [](const core::FinderStats& st) {

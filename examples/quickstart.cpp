@@ -55,7 +55,8 @@ int main() {
               << region.support << " supporting pairs\n";
   }
 
-  std::cout << "\nEngine used by default: " << align::make_best_engine()->name()
-            << " (" << align::make_best_engine()->lanes() << " lanes)\n";
+  const auto engine = align::make_engine(align::EngineKind::kSimdAuto);
+  std::cout << "\nEngine used by default: " << engine->name() << " ("
+            << engine->lanes() << " lanes)\n";
   return 0;
 }

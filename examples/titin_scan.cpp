@@ -1,7 +1,7 @@
 // Scan a large titin-like protein for internal repeats — the paper's
 // headline workload (§1: "processing the longest known proteins").
 //
-//   $ ./titin_scan [--length 3000] [--tops 25] [--engine simd|scalar]
+//   $ ./titin_scan [--length 3000] [--tops 25] [--engine auto|simd8|scalar]
 //   $ ./titin_scan --fasta my_protein.fa    # scan a real protein instead
 //
 // Prints the top alignments, the delineated repeat regions, and finder
@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
                    {"tops", "top alignments to compute (paper: 10-30+)"},
                    {"seed", "generator seed"},
                    {"engine",
-                    "scalar | striped | simd4 | simd8 | simd16 | simd4x32 | "
-                    "simd8x32 | best"},
+                    "auto (default) | scalar | striped | simd4 | simd8 | "
+                    "simd16 | simd8x32"},
                    {"fasta", "scan the first record of this FASTA file instead"},
                    {"show", "how many alignments to render"}});
   if (args.help_requested()) return 0;
@@ -34,16 +34,16 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2003));
   const int show = static_cast<int>(args.get_int("show", 3));
 
-  std::unique_ptr<align::Engine> engine;
-  const std::string kind = args.get("engine", "best");
-  if (kind == "scalar") engine = align::make_engine(align::EngineKind::kScalar);
-  else if (kind == "striped") engine = align::make_engine(align::EngineKind::kScalarStriped);
-  else if (kind == "simd4") engine = align::make_engine(align::EngineKind::kSimd4);
-  else if (kind == "simd8") engine = align::make_engine(align::EngineKind::kSimd8);
-  else if (kind == "simd16") engine = align::make_engine(align::EngineKind::kSimd16);
-  else if (kind == "simd4x32") engine = align::make_engine(align::EngineKind::kSimd4x32);
-  else if (kind == "simd8x32") engine = align::make_engine(align::EngineKind::kSimd8x32);
-  else engine = align::make_best_engine();
+  // make_engine runs each kind on the widest ISA this CPU supports.
+  const std::string name = args.get("engine", "auto");
+  align::EngineKind kind = align::EngineKind::kSimdAuto;
+  if (name == "scalar") kind = align::EngineKind::kScalar;
+  else if (name == "striped") kind = align::EngineKind::kScalarStriped;
+  else if (name == "simd4") kind = align::EngineKind::kSimd4;
+  else if (name == "simd8") kind = align::EngineKind::kSimd8;
+  else if (name == "simd16") kind = align::EngineKind::kSimd16;
+  else if (name == "simd8x32") kind = align::EngineKind::kSimd8x32;
+  const auto engine = align::make_engine(kind);
 
   seq::Sequence protein("empty", {}, seq::Alphabet::protein());
   if (args.has("fasta")) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "align/engine.hpp"
+#include "align/engine_detail.hpp"
 #include "align/override_triangle.hpp"
 #include "align/types.hpp"
 #include "seq/scoring.hpp"
@@ -142,8 +143,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Stripe width 3 forces many stripe boundaries even on tiny rectangles.
   const auto striped = repro::align::make_engine(
       repro::align::EngineKind::kScalarStriped, 3);
-  const auto simd8 = repro::align::make_engine(
-      repro::align::EngineKind::kSimd8Generic);
+  const auto simd8 = repro::align::detail::make_simd_generic_engine(8, 0);
   const auto simd4x32 = repro::align::make_engine(
       repro::align::EngineKind::kSimd4x32Generic);
 
@@ -182,9 +182,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   const auto autobest = repro::align::make_engine(EngineKind::kSimdAuto);
-  const auto autogen = repro::align::make_engine(EngineKind::kSimdAutoGeneric);
-  const auto autostriped =
-      repro::align::make_engine(EngineKind::kSimdAutoGeneric, 3);
+  const auto autogen = repro::align::detail::make_adaptive_generic_engine(0);
+  const auto autostriped = repro::align::detail::make_adaptive_generic_engine(3);
   check_groups(*autobest, "auto", base, stride, refs);
   check_groups(*autogen, "auto-generic", base, stride, refs);
   check_groups(*autostriped, "auto-generic/stripe3", base, stride, refs);

@@ -101,33 +101,27 @@ class Engine {
   std::uint64_t cells_skipped_ = 0;
 };
 
+/// One computation each: the recurrence, the group width and the lane
+/// element width. make_engine runs a kind on the widest ISA this build and
+/// CPU support and falls back to portable generic lanes; the engine's
+/// name() says which ISA it got.
 enum class EngineKind {
-  kScalar,         ///< Fig. 3 recurrence, row-major, O(1)/cell
-  kScalarStriped,  ///< scalar + cache-aware vertical striping (§4.1)
-  kGeneralGap,     ///< Eq. 1 by explicit row/column scans, O(n)/cell — the
-                   ///< per-cell cost model of the old (1993) algorithm
-  kSimd4,          ///< 4 x i16 lanes (paper: Pentium III SSE)
-  kSimd8,          ///< 8 x i16 lanes (paper: Pentium 4 SSE2)
-  kSimd16,         ///< 16 x i16 lanes (AVX2; the paper's natural successor)
-  kSimd4Generic,   ///< 4 scalar lanes, no intrinsics (portable reference)
-  kSimd8Generic,   ///< 8 scalar lanes, no intrinsics (portable reference)
-  kSimd4x32,       ///< 4 x i32 lanes (SSE4.1) — no saturation limit
-  kSimd8x32,       ///< 8 x i32 lanes (AVX2) — no saturation limit
-  kSimd4x32Generic,///< 4 scalar i32 lanes (portable reference)
-  kSimd16x8,       ///< 16 x u8 lanes (SSE2, biased saturating arithmetic)
-  kSimd32x8,       ///< 32 x u8 lanes (AVX2, biased saturating arithmetic)
-  kSimd8x8Generic, ///< 8 scalar u8 lanes (portable reference)
-  kSimdAuto,       ///< adaptive u8 -> i16 on the widest ISA available
-  kSimdAutoGeneric ///< adaptive u8 -> i16, portable lanes (cross-check)
+  kScalar,          ///< Fig. 3 recurrence, row-major, O(1)/cell
+  kScalarStriped,   ///< scalar + cache-aware vertical striping (§4.1)
+  kGeneralGap,      ///< Eq. 1 by explicit row/column scans, O(n)/cell — the
+                    ///< per-cell cost model of the old (1993) algorithm
+  kSimd4,           ///< 4 x i16 lanes (paper: Pentium III SSE)
+  kSimd8,           ///< 8 x i16 lanes (paper: Pentium 4 SSE2)
+  kSimd16,          ///< 16 x i16 lanes (AVX2; the paper's natural successor)
+  kSimd8x32,        ///< 8 x i32 lanes — no saturation limit
+  kSimd4x32Generic, ///< 4 x i32 portable lanes (the i32 reference)
+  kSimdAuto         ///< adaptive u8 -> i16 (the default)
 };
 
-/// Creates an engine; throws when the requested SIMD width is not supported
-/// by this build/CPU. `stripe_cols` (0 = engine default, -1 = no striping)
-/// controls the cache-aware striping of striped/SIMD engines.
+/// Creates an engine of `kind` on the widest ISA available (see EngineKind).
+/// `stripe_cols` (0 = engine default, -1 = no striping) controls the
+/// cache-aware striping of striped/SIMD engines.
 std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols = 0);
-
-/// Widest SIMD engine supported at runtime, falling back to scalar.
-std::unique_ptr<Engine> make_best_engine();
 
 /// Factory for per-thread / per-rank engines (engines are not thread-safe;
 /// every parallel worker owns one).
@@ -136,16 +130,8 @@ using EngineFactory = std::function<std::unique_ptr<Engine>()>;
 /// Factory producing make_engine(kind, stripe_cols) instances.
 EngineFactory engine_factory(EngineKind kind, int stripe_cols = 0);
 
-/// True when the AVX2 engine can run on this CPU and build.
+/// True when the AVX2 kernels can run on this CPU and build.
 bool avx2_available();
-
-/// True when the SSE4.1 (4 x i32) engine can run on this CPU and build.
-bool sse41_available();
-
-/// Element precision `kind` computes in: kI8/kI16 for the fixed saturating
-/// engines, kI32 for scalar/striped/general-gap/i32-SIMD kinds, kAdaptive
-/// for the auto engines (which escalate per group at runtime).
-Precision engine_precision(EngineKind kind);
 
 /// True when a sequence of length m under `scoring` provably cannot reach
 /// `precision`'s saturation certification limit: the all-match score of the
@@ -157,12 +143,5 @@ Precision engine_precision(EngineKind kind);
 /// needs. u8 additionally requires the biased profile entries and both gap
 /// penalties to fit in a byte. kI32/kAdaptive always fit.
 bool precision_fits(Precision precision, int m, const seq::Scoring& scoring);
-
-/// Upfront guard for explicit fixed-precision engine selection: throws with
-/// an actionable message (naming the adaptive and 32-bit alternatives) when
-/// precision_fits(engine_precision(kind), m, scoring) is false. No-op for
-/// i32 and adaptive kinds, whose kernels cannot (respectively, handle their
-/// own) saturation.
-void check_headroom(EngineKind kind, int m, const seq::Scoring& scoring);
 
 }  // namespace repro::align

@@ -1,11 +1,11 @@
-// SIMD engines (SSE2 8-lane and 4-lane, plus portable generic lanes) and the
-// engine factory / dispatch.
+// SIMD engines (SSE2 i16 at 4, 8 and 16 lanes, the SSE2 adaptive engine,
+// and portable generic lanes) and the engine factory / ISA dispatch.
 //
 // The 4-lane engine models the paper's Pentium III SSE configuration (4 x
 // i16), the 8-lane engine its Pentium 4 SSE2 configuration (8 x i16); the
-// AVX2 16-lane engine (separate TU) is the natural successor. Generic-lane
-// engines run the identical kernel without intrinsics, both as a portable
-// fallback and as a cross-check in tests.
+// AVX2 engines (separate TU) are the natural successors. Generic-lane
+// engines run the identical kernel without intrinsics: each kind's portable
+// fallback, and the cross-check of the intrinsic engines in tests.
 #include "align/engine.hpp"
 
 #include <limits>
@@ -93,20 +93,24 @@ struct SseOps16x8 {
 
 }  // namespace
 
-std::unique_ptr<Engine> make_simd_engine(int lanes, int stripe_cols) {
 #if REPRO_HAVE_SSE2
+std::unique_ptr<Engine> make_simd_engine(int lanes, int stripe_cols) {
   if (lanes == 4)
     return std::make_unique<SimdEngineT<SseOps4>>("simd4-sse2", stripe_cols);
   if (lanes == 8)
     return std::make_unique<SimdEngineT<SseOps8>>("simd8-sse2", stripe_cols);
+  if (lanes == 16)
+    return std::make_unique<SimdEngineT<DoublePumpOps<SseOps8>>>("simd16-sse2",
+                                                                 stripe_cols);
   REPRO_CHECK_MSG(false, "unsupported SSE2 lane count " << lanes);
-#else
-  (void)stripe_cols;
-  REPRO_CHECK_MSG(false, "SSE2 not available in this build (lanes=" << lanes
-                                                                    << ")");
-#endif
   return nullptr;  // unreachable
 }
+
+std::unique_ptr<Engine> make_adaptive_sse2_engine(int stripe_cols) {
+  return std::make_unique<AdaptiveEngineT<SseOps16x8, DoublePumpOps<SseOps8>>>(
+      "auto-sse2", stripe_cols);
+}
+#endif  // REPRO_HAVE_SSE2
 
 std::unique_ptr<Engine> make_simd_generic_engine(int lanes, int stripe_cols) {
   if (lanes == 4)
@@ -115,6 +119,9 @@ std::unique_ptr<Engine> make_simd_generic_engine(int lanes, int stripe_cols) {
   if (lanes == 8)
     return std::make_unique<SimdEngineT<GenericOps<8>>>("simd8-generic",
                                                         stripe_cols);
+  if (lanes == 16)
+    return std::make_unique<SimdEngineT<GenericOps<16>>>("simd16-generic",
+                                                         stripe_cols);
   REPRO_CHECK_MSG(false, "unsupported generic lane count " << lanes);
   return nullptr;  // unreachable
 }
@@ -123,31 +130,17 @@ std::unique_ptr<Engine> make_simd32_generic_engine(int lanes, int stripe_cols) {
   if (lanes == 4)
     return std::make_unique<SimdEngineT<GenericOps32<4>>>("simd4x32-generic",
                                                           stripe_cols);
+  if (lanes == 8)
+    return std::make_unique<SimdEngineT<GenericOps32<8>>>("simd8x32-generic",
+                                                          stripe_cols);
   REPRO_CHECK_MSG(false, "unsupported generic i32 lane count " << lanes);
   return nullptr;  // unreachable
-}
-
-std::unique_ptr<Engine> make_simd_u8_generic_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<GenericOps8<8>>>("simd8x8-generic",
-                                                       stripe_cols);
 }
 
 std::unique_ptr<Engine> make_adaptive_generic_engine(int stripe_cols) {
   return std::make_unique<AdaptiveEngineT<GenericOps8<8>, GenericOps<8>>>(
       "auto-generic", stripe_cols);
 }
-
-#if REPRO_HAVE_SSE2
-std::unique_ptr<Engine> make_simd_u8_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<SseOps16x8>>("simd16x8-sse2",
-                                                   stripe_cols);
-}
-
-std::unique_ptr<Engine> make_adaptive_sse2_engine(int stripe_cols) {
-  return std::make_unique<AdaptiveEngineT<SseOps16x8, DoublePumpOps<SseOps8>>>(
-      "auto-sse2", stripe_cols);
-}
-#endif  // REPRO_HAVE_SSE2
 
 }  // namespace detail
 
@@ -203,13 +196,18 @@ bool avx2_available() {
 #endif
 }
 
-bool sse41_available() {
+namespace {
+
+/// The i16 kinds below AVX2: SSE2 registers, else portable lanes.
+std::unique_ptr<Engine> make_i16_engine(int lanes, int stripe_cols) {
 #if REPRO_HAVE_SSE2
-  return __builtin_cpu_supports("sse4.1") != 0;
+  return detail::make_simd_engine(lanes, stripe_cols);
 #else
-  return false;
+  return detail::make_simd_generic_engine(lanes, stripe_cols);
 #endif
 }
+
+}  // namespace
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
   switch (kind) {
@@ -220,56 +218,21 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
     case EngineKind::kGeneralGap:
       return detail::make_general_gap_engine();
     case EngineKind::kSimd4:
-      return detail::make_simd_engine(4, stripe_cols);
+      return make_i16_engine(4, stripe_cols);
     case EngineKind::kSimd8:
-      return detail::make_simd_engine(8, stripe_cols);
+      return make_i16_engine(8, stripe_cols);
     case EngineKind::kSimd16:
 #if REPRO_ENABLE_AVX2
-      REPRO_CHECK_MSG(avx2_available(), "AVX2 not supported by this CPU");
-      return detail::make_simd_avx2_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "AVX2 engine not built (REPRO_ENABLE_AVX2=OFF)");
-      return nullptr;
+      if (avx2_available()) return detail::make_simd_avx2_engine(stripe_cols);
 #endif
-    case EngineKind::kSimd4Generic:
-      return detail::make_simd_generic_engine(4, stripe_cols);
-    case EngineKind::kSimd8Generic:
-      return detail::make_simd_generic_engine(8, stripe_cols);
-    case EngineKind::kSimd4x32:
-#if REPRO_HAVE_SSE2
-      REPRO_CHECK_MSG(sse41_available(), "SSE4.1 not supported by this CPU");
-      return detail::make_simd_sse41_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "SSE4.1 engine not built");
-      return nullptr;
-#endif
+      return make_i16_engine(16, stripe_cols);
     case EngineKind::kSimd8x32:
 #if REPRO_ENABLE_AVX2
-      REPRO_CHECK_MSG(avx2_available(), "AVX2 not supported by this CPU");
-      return detail::make_simd_avx2_32_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "AVX2 engine not built");
-      return nullptr;
+      if (avx2_available()) return detail::make_simd_avx2_32_engine(stripe_cols);
 #endif
+      return detail::make_simd32_generic_engine(8, stripe_cols);
     case EngineKind::kSimd4x32Generic:
       return detail::make_simd32_generic_engine(4, stripe_cols);
-    case EngineKind::kSimd16x8:
-#if REPRO_HAVE_SSE2
-      return detail::make_simd_u8_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "SSE2 not available in this build");
-      return nullptr;
-#endif
-    case EngineKind::kSimd32x8:
-#if REPRO_ENABLE_AVX2
-      REPRO_CHECK_MSG(avx2_available(), "AVX2 not supported by this CPU");
-      return detail::make_simd_avx2_u8_engine(stripe_cols);
-#else
-      REPRO_CHECK_MSG(false, "AVX2 engine not built");
-      return nullptr;
-#endif
-    case EngineKind::kSimd8x8Generic:
-      return detail::make_simd_u8_generic_engine(stripe_cols);
     case EngineKind::kSimdAuto:
 #if REPRO_ENABLE_AVX2
       if (avx2_available()) return detail::make_adaptive_avx2_engine(stripe_cols);
@@ -279,31 +242,9 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols) {
 #else
       return detail::make_adaptive_generic_engine(stripe_cols);
 #endif
-    case EngineKind::kSimdAutoGeneric:
-      return detail::make_adaptive_generic_engine(stripe_cols);
   }
   REPRO_CHECK_MSG(false, "unknown engine kind");
   return nullptr;  // unreachable
-}
-
-Precision engine_precision(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSimd4:
-    case EngineKind::kSimd8:
-    case EngineKind::kSimd16:
-    case EngineKind::kSimd4Generic:
-    case EngineKind::kSimd8Generic:
-      return Precision::kI16;
-    case EngineKind::kSimd16x8:
-    case EngineKind::kSimd32x8:
-    case EngineKind::kSimd8x8Generic:
-      return Precision::kI8;
-    case EngineKind::kSimdAuto:
-    case EngineKind::kSimdAutoGeneric:
-      return Precision::kAdaptive;
-    default:
-      return Precision::kI32;
-  }
 }
 
 bool precision_fits(Precision precision, int m, const seq::Scoring& scoring) {
@@ -329,30 +270,8 @@ bool precision_fits(Precision precision, int m, const seq::Scoring& scoring) {
   return bound <= 255 - bias - max_entry;
 }
 
-void check_headroom(EngineKind kind, int m, const seq::Scoring& scoring) {
-  const Precision p = engine_precision(kind);
-  if (p == Precision::kI32 || p == Precision::kAdaptive) return;
-  if (precision_fits(p, m, scoring)) return;
-  const std::int64_t bound =
-      static_cast<std::int64_t>(m / 2) * scoring.matrix.max_score();
-  REPRO_CHECK_MSG(
-      false, "sequence of length "
-                 << m << " can reach score " << bound
-                 << ", beyond the selected "
-                 << (p == Precision::kI8 ? "u8" : "i16")
-                 << " engine's saturation headroom — use the adaptive "
-                    "engine (auto) or a wider one (simd4x32, simd8x32, or "
-                    "scalar)");
-}
-
 EngineFactory engine_factory(EngineKind kind, int stripe_cols) {
   return [kind, stripe_cols] { return make_engine(kind, stripe_cols); };
-}
-
-std::unique_ptr<Engine> make_best_engine() {
-  // The adaptive engine picks the widest ISA itself and runs u8 lanes with
-  // lossless i16 escalation, so it dominates every fixed-precision choice.
-  return make_engine(EngineKind::kSimdAuto);
 }
 
 }  // namespace repro::align

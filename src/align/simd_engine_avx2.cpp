@@ -1,8 +1,8 @@
 // AVX2 engines, compiled with -mavx2 in their own translation unit.
-// Dispatch happens in make_engine() behind a runtime CPU check. Four
-// engines live here: 16 x i16, 8 x i32, 32 x u8 (biased saturating), and
-// the adaptive driver pairing the 32 x u8 kernel with a double-pumped
-// 32-lane i16 escalation path (two YMM registers per vector).
+// Dispatch happens in make_engine() behind a runtime CPU check. Three
+// engines live here: 16 x i16, 8 x i32, and the adaptive driver pairing a
+// 32 x u8 kernel (biased saturating) with a double-pumped 32-lane i16
+// escalation path (two YMM registers per vector).
 #include <immintrin.h>
 
 #include "align/engine.hpp"
@@ -82,11 +82,6 @@ std::unique_ptr<Engine> make_simd_avx2_engine(int stripe_cols) {
 
 std::unique_ptr<Engine> make_simd_avx2_32_engine(int stripe_cols) {
   return std::make_unique<SimdEngineT<Avx2Ops8x32>>("simd8x32-avx2",
-                                                    stripe_cols);
-}
-
-std::unique_ptr<Engine> make_simd_avx2_u8_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<Avx2Ops32x8>>("simd32x8-avx2",
                                                     stripe_cols);
 }
 

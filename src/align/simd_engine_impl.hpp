@@ -1,12 +1,11 @@
 // Shared SIMD engine implementations. Not part of the API.
 //
-// Every SIMD translation unit (SSE2, SSE4.1, AVX2, generic) instantiates the
-// same two class templates over its Ops policies:
+// Every SIMD translation unit (SSE2, AVX2, generic) instantiates the same
+// two class templates over its Ops policies:
 //
-//   * SimdEngineT<Ops> — fixed-precision engine: one scratch, one cached
-//     query profile, one kernel instantiation. Saturation throws (the
-//     upfront check_headroom guard exists so explicit selections fail fast
-//     instead).
+//   * SimdEngineT<Ops> — fixed-precision i16 or i32 engine: one scratch,
+//     one cached query profile, one kernel instantiation. i16 saturation
+//     throws.
 //   * AdaptiveEngineT<Ops8, Ops16> — the adaptive driver: runs each group in
 //     u8 lanes over whole rows, and when the sweep's saturation guard fires
 //     (the kernel stops at the first row past the u8 limit) finishes that
@@ -97,6 +96,9 @@ inline void note_sweep(PrecisionStats& stats) {
 
 template <class Ops>
 class SimdEngineT final : public Engine {
+  static_assert(std::is_signed_v<typename Ops::Elem>,
+                "u8 lanes run only under AdaptiveEngineT");
+
  public:
   SimdEngineT(std::string name, int stripe_cols)
       : name_(std::move(name)),
@@ -116,11 +118,6 @@ class SimdEngineT final : public Engine {
                 std::span<const std::span<Score>> out) override {
     validate_job(job, out, lanes());
     note_profile_obs(profile_.ensure(job.seq, *job.scoring, stats_));
-    if constexpr (!std::is_signed_v<typename Ops::Elem>) {
-      REPRO_CHECK_MSG(profile_.feasible(),
-                      "scoring exceeds the u8 biased-profile range; use an "
-                      "adaptive (auto) or wider engine");
-    }
     run_simd_group<Ops>(job, out, stripe_, scratch_, profile_);
     note_sweep<typename Ops::Elem>(stats_);
   }

@@ -28,7 +28,7 @@ align::Score score_threshold(const seq::Sequence& s, const seq::Scoring& scoring
   null_scores.reserve(static_cast<std::size_t>(options.samples));
   FinderOptions one;
   one.num_top_alignments = 1;
-  const auto engine = align::make_best_engine();
+  const auto engine = align::make_engine(align::EngineKind::kSimdAuto);
   for (int k = 0; k < options.samples; ++k) {
     const seq::Sequence null_seq = shuffled(s, options.seed + static_cast<std::uint64_t>(k));
     const FinderResult res = find_top_alignments(null_seq, scoring, one, *engine);

@@ -43,7 +43,7 @@ FinderResult find_top_alignments(const seq::Sequence& s,
 FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options) {
-  const auto engine = align::make_best_engine();
+  const auto engine = align::make_engine(align::EngineKind::kSimdAuto);
   return find_top_alignments(s, scoring, options, *engine);
 }
 

@@ -31,7 +31,7 @@ FinderResult find_top_alignments(const seq::Sequence& s,
                                  const FinderOptions& options,
                                  align::Engine& engine);
 
-/// Convenience overload using the widest SIMD engine available.
+/// Convenience overload using the default engine (EngineKind::kSimdAuto).
 FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options = {});

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "align/engine.hpp"
+#include "align/engine_detail.hpp"
 #include "align/override_triangle.hpp"
 #include "test_support.hpp"
 
@@ -19,31 +21,71 @@ namespace {
 using seq::Alphabet;
 using seq::Scoring;
 
-/// Saturating i16 SIMD kinds available in this build/CPU.
-std::vector<EngineKind> simd_kinds() {
-  std::vector<EngineKind> kinds{EngineKind::kSimd4Generic,
-                                EngineKind::kSimd8Generic};
+/// The SIMD implementations under test: each kind as make_engine
+/// dispatches it, plus the generic-lane and SSE2 instantiations that the
+/// dispatch passes over on this host. The values continue EngineKind's
+/// numbering from kSimd4, so the printed test parameters stay stable.
+enum class Impl {
+  kSimd4 = 3,
+  kSimd8,
+  kSimd16,
+  kGeneric4,
+  kGeneric8,
+  kSimd8x32,
+  kGeneric4x32,
+  kGeneric8x32,
+  kGeneric16,
+  kSse16,
+  kAuto,
+  kAutoGeneric,
+  kAutoSse2
+};
+
+std::unique_ptr<Engine> make_impl(Impl impl, int stripe = 0) {
+  switch (impl) {
+    case Impl::kSimd4: return make_engine(EngineKind::kSimd4, stripe);
+    case Impl::kSimd8: return make_engine(EngineKind::kSimd8, stripe);
+    case Impl::kSimd16: return make_engine(EngineKind::kSimd16, stripe);
+    case Impl::kSimd8x32: return make_engine(EngineKind::kSimd8x32, stripe);
+    case Impl::kGeneric4x32:
+      return make_engine(EngineKind::kSimd4x32Generic, stripe);
+    case Impl::kAuto: return make_engine(EngineKind::kSimdAuto, stripe);
+    case Impl::kGeneric4: return detail::make_simd_generic_engine(4, stripe);
+    case Impl::kGeneric8: return detail::make_simd_generic_engine(8, stripe);
+    case Impl::kGeneric16: return detail::make_simd_generic_engine(16, stripe);
+    case Impl::kGeneric8x32:
+      return detail::make_simd32_generic_engine(8, stripe);
+    case Impl::kAutoGeneric: return detail::make_adaptive_generic_engine(stripe);
 #if REPRO_HAVE_SSE2
-  kinds.push_back(EngineKind::kSimd4);
-  kinds.push_back(EngineKind::kSimd8);
+    case Impl::kSse16: return detail::make_simd_engine(16, stripe);
+    case Impl::kAutoSse2: return detail::make_adaptive_sse2_engine(stripe);
 #endif
-  if (avx2_available()) kinds.push_back(EngineKind::kSimd16);
-  return kinds;
+    default: break;
+  }
+  ADD_FAILURE() << "implementation not built";
+  return make_engine(EngineKind::kScalar);
 }
 
-/// 32-bit SIMD kinds (no saturation limit).
-std::vector<EngineKind> simd32_kinds() {
-  std::vector<EngineKind> kinds{EngineKind::kSimd4x32Generic};
-  if (sse41_available()) kinds.push_back(EngineKind::kSimd4x32);
-  if (avx2_available()) kinds.push_back(EngineKind::kSimd8x32);
-  return kinds;
+/// Saturating i16 implementations.
+std::vector<Impl> simd_impls() {
+  std::vector<Impl> impls{Impl::kGeneric4, Impl::kGeneric8, Impl::kGeneric16,
+                          Impl::kSimd4, Impl::kSimd8, Impl::kSimd16};
+#if REPRO_HAVE_SSE2
+  impls.push_back(Impl::kSse16);
+#endif
+  return impls;
+}
+
+/// 32-bit implementations (no saturation limit).
+std::vector<Impl> simd32_impls() {
+  return {Impl::kGeneric4x32, Impl::kGeneric8x32, Impl::kSimd8x32};
 }
 
 /// Everything the equivalence sweeps should cover.
-std::vector<EngineKind> all_simd_kinds() {
-  auto kinds = simd_kinds();
-  for (EngineKind k : simd32_kinds()) kinds.push_back(k);
-  return kinds;
+std::vector<Impl> all_simd_impls() {
+  auto impls = simd_impls();
+  for (Impl i : simd32_impls()) impls.push_back(i);
+  return impls;
 }
 
 /// Aligns every rectangle of `s` in engine-sized groups and compares every
@@ -79,19 +121,19 @@ void expect_engine_matches_scalar(Engine& engine, const seq::Sequence& s,
 }
 
 class SimdEquivalence
-    : public ::testing::TestWithParam<std::tuple<EngineKind, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Impl, int>> {};
 
 TEST_P(SimdEquivalence, MatchesScalarOnRepeatProtein) {
-  const auto [kind, stripe] = GetParam();
-  const auto engine = make_engine(kind, stripe);
+  const auto [impl, stripe] = GetParam();
+  const auto engine = make_impl(impl, stripe);
   const auto g = seq::synthetic_titin(220, 77);
   const Scoring scoring = Scoring::protein_default();
   expect_engine_matches_scalar(*engine, g.sequence, scoring, nullptr);
 }
 
 TEST_P(SimdEquivalence, MatchesScalarWithOverrides) {
-  const auto [kind, stripe] = GetParam();
-  const auto engine = make_engine(kind, stripe);
+  const auto [impl, stripe] = GetParam();
+  const auto engine = make_impl(impl, stripe);
   const auto g = seq::synthetic_dna_tandem(150, 10, 6, 99);
   const Scoring scoring = Scoring::paper_example();
   util::Rng rng(1234);
@@ -101,28 +143,30 @@ TEST_P(SimdEquivalence, MatchesScalarWithOverrides) {
 }
 
 std::string param_name(
-    const ::testing::TestParamInfo<std::tuple<EngineKind, int>>& info) {
-  const auto [kind, stripe] = info.param;
+    const ::testing::TestParamInfo<std::tuple<Impl, int>>& info) {
+  const auto [impl, stripe] = info.param;
   std::string name;
-  switch (kind) {
-    case EngineKind::kSimd4: name = "sse4"; break;
-    case EngineKind::kSimd8: name = "sse8"; break;
-    case EngineKind::kSimd16: name = "avx16"; break;
-    case EngineKind::kSimd4Generic: name = "gen4"; break;
-    case EngineKind::kSimd8Generic: name = "gen8"; break;
-    case EngineKind::kSimd4x32: name = "sse4x32"; break;
-    case EngineKind::kSimd8x32: name = "avx8x32"; break;
-    case EngineKind::kSimd4x32Generic: name = "gen4x32"; break;
+  switch (impl) {
+    case Impl::kSimd4: name = "sse4"; break;
+    case Impl::kSimd8: name = "sse8"; break;
+    case Impl::kSimd16: name = "avx16"; break;
+    case Impl::kSse16: name = "sse16"; break;
+    case Impl::kGeneric4: name = "gen4"; break;
+    case Impl::kGeneric8: name = "gen8"; break;
+    case Impl::kGeneric16: name = "gen16"; break;
+    case Impl::kSimd8x32: name = "avx8x32"; break;
+    case Impl::kGeneric4x32: name = "gen4x32"; break;
+    case Impl::kGeneric8x32: name = "gen8x32"; break;
     default: name = "other"; break;
   }
   return name + "_stripe" + (stripe < 0 ? "none" : std::to_string(stripe));
 }
 
-std::vector<std::tuple<EngineKind, int>> make_params() {
-  std::vector<std::tuple<EngineKind, int>> params;
-  for (EngineKind kind : all_simd_kinds())
+std::vector<std::tuple<Impl, int>> make_params() {
+  std::vector<std::tuple<Impl, int>> params;
+  for (Impl impl : all_simd_impls())
     for (int stripe : {-1, 5, 33, 0})  // none, tiny, odd, engine default
-      params.emplace_back(kind, stripe);
+      params.emplace_back(impl, stripe);
   return params;
 }
 
@@ -135,8 +179,8 @@ TEST(SimdEngine, PartialFinalGroupAndSingleLane) {
   const auto g = seq::synthetic_titin(200, 5);
   const auto s = g.sequence.subsequence(0, 60);  // m-1 = 59 = 7*8 + 3
   const Scoring scoring = Scoring::protein_default();
-  for (EngineKind kind : simd_kinds()) {
-    const auto engine = make_engine(kind);
+  for (Impl impl : simd_impls()) {
+    const auto engine = make_impl(impl);
     const auto scalar = make_engine(EngineKind::kScalar);
     for (int count = 1; count <= std::min(engine->lanes(), 4); ++count) {
       GroupJob job;
@@ -168,8 +212,8 @@ TEST(SimdEngine, ThinRectanglesAtBothEnds) {
   const int m = s.length();
   const Scoring scoring = Scoring::protein_default();
   const auto scalar = make_engine(EngineKind::kScalar);
-  for (EngineKind kind : all_simd_kinds()) {
-    const auto engine = make_engine(kind);
+  for (Impl impl : all_simd_impls()) {
+    const auto engine = make_impl(impl);
     for (const int r : {1, 2, m - 2, m - 1}) {
       EXPECT_EQ(engine->align_one(testing::make_job(s, r, scoring)),
                 scalar->align_one(testing::make_job(s, r, scoring)))
@@ -202,15 +246,15 @@ TEST(SimdEngine, TinySequences) {
   // m = 2 is the smallest legal input (one split).
   const auto s = seq::Sequence::from_string("mini", "AT", seq::Alphabet::dna());
   const Scoring scoring = Scoring::paper_example();
-  for (EngineKind kind : all_simd_kinds()) {
-    const auto engine = make_engine(kind);
+  for (Impl impl : all_simd_impls()) {
+    const auto engine = make_impl(impl);
     const auto row = engine->align_one(testing::make_job(s, 1, scoring));
     ASSERT_EQ(row.size(), 1u) << engine->name();
     EXPECT_EQ(row[0], 0) << engine->name();  // A vs T never scores
   }
   const auto s2 = seq::Sequence::from_string("mini2", "AA", seq::Alphabet::dna());
-  for (EngineKind kind : all_simd_kinds()) {
-    const auto engine = make_engine(kind);
+  for (Impl impl : all_simd_impls()) {
+    const auto engine = make_impl(impl);
     EXPECT_EQ(engine->align_one(testing::make_job(s2, 1, scoring))[0], 2)
         << engine->name();
   }
@@ -222,8 +266,8 @@ TEST(SimdEngine, SaturationIsDetectedNotSilent) {
   const auto s = seq::Sequence::from_string(
       "sat", std::string(700, 'A') + std::string(700, 'A'), Alphabet::dna());
   const Scoring scoring{seq::ScoreMatrix::dna(100, -1), seq::GapPenalty{2, 1}};
-  for (EngineKind kind : simd_kinds()) {
-    const auto engine = make_engine(kind);
+  for (Impl impl : simd_impls()) {
+    const auto engine = make_impl(impl);
     EXPECT_THROW(engine->align_one(testing::make_job(s, 700, scoring)),
                  std::logic_error)
         << engine->name();
@@ -232,8 +276,8 @@ TEST(SimdEngine, SaturationIsDetectedNotSilent) {
   const auto scalar = make_engine(EngineKind::kScalar);
   const auto row = scalar->align_one(testing::make_job(s, 700, scoring));
   EXPECT_EQ(row.back(), 700 * 100);
-  for (EngineKind kind : simd32_kinds()) {
-    const auto engine = make_engine(kind);
+  for (Impl impl : simd32_impls()) {
+    const auto engine = make_impl(impl);
     const auto wide = engine->align_one(testing::make_job(s, 700, scoring));
     EXPECT_EQ(wide, row) << engine->name();
   }
@@ -242,7 +286,7 @@ TEST(SimdEngine, SaturationIsDetectedNotSilent) {
 TEST(SimdEngine, CellAccountingIncludesLanes) {
   const auto g = seq::synthetic_titin(200, 6);
   const Scoring scoring = Scoring::protein_default();
-  const auto engine = make_engine(EngineKind::kSimd8Generic);
+  const auto engine = make_engine(EngineKind::kSimd8);
   GroupJob job;
   job.seq = g.sequence.codes();
   job.scoring = &scoring;
@@ -282,8 +326,8 @@ TEST(SimdEngine, RowPairingEdgesMatchScalar) {
   // row, exactly one pair, one pair plus a single row), single-lane and
   // partial groups, the partial final group, every stripe shape, and
   // override bits on only the first or only the second row of each pair.
-  // Inputs: DNA inside the u8 headroom (every engine, explicit u8 ones
-  // included) and a homopolymer past it, which the adaptive engines must
+  // Inputs: DNA inside the u8 headroom (every engine; the adaptive ones
+  // stay in u8) and a homopolymer past it, which the adaptive engines must
   // escalate to their i16 kernel.
   const Scoring scoring = Scoring::paper_example();
   const auto in_range = seq::synthetic_dna_tandem(90, 9, 5, 31).sequence;
@@ -291,15 +335,12 @@ TEST(SimdEngine, RowPairingEdgesMatchScalar) {
       "poly", std::string(300, 'A'), Alphabet::dna());
   ASSERT_TRUE(precision_fits(Precision::kI8, in_range.length(), scoring));
 
-  std::vector<EngineKind> kinds = all_simd_kinds();
-  kinds.push_back(EngineKind::kSimd8x8Generic);
+  std::vector<Impl> impls = all_simd_impls();
+  std::vector<Impl> adaptive{Impl::kAutoGeneric, Impl::kAuto};
 #if REPRO_HAVE_SSE2
-  kinds.push_back(EngineKind::kSimd16x8);
+  adaptive.push_back(Impl::kAutoSse2);
 #endif
-  if (avx2_available()) kinds.push_back(EngineKind::kSimd32x8);
-  const std::vector<EngineKind> adaptive{EngineKind::kSimdAutoGeneric,
-                                         EngineKind::kSimdAuto};
-  kinds.insert(kinds.end(), adaptive.begin(), adaptive.end());
+  impls.insert(impls.end(), adaptive.begin(), adaptive.end());
 
   const auto scalar = make_engine(EngineKind::kScalar);
   for (const seq::Sequence* s : {&in_range, &saturating}) {
@@ -317,12 +358,12 @@ TEST(SimdEngine, RowPairingEdgesMatchScalar) {
         expected[t].push_back(scalar->align_one(
             testing::make_job(*s, r, scoring, triangles[t])));
 
-    for (const EngineKind kind : kinds) {
+    for (const Impl impl : impls) {
       const bool is_adaptive =
-          std::find(adaptive.begin(), adaptive.end(), kind) != adaptive.end();
+          std::find(adaptive.begin(), adaptive.end(), impl) != adaptive.end();
       if (s == &saturating && !is_adaptive) continue;
       for (const int stripe : {1, 2, 5, 0, -1}) {
-        const auto engine = make_engine(kind, stripe);
+        const auto engine = make_impl(impl, stripe);
         const int lanes = engine->lanes();
         std::vector<std::pair<int, int>> groups;  // (r0, count)
         for (const int r0 : {1, 2, 3})
@@ -365,8 +406,39 @@ TEST(SimdEngine, RowPairingEdgesMatchScalar) {
   }
 }
 
+TEST(EngineDispatch, EveryKindMatchesScalarOnTheWidestIsa) {
+  // Each kind builds on this build and CPU, names the ISA make_engine
+  // picked for it, and gives the scalar bottom rows. Run under the no-avx2
+  // preset, this covers the fallbacks.
+#if REPRO_HAVE_SSE2
+  const std::string narrow = "-sse2";
+#else
+  const std::string narrow = "-generic";
+#endif
+  const bool avx2 = avx2_available();
+  const std::string wide = avx2 ? "-avx2" : narrow;
+  const std::vector<std::pair<EngineKind, std::string>> expected{
+      {EngineKind::kScalar, "scalar"},
+      {EngineKind::kScalarStriped, "scalar-striped"},
+      {EngineKind::kGeneralGap, "general-gap"},
+      {EngineKind::kSimd4, "simd4" + narrow},
+      {EngineKind::kSimd8, "simd8" + narrow},
+      {EngineKind::kSimd16, "simd16" + wide},
+      {EngineKind::kSimd8x32, avx2 ? "simd8x32-avx2" : "simd8x32-generic"},
+      {EngineKind::kSimd4x32Generic, "simd4x32-generic"},
+      {EngineKind::kSimdAuto, "auto" + wide}};
+  const auto g = seq::synthetic_titin(120, 12);
+  const Scoring scoring = Scoring::protein_default();
+  for (const auto& [kind, name] : expected) {
+    std::unique_ptr<Engine> engine;
+    ASSERT_NO_THROW(engine = make_engine(kind)) << name;
+    EXPECT_EQ(engine->name(), name);
+    expect_engine_matches_scalar(*engine, g.sequence, scoring, nullptr);
+  }
+}
+
 TEST(SimdEngine, BestEngineWorks) {
-  const auto engine = make_best_engine();
+  const auto engine = make_engine(EngineKind::kSimdAuto);
   ASSERT_GE(engine->lanes(), 1);
   const auto g = seq::synthetic_titin(200, 9);
   const Scoring scoring = Scoring::protein_default();

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -161,35 +163,50 @@ TEST(CheckpointCacheTest, SameRowStoreRecyclesBytes) {
 // ---------------------------------------------------------------------------
 // Kernel-level resume equivalence (randomized triangle-growth fuzz)
 
-std::vector<align::EngineKind> checkpoint_engine_kinds() {
-  std::vector<align::EngineKind> kinds{
-      align::EngineKind::kScalar, align::EngineKind::kScalarStriped,
-      align::EngineKind::kSimd4Generic, align::EngineKind::kSimd8Generic,
-      align::EngineKind::kSimd4x32Generic,
-      // Adaptive engines run everywhere: on inputs past the u8 headroom they
-      // escalate to i16 and must still honor every checkpoint contract.
-      align::EngineKind::kSimdAutoGeneric, align::EngineKind::kSimdAuto};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(align::EngineKind::kSimd4);
-  kinds.push_back(align::EngineKind::kSimd8);
-  if (align::sse41_available()) kinds.push_back(align::EngineKind::kSimd4x32);
-#endif
-  if (align::avx2_available()) {
-    kinds.push_back(align::EngineKind::kSimd16);
-    kinds.push_back(align::EngineKind::kSimd8x32);
-  }
-  return kinds;
+/// Builds an engine with the given stripe width.
+using MakeEngine = std::function<std::unique_ptr<align::Engine>(int stripe)>;
+
+MakeEngine of_kind(align::EngineKind kind) {
+  return [kind](int stripe) { return align::make_engine(kind, stripe); };
 }
 
-// Explicit u8 engines only accept inputs inside their biased saturation
-// headroom, so they get their own in-range DNA workloads below.
-std::vector<align::EngineKind> u8_engine_kinds() {
-  std::vector<align::EngineKind> kinds{align::EngineKind::kSimd8x8Generic};
+/// Every engine with checkpoint support: each kind as make_engine
+/// dispatches it, plus the portable and SSE2 instantiations it passes over
+/// on this host. The adaptive engines escalate to i16 on inputs past the u8
+/// headroom and must still honor every checkpoint contract.
+std::vector<MakeEngine> checkpoint_engines() {
+  std::vector<MakeEngine> engines;
+  for (const auto kind :
+       {align::EngineKind::kScalar, align::EngineKind::kScalarStriped,
+        align::EngineKind::kSimd4, align::EngineKind::kSimd8,
+        align::EngineKind::kSimd16, align::EngineKind::kSimd8x32,
+        align::EngineKind::kSimd4x32Generic, align::EngineKind::kSimdAuto})
+    engines.push_back(of_kind(kind));
+  for (const int lanes : {4, 8, 16})
+    engines.push_back([lanes](int stripe) {
+      return align::detail::make_simd_generic_engine(lanes, stripe);
+    });
+  engines.push_back([](int stripe) {
+    return align::detail::make_simd32_generic_engine(8, stripe);
+  });
+  engines.push_back(align::detail::make_adaptive_generic_engine);
 #if REPRO_HAVE_SSE2
-  kinds.push_back(align::EngineKind::kSimd16x8);
+  engines.push_back([](int stripe) {
+    return align::detail::make_simd_engine(16, stripe);
+  });
 #endif
-  if (align::avx2_available()) kinds.push_back(align::EngineKind::kSimd32x8);
-  return kinds;
+  return engines;
+}
+
+/// The adaptive engines of every ISA, for in-range DNA workloads on which
+/// every sweep stays in u8 lanes.
+std::vector<MakeEngine> u8_engines() {
+  std::vector<MakeEngine> engines{align::detail::make_adaptive_generic_engine,
+                                  of_kind(align::EngineKind::kSimdAuto)};
+#if REPRO_HAVE_SSE2
+  engines.push_back(align::detail::make_adaptive_sse2_engine);
+#endif
+  return engines;
 }
 
 CheckpointView view_of(const CheckpointSink& sink, int index) {
@@ -239,8 +256,8 @@ TEST(CheckpointKernel, ResumeFromEveryDepthMatchesScratch) {
   // bottom rows exactly.
   const auto g = seq::synthetic_titin(160, 7);
   const seq::Scoring scoring = seq::Scoring::protein_default();
-  for (const auto kind : checkpoint_engine_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : checkpoint_engines()) {
+    const auto engine = make(0);
     const int count = engine->lanes();
     const int r0 = 90;
     CheckpointSink sink;
@@ -276,11 +293,11 @@ TEST(CheckpointKernel, EmissionAndResumeParityAcrossRowPairs) {
                           static_cast<std::uint64_t>(g.sequence.length() - 1)));
     triangle.set(static_cast<int>(rng.below(static_cast<std::uint64_t>(j))), j);
   }
-  auto kinds = checkpoint_engine_kinds();
-  for (const auto kind : u8_engine_kinds()) kinds.push_back(kind);
-  for (const auto kind : kinds) {
+  auto engines = checkpoint_engines();
+  for (const auto& make : u8_engines()) engines.push_back(make);
+  for (const auto& make : engines) {
     for (const int stripe : {1, 5, -1}) {
-      const auto engine = align::make_engine(kind, stripe);
+      const auto engine = make(stripe);
       const int count = std::min(engine->lanes(), 7);
       const int r0 = 61;
       const auto scratch = sweep(*engine, g.sequence, scoring, &triangle, r0,
@@ -339,8 +356,8 @@ TEST(CheckpointKernel, TriangleGrowthFuzzResumedEqualsScratch) {
   // resumed from the deepest still-clean checkpoint of the previous round.
   const seq::Scoring protein = seq::Scoring::protein_default();
   const seq::Scoring dna = seq::Scoring::paper_example();
-  for (const auto kind : checkpoint_engine_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : checkpoint_engines()) {
+    const auto engine = make(0);
     for (int seed = 0; seed < 6; ++seed) {
       util::Rng rng(900 + static_cast<std::uint64_t>(seed));
       const bool use_dna = rng.chance(0.5);
@@ -398,14 +415,14 @@ TEST(CheckpointKernel, TriangleGrowthFuzzResumedEqualsScratch) {
 }
 
 TEST(CheckpointKernel, U8ResumeFromEveryDepthMatchesScratch) {
-  // Same contract as above for the saturating u8 engines, on a DNA workload
-  // that fits their biased headroom (bound = m <= 252 for paper_example).
+  // Same contract as above for the u8 kernels, on a DNA workload that fits
+  // their biased headroom (bound = m <= 252 for paper_example).
   const auto g = seq::synthetic_dna_tandem(200, 9, 5, 77);
   const seq::Scoring scoring = seq::Scoring::paper_example();
   ASSERT_TRUE(align::precision_fits(align::Precision::kI8,
                                     g.sequence.length(), scoring));
-  for (const auto kind : u8_engine_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : u8_engines()) {
+    const auto engine = make(0);
     const int count = engine->lanes();
     const int r0 = 110;
     CheckpointSink sink;
@@ -426,11 +443,11 @@ TEST(CheckpointKernel, U8ResumeFromEveryDepthMatchesScratch) {
 }
 
 TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
-  // Randomized triangle growth for the u8 engines (DNA only, in-range);
+  // Randomized triangle growth for the u8 kernels (DNA only, in-range);
   // override growth only lowers DP values, so clean u8 sweeps stay clean.
   const seq::Scoring dna = seq::Scoring::paper_example();
-  for (const auto kind : u8_engine_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : u8_engines()) {
+    const auto engine = make(0);
     for (int seed = 0; seed < 4; ++seed) {
       util::Rng rng(3100 + static_cast<std::uint64_t>(seed));
       const int m = 100 + static_cast<int>(rng.below(50));
@@ -479,6 +496,7 @@ TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
         staged = std::move(fresh);
       }
     }
+    EXPECT_EQ(engine->precision_stats().i16_sweeps, 0u) << engine->name();
   }
 }
 
@@ -488,7 +506,7 @@ TEST(CheckpointKernel, U8TriangleGrowthFuzzResumedEqualsScratch) {
 TEST(CheckpointFinder, CacheOnMatchesCacheOffAcrossEnginesAndMemoryModes) {
   const auto g = seq::synthetic_titin(260, 22);
   const seq::Scoring scoring = seq::Scoring::protein_default();
-  for (const auto kind : checkpoint_engine_kinds()) {
+  for (const auto& make : checkpoint_engines()) {
     for (const auto memory :
          {core::MemoryMode::kArchiveRows, core::MemoryMode::kRecomputeRows}) {
       FinderOptions off;
@@ -497,8 +515,8 @@ TEST(CheckpointFinder, CacheOnMatchesCacheOffAcrossEnginesAndMemoryModes) {
       off.checkpoint_mem = 0;
       FinderOptions on = off;
       on.checkpoint_mem = CheckpointCache::kDefaultBudget;
-      const auto e1 = align::make_engine(kind);
-      const auto e2 = align::make_engine(kind);
+      const auto e1 = make(0);
+      const auto e2 = make(0);
       const auto a = find_top_alignments(g.sequence, scoring, off, *e1);
       const auto b = find_top_alignments(g.sequence, scoring, on, *e2);
       std::string diff;
@@ -538,8 +556,8 @@ TEST(CheckpointFinder, OneRowBudgetStillProducesIdenticalTops) {
   off.checkpoint_mem = 0;
   FinderOptions tiny = off;
   tiny.checkpoint_mem = 1;
-  const auto e1 = align::make_engine(align::EngineKind::kSimd8Generic);
-  const auto e2 = align::make_engine(align::EngineKind::kSimd8Generic);
+  const auto e1 = align::make_engine(align::EngineKind::kSimd8);
+  const auto e2 = align::make_engine(align::EngineKind::kSimd8);
   const auto a = find_top_alignments(g.sequence,
                                      seq::Scoring::protein_default(), off, *e1);
   const auto b = find_top_alignments(g.sequence,
@@ -601,7 +619,7 @@ TEST(CheckpointFinder, ParallelWorkersWithCachePartitionsMatchSequential) {
   FinderOptions off;
   off.num_top_alignments = 8;
   off.checkpoint_mem = 0;
-  const auto seq_engine = align::make_engine(align::EngineKind::kSimd8Generic);
+  const auto seq_engine = align::make_engine(align::EngineKind::kSimd8);
   const auto reference =
       find_top_alignments(g.sequence, scoring, off, *seq_engine);
 
@@ -610,7 +628,7 @@ TEST(CheckpointFinder, ParallelWorkersWithCachePartitionsMatchSequential) {
   popt.finder.num_top_alignments = 8;  // checkpoint cache on by default
   const auto par = parallel::find_top_alignments_parallel(
       g.sequence, scoring, popt,
-      align::engine_factory(align::EngineKind::kSimd8Generic));
+      align::engine_factory(align::EngineKind::kSimd8));
   std::string diff;
   EXPECT_TRUE(core::same_tops(reference.tops, par.tops, &diff)) << diff;
 }

@@ -206,52 +206,29 @@ TEST(Cli, BadEngineNameFails) {
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind dna --length 200 --unit 10 --copies 5 "
                     "--out " + fasta).status, 0);
-  const RunResult r =
-      run_cli("find --fasta " + fasta + " --alphabet dna --engine warp9");
-  EXPECT_NE(r.status, 0);
-  EXPECT_NE(r.out.find("unknown engine"), std::string::npos);
+  // The fixed-u8 and generic-twin kinds are library-internal now; the CLI
+  // offers scalar, striped, simd8x32 and auto.
+  for (const std::string name : {"warp9", "simd16x8", "auto-generic"}) {
+    const RunResult r = run_cli("find --fasta " + fasta +
+                                " --alphabet dna --engine " + name);
+    EXPECT_NE(r.status, 0) << name;
+    EXPECT_NE(r.out.find("unknown engine"), std::string::npos) << r.out;
+  }
 }
 
-TEST(Cli, I16EngineRejectsOverflowingSequenceUpfront) {
-  // titin at m=6000 with blosum62 (max score 11) can reach 3000*11 = 33000,
-  // past the i16 ceiling — an explicitly selected i16 engine must be
-  // rejected before any alignment runs, with the adaptive and wider
-  // alternatives named.
-  const std::string fasta = temp_fasta();
-  ASSERT_EQ(run_cli("generate --kind titin --length 6000 --out " + fasta)
-                .status, 0);
-  const RunResult r =
-      run_cli("find --fasta " + fasta + " --tops 1 --engine simd8");
-  EXPECT_NE(r.status, 0);
-  EXPECT_NE(r.out.find("saturation headroom"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("adaptive"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("simd8x32"), std::string::npos) << r.out;
-}
-
-TEST(Cli, U8EngineRejectsOverflowingSequenceUpfront) {
-  // The same guard covers explicit u8 engines, whose (bias-aware) headroom
-  // is far smaller; the adaptive default accepts the identical input.
-  const std::string fasta = temp_fasta();
-  ASSERT_EQ(run_cli("generate --kind titin --length 300 --out " + fasta)
-                .status, 0);
-  const RunResult r =
-      run_cli("find --fasta " + fasta + " --tops 1 --engine simd16x8");
-  EXPECT_NE(r.status, 0);
-  EXPECT_NE(r.out.find("u8"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("saturation headroom"), std::string::npos) << r.out;
-  const RunResult ok =
-      run_cli("find --fasta " + fasta + " --tops 1 --precision auto");
-  EXPECT_EQ(ok.status, 0) << ok.out;
-}
-
-TEST(Cli, PrecisionFlagExcludesExplicitEngine) {
+TEST(Cli, RejectsPrecisionFlag) {
+  // auto already runs u8 lanes and escalates to i16 only where needed, so
+  // there is no precision to pick by hand.
   const std::string fasta = temp_fasta();
   ASSERT_EQ(run_cli("generate --kind titin --length 200 --out " + fasta)
                 .status, 0);
-  const RunResult r = run_cli("find --fasta " + fasta +
-                              " --engine scalar --precision i16");
-  EXPECT_NE(r.status, 0);
-  EXPECT_NE(r.out.find("--precision"), std::string::npos) << r.out;
+  for (const std::string flags : {"--precision i16",
+                                   "--engine scalar --precision i16"}) {
+    const RunResult r = run_cli("find --fasta " + fasta + " " + flags);
+    EXPECT_NE(r.status, 0) << flags;
+    EXPECT_NE(r.out.find("unknown option --precision"), std::string::npos)
+        << r.out;
+  }
 }
 
 TEST(Cli, I16GuardDoesNotBlockSafeRuns) {

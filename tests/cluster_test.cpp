@@ -163,7 +163,7 @@ TEST_P(ClusterFinderTest, SimdWorkersMatchToo) {
   copt.finder = opt;
   const auto res = find_top_alignments_cluster(
       g.sequence, Scoring::paper_example(), copt,
-      align::engine_factory(align::EngineKind::kSimd8Generic));
+      align::engine_factory(align::EngineKind::kSimd8));
   std::string diff;
   EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
       << ranks << " ranks: " << diff;
@@ -249,7 +249,7 @@ TEST_P(PartitionedClusterTest, PartitionedWithSimdWorkers) {
   copt.finder = opt;
   const auto res = find_top_alignments_cluster(
       g.sequence, Scoring::paper_example(), copt,
-      align::engine_factory(align::EngineKind::kSimd8Generic));
+      align::engine_factory(align::EngineKind::kSimd8));
   std::string diff;
   EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
       << ranks << " ranks: " << diff;

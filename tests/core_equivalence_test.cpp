@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "align/engine.hpp"
+#include "align/engine_detail.hpp"
 #include "core/old_finder.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
@@ -80,36 +81,22 @@ TEST_P(Equivalence, EveryEngineProducesIdenticalTops) {
   const auto scalar = align::make_engine(align::EngineKind::kScalar);
   const auto reference = find_top_alignments(c.sequence, c.scoring, opt, *scalar);
 
-  std::vector<align::EngineKind> kinds{align::EngineKind::kScalarStriped,
-                                       align::EngineKind::kGeneralGap,
-                                       align::EngineKind::kSimd4Generic,
-                                       align::EngineKind::kSimd8Generic,
-                                       align::EngineKind::kSimd4x32Generic,
-                                       align::EngineKind::kSimdAutoGeneric,
-                                       align::EngineKind::kSimdAuto};
-#if REPRO_HAVE_SSE2
-  kinds.push_back(align::EngineKind::kSimd4);
-  kinds.push_back(align::EngineKind::kSimd8);
-  if (align::sse41_available()) kinds.push_back(align::EngineKind::kSimd4x32);
-#endif
-  if (align::avx2_available()) {
-    kinds.push_back(align::EngineKind::kSimd16);
-    kinds.push_back(align::EngineKind::kSimd8x32);
-  }
-  // Explicit u8 engines throw on inputs past their biased headroom, so gate
-  // them on precision_fits; adaptive kinds above run everywhere (they
-  // escalate to i16 transparently, which must stay lossless).
-  if (align::precision_fits(align::Precision::kI8, c.sequence.length(),
-                            c.scoring)) {
-    kinds.push_back(align::EngineKind::kSimd8x8Generic);
-#if REPRO_HAVE_SSE2
-    kinds.push_back(align::EngineKind::kSimd16x8);
-#endif
-    if (align::avx2_available()) kinds.push_back(align::EngineKind::kSimd32x8);
-  }
+  std::vector<align::EngineFactory> engines;
+  for (const auto kind :
+       {align::EngineKind::kScalarStriped, align::EngineKind::kGeneralGap,
+        align::EngineKind::kSimd4, align::EngineKind::kSimd8,
+        align::EngineKind::kSimd16, align::EngineKind::kSimd8x32,
+        align::EngineKind::kSimd4x32Generic, align::EngineKind::kSimdAuto})
+    engines.push_back(align::engine_factory(kind));
+  // The portable kernels, which make_engine passes over on an x86 host.
+  for (const int lanes : {4, 8, 16})
+    engines.push_back(
+        [lanes] { return align::detail::make_simd_generic_engine(lanes, 0); });
+  engines.push_back([] { return align::detail::make_simd32_generic_engine(8, 0); });
+  engines.push_back([] { return align::detail::make_adaptive_generic_engine(0); });
 
-  for (const auto kind : kinds) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : engines) {
+    const auto engine = make();
     const auto res = find_top_alignments(c.sequence, c.scoring, opt, *engine);
     std::string diff;
     EXPECT_TRUE(same_tops(reference.tops, res.tops, &diff))
@@ -139,7 +126,7 @@ TEST_P(Equivalence, GroupedSweepAgreesWithGroupSizeOne) {
   opt.num_top_alignments = c.tops;
   opt.policy = RescanPolicy::kExhaustiveSweep;
   const auto e1 = align::make_engine(align::EngineKind::kScalar);
-  const auto e8 = align::make_engine(align::EngineKind::kSimd8Generic);
+  const auto e8 = align::make_engine(align::EngineKind::kSimd8);
   const auto a = find_top_alignments(c.sequence, c.scoring, opt, *e1);
   const auto b = find_top_alignments(c.sequence, c.scoring, opt, *e8);
   std::string diff;
@@ -183,7 +170,7 @@ TEST(EquivalenceExtra, LowMemoryWorksWithSimdGroups) {
   opt.num_top_alignments = 8;
   opt.memory = MemoryMode::kRecomputeRows;
   const auto scalar = align::make_engine(align::EngineKind::kScalar);
-  const auto simd = align::make_engine(align::EngineKind::kSimd8Generic);
+  const auto simd = align::make_engine(align::EngineKind::kSimd8);
   FinderOptions archive;
   archive.num_top_alignments = 8;
   const auto a =
@@ -225,7 +212,7 @@ TEST_P(SeedSweep, OldEqualsNewOnRandomInputs) {
   opt.num_top_alignments = 4 + static_cast<int>(rng.below(5));
 
   const auto old_res = find_top_alignments_old(g.sequence, scoring, opt);
-  const auto engine = align::make_engine(align::EngineKind::kSimd8Generic);
+  const auto engine = align::make_engine(align::EngineKind::kSimd8);
   const auto new_res = find_top_alignments(g.sequence, scoring, opt, *engine);
   validate_tops(new_res.tops, g.sequence, scoring);
   std::string diff;
@@ -244,7 +231,7 @@ TEST(EquivalenceExtra, SpeculativeLaneWorkDoesNotChangeResults) {
   FinderOptions opt;
   opt.num_top_alignments = 10;
   const auto scalar = align::make_engine(align::EngineKind::kScalar);
-  const auto simd = align::make_engine(align::EngineKind::kSimd8Generic);
+  const auto simd = align::make_engine(align::EngineKind::kSimd8);
   const auto a =
       find_top_alignments(g.sequence, Scoring::protein_default(), opt, *scalar);
   const auto b =

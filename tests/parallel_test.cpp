@@ -56,7 +56,7 @@ TEST_P(ParallelFinderTest, SimdEnginesMatchToo) {
   popt.finder = opt;
   const auto res = find_top_alignments_parallel(
       g.sequence, Scoring::paper_example(), popt,
-      align::engine_factory(align::EngineKind::kSimd8Generic));
+      align::engine_factory(align::EngineKind::kSimd8));
   std::string diff;
   EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
       << threads << " threads: " << diff;
@@ -106,7 +106,7 @@ TEST(ParallelFinder, WorkerEnginePropagatesFailure) {
   const Scoring hot{seq::ScoreMatrix::dna(100, -1), seq::GapPenalty{2, 1}};
   EXPECT_THROW(find_top_alignments_parallel(
                    s, hot, popt,
-                   align::engine_factory(align::EngineKind::kSimd8Generic)),
+                   align::engine_factory(align::EngineKind::kSimd8)),
                std::logic_error);
 }
 

@@ -1,18 +1,20 @@
-// Adaptive-precision SIMD: headroom boundaries (bias-aware, the
-// check_i16_headroom regression), saturation certification at the exact u8
-// ceiling, transparent i8 -> i16 escalation matching the scalar oracle, the
-// precision ladder (an escalated sweep finishing in i16 from the deepest
-// certified u8 row), and query-profile reuse across runs and parallel
-// partitions.
+// Adaptive-precision SIMD: static headroom boundaries (bias-aware),
+// saturation certification at the exact u8 ceiling, transparent i8 -> i16
+// escalation matching the scalar oracle, the precision ladder (an
+// escalated sweep finishing in i16 from the deepest certified u8 row), and
+// query-profile reuse across runs and parallel partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "align/engine.hpp"
+#include "align/engine_detail.hpp"
 #include "align/override_triangle.hpp"
 #include "align/query_profile.hpp"
 #include "core/top_alignment_finder.hpp"
@@ -38,21 +40,25 @@ seq::Sequence homopolymer(int m) {
                                     seq::Alphabet::dna());
 }
 
-std::vector<EngineKind> adaptive_kinds() {
-  return {EngineKind::kSimdAutoGeneric, EngineKind::kSimdAuto};
-}
+/// Builds an engine with the given stripe width.
+using MakeEngine = std::function<std::unique_ptr<align::Engine>(int stripe)>;
 
-std::vector<EngineKind> explicit_u8_kinds() {
-  std::vector<EngineKind> kinds{EngineKind::kSimd8x8Generic};
+/// The adaptive engine as make_engine dispatches it, and its portable
+/// instantiation (and the SSE2 one, which dispatch passes over on an AVX2
+/// host).
+std::vector<MakeEngine> adaptive_engines() {
+  std::vector<MakeEngine> engines{
+      align::detail::make_adaptive_generic_engine, [](int stripe) {
+        return align::make_engine(EngineKind::kSimdAuto, stripe);
+      }};
 #if REPRO_HAVE_SSE2
-  kinds.push_back(EngineKind::kSimd16x8);
+  engines.push_back(align::detail::make_adaptive_sse2_engine);
 #endif
-  if (align::avx2_available()) kinds.push_back(EngineKind::kSimd32x8);
-  return kinds;
+  return engines;
 }
 
 // ---------------------------------------------------------------------------
-// Static headroom: precision_fits / check_headroom boundaries
+// Static headroom: precision_fits boundaries
 
 TEST(PrecisionHeadroom, I16BoundaryIsExact) {
   // paper_example (match +2): bound = 2 * (m/2) = m for even m. The i16
@@ -62,9 +68,6 @@ TEST(PrecisionHeadroom, I16BoundaryIsExact) {
   EXPECT_TRUE(align::precision_fits(Precision::kI16, 32766, dna));
   EXPECT_TRUE(align::precision_fits(Precision::kI16, 32767, dna));  // bound 32766
   EXPECT_FALSE(align::precision_fits(Precision::kI16, 32768, dna));
-  EXPECT_NO_THROW(align::check_headroom(EngineKind::kSimd8Generic, 32766, dna));
-  EXPECT_THROW(align::check_headroom(EngineKind::kSimd8Generic, 32768, dna),
-               std::logic_error);
 }
 
 TEST(PrecisionHeadroom, I8BoundaryAccountsForBias) {
@@ -77,8 +80,6 @@ TEST(PrecisionHeadroom, I8BoundaryAccountsForBias) {
   // bias 100, max 3 -> ceiling 152; bound = 3 * (m/2).
   EXPECT_TRUE(align::precision_fits(Precision::kI8, 100, biased));   // 150
   EXPECT_FALSE(align::precision_fits(Precision::kI8, 104, biased));  // 156
-  EXPECT_THROW(align::check_headroom(EngineKind::kSimd8x8Generic, 104, biased),
-               std::logic_error);
 
   const seq::Scoring dna = seq::Scoring::paper_example();  // ceiling 252
   EXPECT_TRUE(align::precision_fits(Precision::kI8, 252, dna));
@@ -99,9 +100,6 @@ TEST(PrecisionHeadroom, I8RejectsUnbiasableScoringOutright) {
 
 TEST(PrecisionHeadroom, AdaptiveAndI32AreNeverRejected) {
   const seq::Scoring protein = seq::Scoring::protein_default();
-  EXPECT_NO_THROW(align::check_headroom(EngineKind::kSimdAuto, 100000, protein));
-  EXPECT_NO_THROW(
-      align::check_headroom(EngineKind::kSimd4x32Generic, 100000, protein));
   EXPECT_TRUE(align::precision_fits(Precision::kAdaptive, 100000, protein));
   EXPECT_TRUE(align::precision_fits(Precision::kI32, 100000, protein));
 }
@@ -111,7 +109,7 @@ TEST(PrecisionHeadroom, AdaptiveAndI32AreNeverRejected) {
 
 TEST(PrecisionSaturation, HomopolymerAtCeilingStaysCleanAndMatchesScalar) {
   // m = 252: peak == 252 == ceiling, certified clean — the conservative
-  // certificate must not false-positive at equality.
+  // certificate must not false-positive at equality, so no sweep escalates.
   const seq::Sequence s = homopolymer(252);
   const seq::Scoring dna = seq::Scoring::paper_example();
   ASSERT_TRUE(align::precision_fits(Precision::kI8, s.length(), dna));
@@ -119,8 +117,8 @@ TEST(PrecisionSaturation, HomopolymerAtCeilingStaysCleanAndMatchesScalar) {
   opt.num_top_alignments = 2;
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(s, dna, opt, *scalar);
-  for (const auto kind : explicit_u8_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const auto res = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
     EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
@@ -130,24 +128,19 @@ TEST(PrecisionSaturation, HomopolymerAtCeilingStaysCleanAndMatchesScalar) {
   }
 }
 
-TEST(PrecisionSaturation, PastCeilingExplicitU8ThrowsAdaptiveEscalates) {
-  // m = 254: the middle split reaches 254 > ceiling 252. An explicit u8
-  // engine must refuse (uncertifiable sweep); the adaptive engines must
-  // escalate that group to i16 and still match the scalar oracle exactly.
+TEST(PrecisionSaturation, PastCeilingAdaptiveEscalates) {
+  // m = 254: the middle split reaches 254 > ceiling 252. The adaptive
+  // engines must escalate that group to i16 and still match the scalar
+  // oracle exactly.
   const seq::Sequence s = homopolymer(254);
   const seq::Scoring dna = seq::Scoring::paper_example();
   ASSERT_FALSE(align::precision_fits(Precision::kI8, s.length(), dna));
   FinderOptions opt;
   opt.num_top_alignments = 2;
-  for (const auto kind : explicit_u8_kinds()) {
-    const auto engine = align::make_engine(kind);
-    EXPECT_THROW(find_top_alignments(s, dna, opt, *engine), std::logic_error)
-        << engine->name();
-  }
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(s, dna, opt, *scalar);
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const auto res = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
     EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
@@ -181,8 +174,8 @@ TEST(PrecisionAdaptive, EscalatesOnProteinAndMatchesScalar) {
   opt.num_top_alignments = 6;
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(g.sequence, protein, opt, *scalar);
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const auto res = find_top_alignments(g.sequence, protein, opt, *engine);
     std::string diff;
     EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
@@ -205,8 +198,8 @@ TEST(PrecisionAdaptive, StaysI8InRangeAndReusesProfile) {
   const seq::Scoring dna = seq::Scoring::paper_example();
   FinderOptions opt;
   opt.num_top_alignments = 5;
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const auto res = find_top_alignments(s, dna, opt, *engine);
     const auto stats = engine->precision_stats();
     EXPECT_EQ(stats.escalations, 0u) << engine->name();
@@ -370,8 +363,8 @@ constexpr int kLadderR0 = 300;  // the break lies well above the group's r0
 
 TEST(PrecisionLadder, BreakAboveTheFirstGridRowSweepsI16FromRowOne) {
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const int brk = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                  engine->lanes());
     ASSERT_GT(brk, 1);
@@ -389,8 +382,8 @@ TEST(PrecisionLadder, BreakAboveTheFirstGridRowSweepsI16FromRowOne) {
 TEST(PrecisionLadder, BreakBetweenGridRowsResumesFromTheRowAbove) {
   for (const std::string oligo : {"ACACAC", "AAAAAA", "AGAGAG"}) {
     const auto s = ladder_sequence(kLadderPrefix, kLadderM, oligo);
-    for (const auto kind : adaptive_kinds()) {
-      const auto engine = align::make_engine(kind);
+    for (const auto& make : adaptive_engines()) {
+      const auto engine = make(0);
       const std::string what = engine->name() + " " + oligo;
       const int brk = u8_break_row(s, seq::Scoring::paper_example(),
                                    kLadderR0, engine->lanes());
@@ -418,8 +411,8 @@ TEST(PrecisionLadder, KeptRowsAreTheWidenedU8Rows) {
   // identical everywhere, and MaxY differs only in entries below zero —
   // the kept u8 rows hold exactly max(MaxY, 0).
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  const auto adaptive = align::make_engine(EngineKind::kSimdAutoGeneric);
-  const auto wide = align::make_engine(EngineKind::kSimd8Generic);
+  const auto adaptive = align::detail::make_adaptive_generic_engine(0);
+  const auto wide = align::detail::make_simd_generic_engine(8, 0);
   ASSERT_EQ(adaptive->lanes(), wide->lanes());
   const int brk = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                adaptive->lanes());
@@ -458,8 +451,8 @@ TEST(PrecisionLadder, KeptRowsAreTheWidenedU8Rows) {
 
 TEST(PrecisionLadder, BreakInsideTheDeepRowsKeepsEveryGridRow) {
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const int lanes = engine->lanes();
     const int far = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                  lanes);
@@ -481,8 +474,8 @@ TEST(PrecisionLadder, BreakAfterAU8ResumeViewWithNoStagedRow) {
   // The u8 view comes from a clean sweep of the same group whose deep rows
   // are overridden away: rows above r0 match the plain sweep's exactly.
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     const int lanes = engine->lanes();
     const int far = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                  lanes);
@@ -507,8 +500,8 @@ TEST(PrecisionLadder, BreakAfterAU8ResumeViewWithNoStagedRow) {
 
 TEST(PrecisionLadder, BreakWithNoSink) {
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "AGAGAG");
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     auto run = ladder_sweep(*engine, s, kLadderR0, 1, false);
     EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
     expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
@@ -519,8 +512,8 @@ TEST(PrecisionLadder, ExplicitStripeStartsTheI16PassAtRowOne) {
   // A striped u8 pass has staged only some stripes of each row when it
   // stops, so none are kept: the i16 pass re-sweeps from row 1.
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind, 7);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(7);
     auto run = ladder_sweep(*engine, s, kLadderR0, 25, true);
     EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
     expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
@@ -540,8 +533,8 @@ TEST(PrecisionLadder, I16CeilingUnderAutoNamesTheWiderEngines) {
   ASSERT_FALSE(align::precision_fits(Precision::kI16, s.length(), huge));
   FinderOptions opt;
   opt.num_top_alignments = 1;
-  for (const auto kind : adaptive_kinds()) {
-    const auto engine = align::make_engine(kind);
+  for (const auto& make : adaptive_engines()) {
+    const auto engine = make(0);
     try {
       (void)find_top_alignments(s, huge, opt, *engine);
       ADD_FAILURE() << engine->name() << " did not throw";

@@ -44,7 +44,7 @@ TEST(Pathological, DinucleotideRepeatAllEnginesAgree) {
   const auto reference =
       core::find_top_alignments(s, Scoring::paper_example(), opt, *scalar);
   for (const auto kind :
-       {align::EngineKind::kSimd4Generic, align::EngineKind::kSimd8Generic,
+       {align::EngineKind::kSimd4, align::EngineKind::kSimd8,
         align::EngineKind::kGeneralGap, align::EngineKind::kScalarStriped}) {
     const auto engine = align::make_engine(kind);
     const auto res =

@@ -11,7 +11,11 @@ no-kernel-locks       DP kernel translation units must contain no mutex /
 engine-test-coverage  every EngineKind enumerator must be exercised by
                       tests/core_equivalence_test.cpp, and every enumerator
                       except kGeneralGap (no checkpoint support) by
-                      tests/checkpoint_test.cpp.
+                      tests/checkpoint_test.cpp. Both files must also call
+                      every generic-lane detail::make_*generic* factory
+                      declared in src/align/engine_detail.hpp: make_engine
+                      passes the portable kernels over on x86 hosts, so only
+                      these direct calls keep them cross-checked there.
 no-raw-new-delete     no raw new / delete expressions in src/ (containers,
                       unique_ptr and the aligned allocator cover every need);
                       `= delete` declarations are fine.
@@ -52,7 +56,6 @@ KERNEL_FILES = [
     "src/align/general_gap_engine.cpp",
     "src/align/simd_kernel.hpp",
     "src/align/simd_engine.cpp",
-    "src/align/simd_engine_sse41.cpp",
     "src/align/simd_engine_avx2.cpp",
     "src/align/simd_engine_impl.hpp",
     "src/align/query_profile.hpp",
@@ -243,6 +246,20 @@ def check_engine_coverage() -> None:
                 fail(path, 1, "engine-test-coverage",
                      f"EngineKind::{kind} is registered in engine.hpp but "
                      f"never exercised by {rel}")
+    detail_hpp = ROOT / "src/align/engine_detail.hpp"
+    generic = re.findall(r"\b(make_\w*generic\w*)\s*\(",
+                         strip_comments_and_strings(detail_hpp.read_text()))
+    if not generic:
+        fail(detail_hpp, 1, "engine-test-coverage",
+             "no generic-lane make_*generic* factory found")
+    for rel in suites:
+        path = ROOT / rel
+        text = strip_comments_and_strings(path.read_text())
+        for factory in sorted(set(generic)):
+            if not re.search(rf"\bdetail::{factory}\b", text):
+                fail(path, 1, "engine-test-coverage",
+                     f"generic-lane factory detail::{factory} is declared "
+                     f"in engine_detail.hpp but never called by {rel}")
 
 
 def check_raw_new_delete() -> None:

@@ -30,52 +30,15 @@ namespace {
 
 using namespace repro;
 
+/// The engines `find` offers: scalar and striped (i32 references), auto (the
+/// default) and simd8x32, the i32 fallback when auto reaches its i16 ceiling.
 align::EngineKind engine_kind_from(const std::string& name) {
   if (name == "scalar") return align::EngineKind::kScalar;
   if (name == "striped") return align::EngineKind::kScalarStriped;
-  if (name == "simd4") return align::EngineKind::kSimd4;
-  if (name == "simd8") return align::EngineKind::kSimd8;
-  if (name == "simd16") return align::EngineKind::kSimd16;
-  if (name == "simd4x32") return align::EngineKind::kSimd4x32;
   if (name == "simd8x32") return align::EngineKind::kSimd8x32;
-  if (name == "simd16x8") return align::EngineKind::kSimd16x8;
-  if (name == "simd32x8") return align::EngineKind::kSimd32x8;
   if (name == "auto") return align::EngineKind::kSimdAuto;
-  if (name == "auto-generic") return align::EngineKind::kSimdAutoGeneric;
-  REPRO_CHECK_MSG(false, "unknown engine '" << name
-                                            << "' (scalar|striped|simd4|simd8|"
-                                               "simd16|simd4x32|simd8x32|"
-                                               "simd16x8|simd32x8|auto|"
-                                               "auto-generic)");
-  return align::EngineKind::kScalar;
-}
-
-/// Widest available engine of the requested element precision.
-align::EngineKind engine_kind_for_precision(const std::string& precision) {
-  if (precision == "auto") return align::EngineKind::kSimdAuto;
-  if (precision == "i8") {
-    if (align::avx2_available()) return align::EngineKind::kSimd32x8;
-#if REPRO_HAVE_SSE2
-    return align::EngineKind::kSimd16x8;
-#else
-    return align::EngineKind::kSimd8x8Generic;
-#endif
-  }
-  if (precision == "i16") {
-    if (align::avx2_available()) return align::EngineKind::kSimd16;
-#if REPRO_HAVE_SSE2
-    return align::EngineKind::kSimd8;
-#else
-    return align::EngineKind::kSimd8Generic;
-#endif
-  }
-  if (precision == "i32") {
-    if (align::avx2_available()) return align::EngineKind::kSimd8x32;
-    if (align::sse41_available()) return align::EngineKind::kSimd4x32;
-    return align::EngineKind::kScalar;
-  }
-  REPRO_CHECK_MSG(false, "unknown precision '" << precision
-                                               << "' (auto|i8|i16|i32)");
+  REPRO_CHECK_MSG(false, "unknown engine '"
+                             << name << "' (scalar|striped|simd8x32|auto)");
   return align::EngineKind::kSimdAuto;
 }
 
@@ -185,12 +148,8 @@ int cmd_find(int argc, char** argv) {
                    {"tops", "top alignments per sequence (default 20)"},
                    {"min-score", "stop below this score (default 1)"},
                    {"engine",
-                    "scalar|striped|simd4|simd8|simd16|simd4x32|simd8x32|"
-                    "simd16x8|simd32x8|auto|auto-generic|best"},
-                   {"precision",
-                    "lane element width for the best engine: auto (default; "
-                    "u8 with lossless i16 escalation) | i8 | i16 | i32 — "
-                    "excludes --engine"},
+                    "auto (default; u8 lanes with lossless i16 escalation) | "
+                    "simd8x32 | scalar | striped"},
                    {"threads", "shared-memory workers (default 1 = sequential)"},
                    {"ranks",
                     "simulated cluster ranks incl. master (default 1 = no "
@@ -259,28 +218,11 @@ int cmd_find(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_int("fault-seed", 0)), ranks);
   if (args.has("fault-plan"))
     copt.fault_plan = cluster::FaultPlan::parse(args.get("fault-plan", ""));
-  const std::string engine_name = args.get("engine", "best");
-  REPRO_CHECK_MSG(engine_name == "best" || !args.has("precision"),
-                  "--precision selects among the best engines of that width; "
-                  "it cannot be combined with an explicit --engine");
-  // Every run resolves to one concrete kind: an explicit --engine, the
-  // widest engine of the requested --precision, or the adaptive default
-  // ("best" = auto: u8 lanes with transparent, lossless i16 escalation).
-  const align::EngineKind kind =
-      engine_name != "best"
-          ? engine_kind_from(engine_name)
-          : engine_kind_for_precision(args.get("precision", "auto"));
+  const std::string engine_name = args.get("engine", "auto");
+  const align::EngineKind kind = engine_kind_from(engine_name);
   const bool want_repeats = args.get_flag("repeats");
   const std::string format = args.get("format", "text");
   const std::string metrics_path = args.get("metrics-json", "");
-
-  // An explicitly selected saturating precision (u8 or i16) may be unable to
-  // represent this input's scores; fail upfront with the adaptive/32-bit
-  // alternatives rather than deep inside a kernel. (Adaptive and i32 kinds
-  // pass unconditionally; adaptive i16 escalation still detects actual
-  // saturation per sweep.)
-  for (const auto& record : records)
-    align::check_headroom(kind, record.length(), scoring);
 
   core::FinderStats total_stats;
   std::uint64_t total_tops = 0;
@@ -369,7 +311,6 @@ int cmd_find(int argc, char** argv) {
     obs::MetricsReport report("reprofind.find");
     report.param("fasta", args.get("fasta", ""));
     report.param("engine", engine_name);
-    report.param("precision", args.get("precision", "auto"));
     report.param("threads", threads);
     if (ranks > 1) {
       report.param("ranks", ranks);
@@ -455,30 +396,20 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_info() {
-  std::cout << "reprolib engines available on this host:\n";
-  const std::vector<std::pair<std::string, bool>> engines{
-      {"scalar (32-bit reference)", true},
-      {"scalar-striped", true},
-      {"general-gap (old-algorithm kernel)", true},
-#if REPRO_HAVE_SSE2
-      {"simd4-sse2 / simd8-sse2 (i16)", true},
-#else
-      {"simd4-sse2 / simd8-sse2 (i16)", false},
-#endif
-      {"simd4x32-sse41 (i32)", align::sse41_available()},
-      {"simd16-avx2 (i16)", align::avx2_available()},
-      {"simd8x32-avx2 (i32)", align::avx2_available()},
-#if REPRO_HAVE_SSE2
-      {"simd16x8-sse2 (u8, biased saturating)", true},
-#else
-      {"simd16x8-sse2 (u8, biased saturating)", false},
-#endif
-      {"simd32x8-avx2 (u8, biased saturating)", align::avx2_available()},
-      {"auto (adaptive u8 -> i16, widest ISA)", true},
-  };
-  for (const auto& [name, ok] : engines)
-    std::cout << "  [" << (ok ? 'x' : ' ') << "] " << name << '\n';
-  std::cout << "default engine: " << align::make_best_engine()->name() << '\n';
+  std::cout << "reprolib engines on this host (each kind as make_engine "
+               "dispatches it):\n";
+  for (const auto kind :
+       {align::EngineKind::kScalar, align::EngineKind::kScalarStriped,
+        align::EngineKind::kGeneralGap, align::EngineKind::kSimd4,
+        align::EngineKind::kSimd8, align::EngineKind::kSimd16,
+        align::EngineKind::kSimd8x32, align::EngineKind::kSimd4x32Generic,
+        align::EngineKind::kSimdAuto}) {
+    const auto engine = align::make_engine(kind);
+    std::cout << "  " << engine->name() << " (" << engine->lanes()
+              << " lanes)\n";
+  }
+  std::cout << "default engine: "
+            << align::make_engine(align::EngineKind::kSimdAuto)->name() << '\n';
   return 0;
 }
 
