@@ -103,7 +103,9 @@ int main(int argc, char** argv) {
       opt.num_top_alignments = static_cast<int>(tops_list[ti]);
       const auto sim = cluster::simulate_cluster(
           oracle, model_for(static_cast<int>(p), simd_rate), opt);
-      row.push_back(scalar_seq[ti] / sim.makespan_sec);
+      // Built in place: GCC 12 flags moving a temporary variant in as a
+      // maybe-uninitialized read of its string alternative.
+      row.emplace_back(scalar_seq[ti] / sim.makespan_sec);
       if (ti == 0 && p == 1) simd1_one_top = sim.makespan_sec;
       if (ti == 0 && p == procs.back()) t128_one_top = sim.makespan_sec;
     }

@@ -327,10 +327,10 @@ BENCHMARK(BM_AutoFirstSweepLowcomplex)
 // no_emit - plain.
 struct RealignCase {
   const seq::Sequence& s;
-  std::unique_ptr<align::OverrideTriangle> tri;
-  std::unique_ptr<align::Engine> engine;
+  std::unique_ptr<align::OverrideTriangle> tri{};
+  std::unique_ptr<align::Engine> engine{};
   int r0 = 0;
-  align::CheckpointSink first;  ///< the group's first sweep's staged rows
+  align::CheckpointSink first{};  ///< the group's first sweep's staged rows
   int resume_t = 0;             ///< index of row R in first.rows
 };
 

@@ -30,7 +30,9 @@ int PairDirtyIndex::min_dirty_row(int r0) const {
 }
 
 std::optional<CheckpointView> CheckpointCache::find(int r0, bool plain_sweep,
-                                                    int plain_valid_limit) {
+                                                    int plain_valid_limit,
+                                                    CheckpointRow& copy) {
+  std::lock_guard lock(mutex_);
   const CheckpointRow* best = nullptr;
   const Entry* best_entry = nullptr;
   const auto consider = [&](const Entry& e, int row_limit) {
@@ -56,22 +58,26 @@ std::optional<CheckpointView> CheckpointCache::find(int r0, bool plain_sweep,
     return std::nullopt;
   }
   ++stats_.hits;
+  // Copy out: a store, eviction or invalidation may replace the cached row
+  // while the caller's sweep still reads it.
+  copy = *best;
   CheckpointView view;
-  view.row = best->row;
+  view.row = copy.row;
   view.lanes = best_entry->lanes;
   view.elem_size = best_entry->elem_size;
-  view.h = best->h.data();
-  view.max_y = best->max_y.data();
-  view.bytes = best->h.size();
+  view.h = copy.h.data();
+  view.max_y = copy.max_y.data();
+  view.bytes = copy.h.size();
   // Checkpoint-resume consistency: a usable view names a real DP row with
   // a stamped layout and equal-size H/MaxY buffers.
   REPRO_DCHECK(view.row >= 1 && view.lanes >= 1 && view.elem_size >= 1);
-  REPRO_DCHECK(best->h.size() == best->max_y.size());
+  REPRO_DCHECK(copy.h.size() == copy.max_y.size());
   return view;
 }
 
 void CheckpointCache::store(int r0, bool plain_class, Score priority,
                             CheckpointSink& sink) {
+  std::lock_guard lock(mutex_);
   const Key key{r0, plain_class};
   const auto it = entries_.find(key);
   if (sink.count == 0) {
@@ -79,12 +85,13 @@ void CheckpointCache::store(int r0, bool plain_class, Score priority,
     return;
   }
   Entry& e = it != entries_.end() ? it->second : entries_[key];
-  if (e.rows.empty()) {
-    e.lanes = sink.lanes;
-    e.elem_size = sink.elem_size;
-  } else {
-    REPRO_CHECK_MSG(e.lanes == sink.lanes && e.elem_size == sink.elem_size,
-                    "checkpoint layout changed mid-run for group r0=" << r0);
+  REPRO_CHECK_MSG(e.rows.empty() || e.lanes == sink.lanes,
+                  "checkpoint lane count changed mid-run for group r0=" << r0);
+  if (e.elem_size != sink.elem_size) {
+    // Escalation is per engine, so sweepers sharing the cache may sweep a
+    // split in either precision: the entry takes the newest layout.
+    bytes_ -= e.bytes;
+    e = Entry{.lanes = sink.lanes, .elem_size = sink.elem_size};
   }
   e.priority = priority;
   for (int idx = 0; idx < sink.count; ++idx) {
@@ -121,7 +128,12 @@ void CheckpointCache::store(int r0, bool plain_class, Score priority,
   evict_over_budget(key);
 }
 
-void CheckpointCache::invalidate(const PairDirtyIndex& dirty) {
+void CheckpointCache::invalidate(int t, const PairDirtyIndex& dirty) {
+  std::lock_guard lock(mutex_);
+  REPRO_CHECK_MSG(t <= applied_, "acceptance " << t << " applied before "
+                                               << applied_);
+  if (t < applied_) return;  // another sweeper applied it first
+  ++applied_;
   for (auto it = entries_.begin(); it != entries_.end();) {
     auto& [key, e] = *it;
     if (key.second) {  // plain entries stay; find() clamps their validity
@@ -139,22 +151,26 @@ void CheckpointCache::invalidate(const PairDirtyIndex& dirty) {
       ++stats_.invalidated_rows;
     }
     rows.erase(first_dirty, rows.end());
-    if constexpr (check::kContractsEnabled) {
-      // Every surviving overridden row must sit strictly below the
-      // alignment's first dirty row; anything deeper could reflect override
-      // bits added after the emitting sweep.
-      for (const CheckpointRow& cr : rows)
-        REPRO_DCHECK_MSG(cr.row < md, "invalidation left a dirty checkpoint "
-                                      "row " << cr.row << " (min dirty " << md
-                                             << ") for group r0="
-                                             << key.first);
-    }
+    // Every surviving overridden row must sit strictly below the
+    // alignment's first dirty row; anything deeper could reflect override
+    // bits added after the emitting sweep. Rows ascend: check the deepest.
+    REPRO_DCHECK_MSG(rows.empty() || rows.back().row < md,
+                     "invalidation left a dirty checkpoint row "
+                         << rows.back().row << " (min dirty " << md
+                         << ") for group r0=" << key.first);
     if (rows.empty()) {
       it = entries_.erase(it);
     } else {
       ++it;
     }
   }
+}
+
+void CheckpointCache::clear(int t) {
+  std::lock_guard lock(mutex_);
+  entries_.clear();
+  bytes_ = 0;
+  applied_ = t;
 }
 
 void CheckpointCache::evict_over_budget(const Key& keep_last) {

@@ -19,13 +19,20 @@
 //     group's global clean limit (no accepted pair intersects rows above
 //     it). find() takes that limit from the caller.
 //
-// The cache is single-threaded by contract (like engines); parallel workers
-// each own a partition of the byte budget.
+// One cache serves an address space: every sweeper of a sequential or
+// thread run shares it under its lock (cluster ranks keep one each).
+// Invariant: every overridden row is valid for the triangle of the last
+// acceptance applied to it, and invalidate() applies each acceptance once,
+// for whichever sweeper reaches it first. A sweeper that has seen v
+// acceptances therefore resumes from a row valid for some T_a, v <= a <=
+// live, and rows it stores must already be clean for every acceptance the
+// cache has applied.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -76,10 +83,11 @@ class CheckpointCache {
   /// Plain sweeps consult only plain entries (always valid); overridden
   /// sweeps take the deeper of the overridden entry (kept current by
   /// invalidate()) and plain rows with row <= `plain_valid_limit` (the
-  /// caller's global clean limit for this group).
-  /// The view stays valid until the next store/invalidate call.
+  /// caller's global clean limit for this group). The row is copied into
+  /// `copy` under the lock, and the view points into `copy`.
   [[nodiscard]] std::optional<CheckpointView> find(int r0, bool plain_sweep,
-                                                   int plain_valid_limit);
+                                                   int plain_valid_limit,
+                                                   CheckpointRow& copy);
 
   /// Merges a sweep's staged rows into the (r0, plain_class) entry —
   /// replacing same-row buffers by swap, so warm stores recycle storage —
@@ -88,14 +96,22 @@ class CheckpointCache {
   /// sink's live prefix.
   void store(int r0, bool plain_class, Score priority, CheckpointSink& sink);
 
-  /// Applies one accepted alignment: every overridden entry drops its rows
-  /// >= the alignment's min dirty row for that group. Plain entries are
-  /// untouched (their validity is clamped at find() time instead).
-  void invalidate(const PairDirtyIndex& dirty);
+  /// Applies accepted alignment `t` (0-based) unless it already has been:
+  /// every overridden entry drops its rows >= the alignment's min dirty row
+  /// for that group. Plain entries are untouched (their validity is clamped
+  /// at find() time instead). Acceptances apply in order.
+  void invalidate(int t, const PairDirtyIndex& dirty);
+  /// Forgets every row; acceptance `t` is the next to apply.
+  void clear(int t);
 
-  [[nodiscard]] std::size_t bytes() const { return bytes_; }
-  [[nodiscard]] std::size_t budget() const { return budget_; }
-  [[nodiscard]] const CheckpointCacheStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t bytes() const {
+    std::lock_guard lock(mutex_);
+    return bytes_;
+  }
+  [[nodiscard]] CheckpointCacheStats stats() const {
+    std::lock_guard lock(mutex_);
+    return stats_;
+  }
 
  private:
   struct Entry {
@@ -103,14 +119,16 @@ class CheckpointCache {
     int lanes = 0;
     int elem_size = 0;
     std::size_t bytes = 0;
-    std::vector<CheckpointRow> rows;  ///< ascending by row
+    std::vector<CheckpointRow> rows{};  ///< ascending by row
   };
   using Key = std::pair<int, bool>;  ///< (r0, plain_class)
 
   void evict_over_budget(const Key& keep_last);
 
-  std::size_t budget_;
+  mutable std::mutex mutex_;
+  const std::size_t budget_;
   std::size_t bytes_ = 0;
+  int applied_ = 0;  ///< acceptances applied
   std::map<Key, Entry> entries_;
   CheckpointCacheStats stats_;
 };

@@ -6,9 +6,9 @@
 // pair into `profile[a][j] = score(a, seq[j]) + bias`, so a sweep does one
 // indexed load per cell and — for the unsigned u8 kernels — the bias is
 // already folded in. Profiles persist inside the engine across realignment
-// rounds, checkpoint resumes, and ParallelFinder worker partitions (each
-// worker's engine sees the same sequence every sweep, so after the first
-// build every later sweep is a profile hit).
+// rounds and checkpoint resumes (each worker's engine sees the same
+// sequence every sweep, so after the first build every later sweep is a
+// profile hit).
 //
 // For unsigned Elem the bias is max(0, -min_score()): every biased entry is
 // then in [0, bias + max_score], which must fit the element type for the

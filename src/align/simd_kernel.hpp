@@ -655,9 +655,11 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   // <= y_begin-1 were certified by the sweep that emitted the restored
   // checkpoint (saturating sweeps throw or stop before their uncertified
   // rows are kept).
-  std::array<PVec, kParts> v_peak;
-  v_peak.fill(v_zero);
-  std::array<PVec, kParts> carry_above;  // H of the row above, column c0-1
+  // Plain arrays: std::array<__m256i, N> drops the vector type's alignment
+  // attribute (-Wignored-attributes).
+  PVec v_peak[kParts];
+  std::fill(std::begin(v_peak), std::end(v_peak), v_zero);
+  PVec carry_above[kParts];  // H of the row above, column c0-1
 
   // Certification limit: the largest peak from which one more adds input
   // provably could not have saturated. Every adds operand is an H value <=

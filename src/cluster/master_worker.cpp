@@ -435,7 +435,7 @@ class Master {
 struct ShutdownSignal {};
 
 /// Worker rank: replicated triangle and a sweeper with its own engine and
-/// checkpoint partition (invalidated by each update, cleared by a resync).
+/// checkpoint cache (invalidated by each update, cleared by a resync).
 /// Original rows are recomputed under MemoryMode::kRecomputeRows and
 /// otherwise fetched and cached; under partitioned storage the worker also
 /// owns row shards — though under faults ownership is advisory: any worker
@@ -453,8 +453,9 @@ class Worker {
         options_(options),
         recovery_(recovery),
         triangle_(s.length()),
-        sweeper_(s, scoring, options.finder, triangle_, engine,
-                 checkpoint_budget, core::RowSource{nullptr, fetch_rows()}) {}
+        cache_(checkpoint_budget),
+        sweeper_(s, scoring, options.finder, triangle_, engine, &cache_,
+                 core::RowSource{nullptr, fetch_rows()}) {}
 
   Worker(const Worker&) = delete;  // the sweeper's row fetch holds `this`
   Worker& operator=(const Worker&) = delete;
@@ -754,6 +755,7 @@ class Worker {
   const ClusterOptions& options_;
   RecoveryStats& recovery_;
   align::OverrideTriangle triangle_;
+  align::CheckpointCache cache_;  ///< a rank is its own address space
   core::Sweeper sweeper_;
   int version_ = 0;
   bool registered_ = false;  ///< the master has provably seen our hello
@@ -807,10 +809,12 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
   const std::size_t budget = std::max<std::size_t>(
       1, options.finder.checkpoint_mem /
              static_cast<std::size_t>(options.ranks - 1));
+  align::CheckpointCache master_cache(budget);
   std::optional<core::Sweeper> master_sweeper;
   std::vector<core::Sweeper*> sweepers;
   if (recompute) {
-    master_sweeper.emplace(search, *engines[0], budget, core::RowSource{});
+    master_sweeper.emplace(search, *engines[0], &master_cache,
+                           core::RowSource{});
     sweepers.push_back(&*master_sweeper);
   }
   RecoveryStats recovery;

@@ -4,7 +4,7 @@
 // Rank 0 is sacrificed as the master: it owns the core::Search (queue,
 // acceptance guard and the sequential traceback) and the bottom-row
 // archive, and otherwise only messages and recovers. Workers sweep through
-// a core::Sweeper — a private engine and checkpoint partition — over a
+// a core::Sweeper — a private engine and checkpoint cache — over a
 // replicated override triangle, kept current by update broadcasts;
 // original bottom rows are fetched from the master on demand and cached
 // ("once computed, the last row data never changes"), or recomputed under

@@ -14,7 +14,7 @@ AlignmentOracle::AlignmentOracle(const seq::Sequence& s,
       engine_(engine),
       triangle_(s.length()),
       rows_(s.length()),
-      sweeper_(s, scoring, options_, triangle_, engine, /*checkpoint_budget=*/0,
+      sweeper_(s, scoring, options_, triangle_, engine, /*cache=*/nullptr,
                core::RowSource{&rows_, {}}) {}
 
 void AlignmentOracle::begin_run() {

@@ -42,8 +42,8 @@ struct FinderOptions {
   /// The override triangle only grows, so DP rows above the topmost
   /// newly-overridden pair are identical between rounds; sweeps resume below
   /// the deepest clean checkpoint instead of recomputing from row 1. The
-  /// shared-memory and cluster finders split this budget evenly across
-  /// their workers.
+  /// sequential and shared-memory finders keep one cache of this size for
+  /// all their workers; the cluster finder gives each rank an even share.
   std::size_t checkpoint_mem = std::size_t{256} << 20;  // 256 MiB
 };
 

@@ -265,7 +265,17 @@ FinderResult Search::finish(std::span<Sweeper* const> sweepers,
                             std::string_view prefix, double idle_seconds) {
   FinderResult res;
   res.stats = stats_;
-  for (const Sweeper* sw : sweepers) sw->add_stats(res.stats);
+  std::set<const align::CheckpointCache*> caches;
+  for (const Sweeper* sw : sweepers) {
+    sw->add_stats(res.stats);
+    if (sw->cache() != nullptr) caches.insert(sw->cache());
+  }
+  for (const align::CheckpointCache* c : caches) {  // shared: count once
+    const align::CheckpointCacheStats cs = c->stats();
+    res.stats.ckpt_hits += cs.hits;
+    res.stats.ckpt_misses += cs.misses;
+    res.stats.ckpt_evictions += cs.evictions;
+  }
   res.stats.queue_pops = queue_.pops();
   res.stats.idle_seconds = idle_seconds;
   res.stats.seconds = timer_.seconds();
@@ -280,41 +290,41 @@ FinderResult Search::finish(std::span<Sweeper* const> sweepers,
 Sweeper::Sweeper(const seq::Sequence& s, const seq::Scoring& scoring,
                  const FinderOptions& options,
                  const align::OverrideTriangle& triangle, align::Engine& engine,
-                 std::size_t checkpoint_budget, RowSource rows)
+                 align::CheckpointCache* cache, RowSource rows)
     : s_(s),
       scoring_(scoring),
       triangle_(triangle),
       engine_(engine),
       rows_(std::move(rows)),
+      cache_(options.checkpoint_mem > 0 && engine.supports_checkpoints()
+                 ? cache
+                 : nullptr),
       out_rows_(static_cast<std::size_t>(engine.lanes())),
       plain_rows_(static_cast<std::size_t>(engine.lanes())),
       cells0_(engine.cells_computed()),
-      prec0_(engine.precision_stats()) {
-  if (options.checkpoint_mem > 0 && checkpoint_budget > 0 &&
-      engine.supports_checkpoints())
-    cache_.emplace(checkpoint_budget);
-}
+      prec0_(engine.precision_stats()) {}
 
 Sweeper::Sweeper(const Search& search, align::Engine& engine,
-                 std::size_t checkpoint_budget, RowSource rows)
+                 align::CheckpointCache* cache, RowSource rows)
     : Sweeper(search.sequence(), search.scoring(), search.options(),
-              search.triangle(), engine, checkpoint_budget, std::move(rows)) {}
+              search.triangle(), engine, cache, std::move(rows)) {}
 
 void Sweeper::invalidate(align::PairDirtyIndex dirty) {
-  if (cache_) cache_->invalidate(dirty);
+  if (cache_) cache_->invalidate(version(), dirty);
   dirty_.push_back(std::move(dirty));
 }
 
 void Sweeper::reset(int version, align::PairDirtyIndex cumulative) {
   REPRO_CHECK(version >= 1);
-  if (cache_) cache_.emplace(cache_->budget());
+  if (cache_) cache_->clear(version);
   dirty_.clear();
   dirty_.push_back(std::move(cumulative));
   dirty_base_ = version - 1;
 }
 
 int Sweeper::attach(align::GroupJob& job, align::CheckpointSink& sink,
-                    align::CheckpointView& view, bool plain, bool lookup) {
+                    align::CheckpointRow& resume, align::CheckpointView& view,
+                    bool plain, bool lookup) {
   if (!cache_) return 0;
   int resumed = 0;
   if (lookup) {
@@ -323,7 +333,7 @@ int Sweeper::attach(align::GroupJob& job, align::CheckpointSink& sink,
     if (!plain)
       for (const auto& d : dirty_)
         limit = std::min(limit, d.min_dirty_row(job.r0) - 1);
-    if (const auto found = cache_->find(job.r0, plain, limit)) {
+    if (const auto found = cache_->find(job.r0, plain, limit, resume)) {
       view = *found;
       job.resume = &view;
       resumed = view.row;
@@ -365,7 +375,8 @@ std::span<const align::Score> Sweeper::sweep(int r0, int count, int version) {
   prepare(out_rows_, outs_, r0, count);
   // First alignments run under the empty triangle and are cached as plain
   // sweeps; nothing can be cached before them, so they skip the lookup.
-  const int resumed = attach(job, sink_, view_, /*plain=*/!realign, realign);
+  const int resumed =
+      attach(job, sink_, resume_, view_, /*plain=*/!realign, realign);
   util::WallTimer timer;
   engine_.align(job, outs_);
 
@@ -377,8 +388,8 @@ std::span<const align::Score> Sweeper::sweep(int r0, int count, int version) {
     plain.overrides = nullptr;
     plain.resume = nullptr;
     prepare(plain_rows_, plain_outs_, r0, count);
-    const int plain_resumed =
-        attach(plain, plain_sink_, plain_view_, /*plain=*/true, true);
+    const int plain_resumed = attach(plain, plain_sink_, plain_resume_,
+                                     plain_view_, /*plain=*/true, true);
     engine_.align(plain, plain_outs_);
     rows_swept_ += static_cast<std::uint64_t>(r0 + count - 1);
     rows_skipped_ += static_cast<std::uint64_t>(plain_resumed);
@@ -438,7 +449,8 @@ TopAlignment Sweeper::trace(const Search& search, const Acceptance& a) {
   plain.scoring = &scoring_;
   plain.r0 = a.r;
   plain.count = 1;
-  attach(plain, plain_sink_, plain_view_, /*plain=*/true, /*lookup=*/true);
+  attach(plain, plain_sink_, plain_resume_, plain_view_, /*plain=*/true,
+         /*lookup=*/true);
   const std::vector<align::Score> original = engine_.align_one(plain);
   if (cache_) cache_->store(a.r, /*plain_class=*/true, a.expected, plain_sink_);
   return search.trace(a, std::span<const align::Score>(original));
@@ -455,11 +467,6 @@ void Sweeper::add_stats(FinderStats& stats) const {
   stats.rows_swept += rows_swept_;
   stats.rows_skipped += rows_skipped_;
   stats.realign_seconds += realign_seconds_;
-  if (cache_) {
-    stats.ckpt_hits += cache_->stats().hits;
-    stats.ckpt_misses += cache_->stats().misses;
-    stats.ckpt_evictions += cache_->stats().evictions;
-  }
 }
 
 }  // namespace repro::core

@@ -6,8 +6,8 @@
 // the override triangle, the groups and their queue, the in-flight bounds,
 // the deterministic acceptance guard, score application and acceptance
 // bookkeeping, and the run's statistics. A Sweeper owns what one engine
-// needs for a sweep: output rows, its checkpoint partition and the source
-// of first-alignment rows.
+// needs for a sweep: output rows, resume buffers and the source of
+// first-alignment rows; it shares its address space's checkpoint cache.
 //
 // Acceptance guard: the queue head is accepted when it is current and no
 // in-flight task holds a bound that orders before it (scores only fall as
@@ -152,21 +152,25 @@ class Sweeper {
  public:
   Sweeper(const seq::Sequence& s, const seq::Scoring& scoring,
           const FinderOptions& options, const align::OverrideTriangle& triangle,
-          align::Engine& engine, std::size_t checkpoint_budget, RowSource rows);
+          align::Engine& engine, align::CheckpointCache* cache, RowSource rows);
   /// A sweeper over the search's triangle.
   Sweeper(const Search& search, align::Engine& engine,
-          std::size_t checkpoint_budget, RowSource rows);
+          align::CheckpointCache* cache, RowSource rows);
 
   [[nodiscard]] align::Engine& engine() { return engine_; }
+  /// The checkpoint cache in use, or nullptr when checkpoints are off.
+  [[nodiscard]] const align::CheckpointCache* cache() const { return cache_; }
 
   /// Number of acceptances this sweeper has been told about.
   [[nodiscard]] int version() const {
     return dirty_base_ + static_cast<int>(dirty_.size());
   }
-  /// Applies the next acceptance to the checkpoint partition.
+  /// Records the next acceptance and applies it to the cache, unless
+  /// another sweeper of the cache already has.
   void invalidate(align::PairDirtyIndex dirty);
   /// Forgets every checkpoint; `cumulative` covers all `version` acceptances
-  /// (a cluster worker's resynchronisation).
+  /// (a cluster worker's resynchronisation). The cache must be this
+  /// sweeper's alone.
   void reset(int version, align::PairDirtyIndex cumulative);
 
   /// Sweeps splits r0 .. r0+count-1 against the triangle (the empty one at
@@ -184,7 +188,8 @@ class Sweeper {
   /// Traces acceptance `a` against this sweeper's first-alignment row.
   TopAlignment trace(const Search& search, const Acceptance& a);
 
-  /// Adds this sweeper's cells, precision, checkpoint and sweep counters.
+  /// Adds this sweeper's cells, precision, row-skip and sweep counters
+  /// (Search::finish counts each cache's lookups and evictions once).
   void add_stats(FinderStats& stats) const;
 
  private:
@@ -195,7 +200,8 @@ class Sweeper {
     return rows_.archive != nullptr ? rows_.archive->row(r) : rows_.fetch(r);
   }
   int attach(align::GroupJob& job, align::CheckpointSink& sink,
-             align::CheckpointView& view, bool plain, bool lookup);
+             align::CheckpointRow& resume, align::CheckpointView& view,
+             bool plain, bool lookup);
   void prepare(std::vector<std::vector<align::Score>>& rows,
                std::vector<std::span<align::Score>>& outs, int r0, int count);
 
@@ -204,14 +210,16 @@ class Sweeper {
   const align::OverrideTriangle& triangle_;
   align::Engine& engine_;
   RowSource rows_;
-  std::optional<align::CheckpointCache> cache_;
-  std::vector<align::PairDirtyIndex> dirty_;  ///< acceptance t at t - base
+  align::CheckpointCache* cache_;
+  /// Acceptance t at t - base: the plain-row limit and the torn-row drop.
+  std::vector<align::PairDirtyIndex> dirty_;
   int dirty_base_ = 0;
 
   std::vector<std::vector<align::Score>> out_rows_, plain_rows_;
   std::vector<std::span<align::Score>> outs_, plain_outs_;
   std::vector<align::Score> scores_;
   align::CheckpointSink sink_, plain_sink_;
+  align::CheckpointRow resume_, plain_resume_;  ///< copied-out resume rows
   align::CheckpointView view_, plain_view_;
   int swept_r0_ = 0;
   int swept_version_ = 0;

@@ -17,7 +17,8 @@ FinderResult find_top_alignments(const seq::Sequence& s,
   Search search(s, scoring, options, engine.lanes());
   std::optional<align::BottomRowStore> archive;
   if (options.memory == MemoryMode::kArchiveRows) archive.emplace(s.length());
-  Sweeper sweeper(search, engine, options.checkpoint_mem,
+  align::CheckpointCache cache(options.checkpoint_mem);
+  Sweeper sweeper(search, engine, &cache,
                   RowSource{archive ? &*archive : nullptr, {}});
   Sweeper* const sweepers[] = {&sweeper};
   if (options.policy == RescanPolicy::kBestFirst) {

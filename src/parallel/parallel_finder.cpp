@@ -1,6 +1,5 @@
 #include "parallel/parallel_finder.hpp"
 
-#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <memory>
@@ -48,9 +47,9 @@ class SharedRun {
         lock.lock();
         search_.finish_accept(*a, std::move(top));
       } else if (const auto o = search_.begin_sweep()) {
-        // The partition is this worker's, but the acceptances it replays
-        // belong to the search: sync under the lock, before the sweep and
-        // again before its checkpoints are committed.
+        // Sync under the lock, before the sweep and again before its
+        // checkpoints are committed: the first worker to replay an
+        // acceptance applies it to the shared cache.
         search_.sync(sweeper);
         lock.unlock();
         const auto scores = sweeper.sweep(o->r0, o->count, o->version);
@@ -114,13 +113,13 @@ core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
   std::optional<align::BottomRowStore> archive;
   if (options.finder.memory == core::MemoryMode::kArchiveRows)
     archive.emplace(s.length());
-  const std::size_t budget =
-      std::max<std::size_t>(1, options.finder.checkpoint_mem /
-                                   static_cast<std::size_t>(options.threads));
+  // One checkpoint cache for the whole budget: any worker resumes from any
+  // worker's rows.
+  align::CheckpointCache cache(options.finder.checkpoint_mem);
   std::vector<core::Sweeper> sweepers;
   sweepers.reserve(engines.size());
   for (const auto& e : engines)
-    sweepers.emplace_back(search, *e, budget,
+    sweepers.emplace_back(search, *e, &cache,
                           core::RowSource{archive ? &*archive : nullptr, {}});
   std::vector<core::Sweeper*> workers;
   for (auto& sw : sweepers) workers.push_back(&sw);

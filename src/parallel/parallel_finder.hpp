@@ -1,7 +1,7 @@
 // Shared-memory dynamic speculative scheduler (paper §4.2).
 //
 // Workers share one core::Search under one lock; each owns an engine and a
-// core::Sweeper (with a private slice of the checkpoint budget). An idle
+// core::Sweeper, and all share one checkpoint cache. An idle
 // worker accepts the queue head when the search's guard allows it, and
 // otherwise realigns the best stale group not yet taken — speculatively,
 // while an acceptance is under way. Sweeps and tracebacks run outside the

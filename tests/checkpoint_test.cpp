@@ -12,10 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "align/bottom_row_store.hpp"
 #include "align/checkpoint_cache.hpp"
 #include "align/engine.hpp"
 #include "align/override_triangle.hpp"
 #include "align/simd_engine_impl.hpp"
+#include "core/search.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
 #include "parallel/parallel_finder.hpp"
@@ -87,28 +89,30 @@ CheckpointSink make_sink(int stride, int top_row, std::size_t buf_bytes,
 
 TEST(CheckpointCacheTest, FindReturnsDeepestRowWithinValidityLimits) {
   CheckpointCache cache(1 << 20);
+  CheckpointRow buf;  // find() copies the resume row here
   auto sink = make_sink(4, 9, 16, std::byte{0x5a});  // rows 4, 8, 9
   cache.store(5, /*plain_class=*/true, 10, sink);
 
-  const auto plain = cache.find(5, /*plain_sweep=*/true, 0);
+  const auto plain = cache.find(5, /*plain_sweep=*/true, 0, buf);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->row, 9);  // plain sweeps ignore the limit
   EXPECT_EQ(plain->lanes, 1);
   EXPECT_EQ(plain->elem_size, 4);
   EXPECT_EQ(plain->bytes, 16u);
 
-  const auto clamped = cache.find(5, /*plain_sweep=*/false, 7);
+  const auto clamped = cache.find(5, /*plain_sweep=*/false, 7, buf);
   ASSERT_TRUE(clamped.has_value());
   EXPECT_EQ(clamped->row, 4);  // deepest plain row <= the clean limit
 
-  EXPECT_FALSE(cache.find(5, /*plain_sweep=*/false, 2).has_value());
-  EXPECT_FALSE(cache.find(7, /*plain_sweep=*/true, 0).has_value());
+  EXPECT_FALSE(cache.find(5, /*plain_sweep=*/false, 2, buf).has_value());
+  EXPECT_FALSE(cache.find(7, /*plain_sweep=*/true, 0, buf).has_value());
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(CheckpointCacheTest, InvalidateDropsOverriddenRowsButKeepsPlain) {
   CheckpointCache cache(1 << 20);
+  CheckpointRow buf;
   auto plain_sink = make_sink(4, 9, 16, std::byte{1});
   cache.store(5, /*plain_class=*/true, 10, plain_sink);
   auto over_sink = make_sink(4, 9, 16, std::byte{2});
@@ -116,14 +120,15 @@ TEST(CheckpointCacheTest, InvalidateDropsOverriddenRowsButKeepsPlain) {
 
   // A pair at (i=5, j=6) dirties DP rows >= 6 of every group with r0 <= 6.
   const std::vector<std::pair<int, int>> pairs{{5, 6}};
-  cache.invalidate(PairDirtyIndex{std::span<const std::pair<int, int>>(pairs)});
+  cache.invalidate(0,
+                   PairDirtyIndex{std::span<const std::pair<int, int>>(pairs)});
   EXPECT_EQ(cache.stats().invalidated_rows, 2u);  // overridden rows 8 and 9
 
   const auto over = cache.find(5, /*plain_sweep=*/false,
-                               std::numeric_limits<int>::max());
+                               std::numeric_limits<int>::max(), buf);
   ASSERT_TRUE(over.has_value());
   EXPECT_EQ(over->row, 9);  // plain row 9 beats surviving overridden row 4
-  const auto plain = cache.find(5, /*plain_sweep=*/true, 0);
+  const auto plain = cache.find(5, /*plain_sweep=*/true, 0, buf);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->row, 9);  // plain entry untouched by invalidation
 }
@@ -138,26 +143,46 @@ TEST(CheckpointCacheTest, TinyBudgetEvictsLowestPriorityEntry) {
   EXPECT_EQ(cache.bytes(), 0u);
 
   CheckpointCache cache2(40);  // fits one 32-byte row, not two
+  CheckpointRow buf;
   auto low = make_sink(4, 4, 16, std::byte{1});
   cache2.store(3, true, /*priority=*/10, low);
   auto high = make_sink(4, 4, 16, std::byte{2});
   cache2.store(9, true, /*priority=*/90, high);
   EXPECT_EQ(cache2.stats().evictions, 1u);
-  EXPECT_FALSE(cache2.find(3, true, 0).has_value());  // low priority evicted
-  EXPECT_TRUE(cache2.find(9, true, 0).has_value());
+  EXPECT_FALSE(cache2.find(3, true, 0, buf).has_value());  // low priority
+  EXPECT_TRUE(cache2.find(9, true, 0, buf).has_value());
 }
 
 TEST(CheckpointCacheTest, SameRowStoreRecyclesBytes) {
   CheckpointCache cache(1 << 20);
+  CheckpointRow buf;
   auto sink = make_sink(4, 9, 16, std::byte{1});
   cache.store(5, true, 10, sink);
   const std::size_t bytes_once = cache.bytes();
   auto again = make_sink(4, 9, 16, std::byte{2});
   cache.store(5, true, 11, again);
   EXPECT_EQ(cache.bytes(), bytes_once);  // same grid: no growth
-  const auto view = cache.find(5, true, 0);
+  const auto view = cache.find(5, true, 0, buf);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->h[0], std::byte{2});  // newest sweep's state won
+}
+
+TEST(CheckpointCacheTest, StoreInOtherPrecisionReplacesEntry) {
+  // Engines sharing a cache escalate u8 -> i16 independently, so a split's
+  // rows may arrive in either layout; the entry keeps the newest.
+  CheckpointCache cache(1 << 20);
+  CheckpointRow buf;
+  auto u8 = make_sink(4, 9, 16, std::byte{1});  // rows 4, 8, 9
+  u8.elem_size = 1;
+  cache.store(5, /*plain_class=*/false, 10, u8);
+  auto i16 = make_sink(4, 8, 32, std::byte{2});  // rows 4, 8
+  i16.elem_size = 2;
+  cache.store(5, /*plain_class=*/false, 10, i16);
+  const auto view = cache.find(5, /*plain_sweep=*/false, 0, buf);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->elem_size, 2);
+  EXPECT_EQ(view->row, 8);  // u8 row 9 left with its layout
+  EXPECT_EQ(cache.bytes(), 2 * 2 * 32u);
 }
 
 // ---------------------------------------------------------------------------
@@ -524,9 +549,10 @@ TEST(CheckpointFinder, CacheOnMatchesCacheOffAcrossEnginesAndMemoryModes) {
           << e1->name() << " memory mode "
           << (memory == core::MemoryMode::kArchiveRows ? "archive" : "recompute")
           << ": " << diff;
-      if (b.stats.realignments > 0)  // every realignment sweep did a lookup
+      if (b.stats.realignments > 0) {  // every realignment did a lookup
         EXPECT_GT(b.stats.ckpt_hits + b.stats.ckpt_misses, 0u)
             << e1->name();
+      }
       EXPECT_EQ(a.stats.ckpt_hits, 0u);
       EXPECT_EQ(a.stats.rows_skipped, 0u);
     }
@@ -566,6 +592,98 @@ TEST(CheckpointFinder, OneRowBudgetStillProducesIdenticalTops) {
   EXPECT_TRUE(core::same_tops(a.tops, b.tops, &diff)) << diff;
   EXPECT_GT(b.stats.ckpt_evictions, 0u);
   EXPECT_EQ(b.stats.ckpt_hits, 0u);  // nothing survives a 1-byte budget
+
+  // Four workers share the one budget.
+  parallel::ParallelOptions popt;
+  popt.threads = 4;
+  popt.finder = tiny;
+  const auto par = parallel::find_top_alignments_parallel(
+      g.sequence, seq::Scoring::protein_default(), popt,
+      align::engine_factory(align::EngineKind::kSimd8));
+  EXPECT_TRUE(core::same_tops(a.tops, par.tops, &diff)) << diff;
+  EXPECT_GT(par.stats.ckpt_evictions, 0u);
+  EXPECT_EQ(par.stats.ckpt_hits, 0u);
+  EXPECT_GT(par.stats.ckpt_misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One cache shared by two sweepers: a thread run's workers, driven in turn
+
+TEST(SharedCheckpointCache, SweepersResumeFromEachOtherAndInvalidateOnce) {
+  const auto g = seq::synthetic_titin(220, 41);
+  const seq::Scoring scoring = seq::Scoring::protein_default();
+  const int m = g.sequence.length();
+  const FinderOptions opt;  // checkpoints on
+  align::OverrideTriangle triangle(m);
+  align::BottomRowStore archive(m);
+  CheckpointCache cache(CheckpointCache::kDefaultBudget);
+  const auto ea = align::make_engine(align::EngineKind::kScalar);
+  const auto eb = align::make_engine(align::EngineKind::kScalar);
+  const auto ef = align::make_engine(align::EngineKind::kScalar);
+  core::Sweeper a(g.sequence, scoring, opt, triangle, *ea, &cache,
+                  core::RowSource{&archive, {}});
+  core::Sweeper b(g.sequence, scoring, opt, triangle, *eb, &cache,
+                  core::RowSource{&archive, {}});
+  core::Sweeper fresh(g.sequence, scoring, opt, triangle, *ef,
+                      /*cache=*/nullptr, core::RowSource{&archive, {}});
+  const auto mark = [&](const std::vector<std::pair<int, int>>& pairs) {
+    for (const auto& [i, j] : pairs) triangle.set(i, j);
+    return PairDirtyIndex{std::span<const std::pair<int, int>>(pairs)};
+  };
+  CheckpointRow buf;
+
+  for (int r = 1; r < m; ++r) {  // A takes every first alignment
+    (void)a.sweep(r, 1, 0);
+    a.commit();
+  }
+  const PairDirtyIndex d0 = mark({{40, 150}, {41, 151}, {42, 152}});
+  a.invalidate(d0);
+  b.invalidate(d0);
+
+  // B realigns split 100 from A's plain rows above the first dirty row 41,
+  // with the scores of a from-scratch sweep.
+  const Score resumed = b.sweep(100, 1, 1)[0];
+  b.commit();
+  core::FinderStats bs;
+  b.add_stats(bs);
+  EXPECT_GT(bs.rows_skipped, 0u);
+  EXPECT_LE(bs.rows_skipped, 40u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(resumed, fresh.sweep(100, 1, 1)[0]);
+  EXPECT_TRUE(std::ranges::equal(b.row(0), fresh.row(0)));
+
+  // Acceptance 1 dirties split 100 from row 71: the first sweeper to sync
+  // drops B's overridden rows there, the second changes nothing.
+  const PairDirtyIndex d1 = mark({{70, 120}, {71, 121}});
+  a.invalidate(d1);
+  const std::uint64_t dropped = cache.stats().invalidated_rows;
+  EXPECT_GT(dropped, 0u);
+  b.invalidate(d1);
+  EXPECT_EQ(cache.stats().invalidated_rows, dropped);
+  const auto kept = cache.find(100, /*plain_sweep=*/false, 0, buf);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_LT(kept->row, 71);
+
+  // A's sweep of split 130 is labelled version 2; acceptance 2 (first
+  // dirty row 91) lands before the commit and B applies it to the cache.
+  // A's commit must still drop its own rows from row 91 on.
+  (void)a.sweep(130, 1, 2);
+  const PairDirtyIndex d2 = mark({{90, 135}});
+  b.invalidate(d2);
+  a.invalidate(d2);
+  a.commit();
+  const auto torn = cache.find(130, /*plain_sweep=*/false, 0, buf);
+  ASSERT_TRUE(torn.has_value());
+  EXPECT_LT(torn->row, 91);
+  EXPECT_GT(torn->row, 40);  // rows above the cut were kept
+
+  // The run's statistics count the shared cache once, not per sweeper.
+  core::Search search(g.sequence, scoring, opt, /*lanes=*/1);
+  core::Sweeper* const sweepers[] = {&a, &b};
+  const core::FinderResult res = search.finish(sweepers, "shared_cache.");
+  EXPECT_EQ(res.stats.ckpt_hits, cache.stats().hits);
+  EXPECT_EQ(res.stats.ckpt_misses, cache.stats().misses);
 }
 
 TEST(CheckpointFinder, LowMemoryUntouchedLaneSkipIsExactAndCounted) {

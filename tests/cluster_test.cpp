@@ -146,7 +146,9 @@ TEST_P(ClusterFinderTest, MatchesSequentialForAnyRankCount) {
   EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
       << ranks << " ranks: " << diff;
   core::validate_tops(res.tops, g.sequence, Scoring::protein_default());
-  if (ranks > 1) EXPECT_GT(info.messages, 0u);
+  if (ranks > 1) {
+    EXPECT_GT(info.messages, 0u);
+  }
 }
 
 TEST_P(ClusterFinderTest, SimdWorkersMatchToo) {

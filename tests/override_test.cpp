@@ -111,7 +111,7 @@ TEST(BottomRowStore, LayoutIsDense) {
 TEST(BottomRowStore, GuardsMisuse) {
   BottomRowStore rows(10);
   const std::vector<Score> row7(7, 1);
-  EXPECT_THROW(rows.row(3), std::logic_error);          // not yet stored
+  EXPECT_THROW((void)rows.row(3), std::logic_error);    // not yet stored
   EXPECT_THROW(rows.store(3, {{1, 2}}), std::logic_error);  // wrong size
   rows.store(3, row7);
   EXPECT_THROW(rows.store(3, row7), std::logic_error);  // stored twice

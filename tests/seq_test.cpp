@@ -25,8 +25,8 @@ TEST(Alphabet, CaseInsensitive) {
 }
 
 TEST(Alphabet, InvalidCharacterThrows) {
-  EXPECT_THROW(Alphabet::protein().encode('J'), std::logic_error);
-  EXPECT_THROW(Alphabet::dna().encode('E'), std::logic_error);
+  EXPECT_THROW((void)Alphabet::protein().encode('J'), std::logic_error);
+  EXPECT_THROW((void)Alphabet::dna().encode('E'), std::logic_error);
   EXPECT_FALSE(Alphabet::dna().valid('#'));
   EXPECT_TRUE(Alphabet::dna().valid('t'));
 }

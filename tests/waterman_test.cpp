@@ -58,7 +58,9 @@ TEST(WatermanEggert, ScoresNonincreasingAndReproducible) {
   for (std::size_t k = 0; k < alignments.size(); ++k) {
     EXPECT_EQ(pair_score(alignments[k], ga.sequence, gb.sequence, scoring),
               alignments[k].score);
-    if (k > 0) EXPECT_LE(alignments[k].score, alignments[k - 1].score);
+    if (k > 0) {
+      EXPECT_LE(alignments[k].score, alignments[k - 1].score);
+    }
   }
 }
 
