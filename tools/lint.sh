@@ -84,6 +84,10 @@ note "repro_lint.py (repo invariants)"
 if ! python3 tools/repro_lint.py; then
   stage_fail "repro_lint.py reported violations"
 fi
+note "perf_pairs.py doctests (the clear-gain verdict)"
+if ! python3 -m doctest tools/perf_pairs.py; then
+  stage_fail "perf_pairs.py doctests failed"
+fi
 
 if [ "$failures" -gt 0 ]; then
   printf 'lint: %d stage(s) failed\n' "$failures" >&2
