@@ -5,7 +5,6 @@
 #include <string>
 
 #include "align/engine.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "seq/generator.hpp"
 #include "seq/scoring.hpp"
@@ -35,12 +34,11 @@ namespace repro::bench {
 inline constexpr const char* kJsonFlagHelp =
     "write a repro-metrics-v1 JSON perf record to this path";
 
-/// When the bench was invoked with --json <path>, attaches the global obs
-/// registry to `report` and writes it there. Returns true when written.
+/// When the bench was invoked with --json <path>, writes `report` there.
+/// Returns true when written.
 inline bool maybe_write_json(const util::Args& args, obs::MetricsReport& report) {
   const std::string path = args.get("json", "");
   if (path.empty()) return false;
-  report.include_registry(obs::Registry::global());
   report.write_file(path);
   std::cout << "wrote perf record to " << path << '\n';
   return true;

@@ -56,8 +56,8 @@ class Engine {
   /// Computes bottom rows for splits job.r0 .. job.r0+job.count-1.
   /// out[k] must have exactly m - (job.r0 + k) elements. Non-virtual: the
   /// wrapper centralizes the cell/alignment accounting (identical for every
-  /// engine: lanes x rows x columns per group) and reports it to the global
-  /// observability registry, so kernels never touch counters.
+  /// engine: lanes x rows x columns per group), so kernels never touch
+  /// counters.
   void align(const GroupJob& job, std::span<const std::span<Score>> out);
 
   /// Convenience wrapper for single-rectangle use (tests, traceback prep).
@@ -66,8 +66,7 @@ class Engine {
   /// Cells computed since construction (each lane-cell counts once, so SIMD
   /// engines accumulate lanes x rows x columns — the quantity behind the
   /// paper's "more than a billion matrix entries per second"). Engines are
-  /// single-threaded, so these are plain integers; the obs layer's shared
-  /// counters are fed once per group alignment, never per cell.
+  /// single-threaded, so these are plain integers.
   [[nodiscard]] std::uint64_t cells_computed() const { return cells_; }
 
   /// Group alignments performed since construction.

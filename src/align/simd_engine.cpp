@@ -14,7 +14,6 @@
 #include "align/engine_detail.hpp"
 #include "align/simd_engine_impl.hpp"
 #include "align/simd_kernel.hpp"
-#include "obs/metrics.hpp"
 
 #if REPRO_HAVE_SSE2
 #include <emmintrin.h>
@@ -162,21 +161,6 @@ void Engine::align(const GroupJob& job, std::span<const std::span<Score>> out) {
   cells_ += group_cells;
   cells_skipped_ += skipped_cells;
   aligns_ += 1;
-  if constexpr (obs::kEnabled) {
-    // Slots fetched once per process; per group alignment this is two
-    // relaxed adds, and with REPRO_OBS=OFF the whole block vanishes.
-    static obs::Counter& lane_cells =
-        obs::Registry::global().counter("align.lane_cells");
-    static obs::Counter& group_alignments =
-        obs::Registry::global().counter("align.group_alignments");
-    lane_cells.add(group_cells);
-    group_alignments.add(1);
-    if (skipped_cells > 0) {
-      static obs::Counter& lane_cells_skipped =
-          obs::Registry::global().counter("align.lane_cells_skipped");
-      lane_cells_skipped.add(skipped_cells);
-    }
-  }
 }
 
 std::vector<Score> Engine::align_one(const GroupJob& job) {

@@ -38,7 +38,6 @@
 #include "align/engine_detail.hpp"
 #include "align/query_profile.hpp"
 #include "align/simd_kernel.hpp"
-#include "obs/metrics.hpp"
 
 namespace repro::align::detail {
 
@@ -48,51 +47,14 @@ inline int default_stripe(int lanes, int elem_bytes) {
   return 32768 / 3 / (2 * elem_bytes * lanes);
 }
 
-// Precision counters: engines bump their PrecisionStats struct and mirror
-// into the global registry (one relaxed add per group sweep; the whole
-// mirror vanishes with REPRO_OBS=OFF).
-inline void note_sweep_obs(bool i8) {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& i8_sweeps =
-        obs::Registry::global().counter("align.precision.i8_sweeps");
-    static obs::Counter& i16_sweeps =
-        obs::Registry::global().counter("align.precision.i16_sweeps");
-    (i8 ? i8_sweeps : i16_sweeps).add(1);
-  } else {
-    (void)i8;
-  }
-}
-
-inline void note_escalation_obs() {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& escalations =
-        obs::Registry::global().counter("align.precision.escalations");
-    escalations.add(1);
-  }
-}
-
-inline void note_profile_obs(bool rebuilt) {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& hits =
-        obs::Registry::global().counter("align.precision.profile_hits");
-    static obs::Counter& builds =
-        obs::Registry::global().counter("align.precision.profile_builds");
-    (rebuilt ? builds : hits).add(1);
-  } else {
-    (void)rebuilt;
-  }
-}
-
 /// Bumps the sweep counter matching Elem's precision (i32 sweeps are not
 /// tracked — they have no narrower precision to compare against).
 template <typename Elem>
 inline void note_sweep(PrecisionStats& stats) {
   if constexpr (sizeof(Elem) == 1) {
     ++stats.i8_sweeps;
-    note_sweep_obs(true);
   } else if constexpr (sizeof(Elem) == 2) {
     ++stats.i16_sweeps;
-    note_sweep_obs(false);
   }
 }
 
@@ -119,7 +81,7 @@ class SimdEngineT final : public Engine {
   void do_align(const GroupJob& job,
                 std::span<const std::span<Score>> out) override {
     validate_job(job, out, lanes());
-    note_profile_obs(profile_.ensure(job.seq, *job.scoring, stats_));
+    profile_.ensure(job.seq, *job.scoring, stats_);
     run_simd_group<Ops>(job, out, stripe_, scratch_, profile_);
     note_sweep<typename Ops::Elem>(stats_);
   }
@@ -185,10 +147,7 @@ class AdaptiveEngineT final : public Engine {
     validate_job(job, out, lanes());
     if (profile8_.ensure(job.seq, *job.scoring, stats_)) {
       // New workload: prior escalation decisions no longer apply.
-      note_profile_obs(true);
       escalated_.clear();
-    } else {
-      note_profile_obs(false);
     }
     // An i16 resume row means an engine sharing the checkpoint cache
     // escalated this split; a u8 one was certified exact, so the i16 pass
@@ -203,13 +162,12 @@ class AdaptiveEngineT final : public Engine {
       note_sweep<std::uint8_t>(stats_);
       if (!sat) return;
       ++stats_.escalations;
-      note_escalation_obs();
       escalated_.insert(job.r0);
       kept = resume_certified(job, j16);
     } else if (u8_resume) {
       j16.resume = widen_view(*job.resume);
     }
-    note_profile_obs(profile16_.ensure(job.seq, *job.scoring, stats_));
+    profile16_.ensure(job.seq, *job.scoring, stats_);
     if (kept > 0) {
       own_sink_.stride = job.sink->stride;
       own_sink_.top_row = job.sink->top_row;

@@ -9,7 +9,6 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "cluster/mpisim.hpp"
 #include "core/search.hpp"
 #include "core/top_alignment_finder.hpp"
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace repro::cluster {
@@ -839,8 +837,9 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     }
   });
 
-  // Publish after the join: stragglers (workers finishing superseded work
-  // during shutdown) keep sending — and counting — until their bodies exit.
+  // Read the counters after the join: stragglers (workers finishing
+  // superseded work during shutdown) keep sending — and counting — until
+  // their bodies exit.
   const FaultStats faults = comm.fault_stats();
   const auto load = [](const std::atomic<std::uint64_t>& c) {
     return c.load(std::memory_order_relaxed);
@@ -868,30 +867,7 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     info->workers_lost = load(recovery.workers_lost);
     info->fault_stats = faults;
   }
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    reg.counter("cluster.messages").add(comm.messages_sent());
-    reg.counter("cluster.payload_words").add(comm.words_sent());
-    reg.counter("cluster.row_replicas_served").add(master.replicas_served());
-    reg.counter("cluster.row_deposits").add(load(recovery.deposits));
-    reg.counter("cluster.ranks").add(static_cast<std::uint64_t>(comm.size()));
-    reg.counter("cluster.faults_injected").add(faults.injected());
-    reg.counter("cluster.retries").add(load(recovery.retries));
-    reg.counter("cluster.reassignments").add(load(recovery.reassignments));
-    reg.counter("cluster.heartbeat_misses").add(load(recovery.heartbeat_misses));
-    reg.counter("cluster.stale_results").add(load(recovery.stale_results));
-    reg.counter("cluster.row_rebuilds").add(load(recovery.row_rebuilds));
-    reg.counter("cluster.sync_requests").add(load(recovery.sync_requests));
-    reg.counter("cluster.workers_lost").add(load(recovery.workers_lost));
-    for (int rank = 0; rank < comm.size(); ++rank) {
-      const std::string suffix = ".rank" + std::to_string(rank);
-      reg.counter("cluster.messages" + suffix)
-          .add(comm.messages_sent_from(rank));
-      reg.counter("cluster.payload_words" + suffix)
-          .add(comm.words_sent_from(rank));
-    }
-  }
-  return search.finish(sweepers, "cluster.");
+  return search.finish(sweepers);
 }
 
 }  // namespace repro::cluster

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "core/search.hpp"
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace repro::cluster {
@@ -214,23 +213,7 @@ class Simulation {
 SimResult simulate_cluster(AlignmentOracle& oracle, const ClusterModel& model,
                            const core::FinderOptions& finder) {
   Simulation sim(oracle, model, finder);
-  SimResult result = sim.run();
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    reg.counter("vcluster.runs").add(1);
-    reg.counter("vcluster.assignments").add(result.assignments);
-    reg.counter("vcluster.row_replica_bytes").add(result.row_replica_bytes);
-    reg.counter("vcluster.comm_messages_modelled")
-        .add(result.comm_messages_modelled);
-    reg.counter("vcluster.reassignments").add(result.reassignments);
-    reg.counter("vcluster.workers_lost").add(result.workers_lost);
-    reg.timer("vcluster.comm_seconds_modelled")
-        .add_seconds(result.comm_seconds_modelled);
-    reg.set_gauge("vcluster.worker_busy_fraction",
-                  result.worker_busy_fraction);
-    reg.set_gauge("vcluster.makespan_sec", result.makespan_sec);
-  }
-  return result;
+  return sim.run();
 }
 
 }  // namespace repro::cluster

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "align/traceback.hpp"
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace repro::core {
@@ -32,61 +30,6 @@ TopAlignment trace_top(const Search& search, const Acceptance& a,
   top.end_x = tb.end_x;
   top.pairs = std::move(tb.pairs);
   return top;
-}
-
-/// Publishes a run's FinderStats and queue counters under `prefix`: one
-/// counter per stat, the timers, and the derived gauges — among them the §3
-/// claim, realignments_avoided_pct, against the exhaustive-sweep baseline of
-/// (tops-1)*(m-1) realignments.
-void publish_finder_stats(const FinderStats& stats, const GroupQueue& queue,
-                          int m, std::string_view prefix) {
-  auto& reg = obs::Registry::global();
-  const auto key = [&prefix](std::string_view name) {
-    std::string k(prefix);
-    k += name;
-    return k;
-  };
-  reg.counter(key("first_alignments")).add(stats.first_alignments);
-  reg.counter(key("realignments")).add(stats.realignments);
-  reg.counter(key("speculative")).add(stats.speculative);
-  reg.counter(key("tracebacks")).add(stats.tracebacks);
-  reg.counter(key("queue_pops")).add(stats.queue_pops);
-  reg.counter(key("queue.pushes")).add(queue.pushes());
-  reg.counter(key("queue.stale_skips")).add(queue.stale_skips());
-  reg.counter(key("cells")).add(stats.cells);
-  reg.counter(key("ckpt_hits")).add(stats.ckpt_hits);
-  reg.counter(key("ckpt_misses")).add(stats.ckpt_misses);
-  reg.counter(key("ckpt_evictions")).add(stats.ckpt_evictions);
-  reg.counter(key("ckpt_rows_skipped")).add(stats.rows_skipped);
-  reg.counter(key("ckpt_rows_swept")).add(stats.rows_swept);
-  reg.counter(key("skipped_realignments")).add(stats.skipped_realignments);
-  reg.counter(key("i8_sweeps")).add(stats.i8_sweeps);
-  reg.counter(key("i16_sweeps")).add(stats.i16_sweeps);
-  reg.counter(key("precision_escalations")).add(stats.precision_escalations);
-  reg.counter(key("profile_hits")).add(stats.profile_hits);
-  if (stats.realign_seconds > 0.0)
-    reg.timer(key("realign_seconds")).add_seconds(stats.realign_seconds);
-  if (stats.ckpt_hits + stats.ckpt_misses > 0)
-    reg.set_gauge(key("ckpt_hit_rate_pct"),
-                  100.0 * static_cast<double>(stats.ckpt_hits) /
-                      static_cast<double>(stats.ckpt_hits + stats.ckpt_misses));
-  if (stats.rows_swept > 0)
-    reg.set_gauge(key("ckpt_rows_skipped_pct"),
-                  100.0 * static_cast<double>(stats.rows_skipped) /
-                      static_cast<double>(stats.rows_swept));
-  reg.timer(key("seconds")).add_seconds(stats.seconds);
-  if (stats.idle_seconds > 0.0)
-    reg.timer(key("idle_seconds")).add_seconds(stats.idle_seconds);
-  if (stats.seconds > 0.0)
-    reg.set_gauge(key("cells_per_sec"),
-                  static_cast<double>(stats.cells) / stats.seconds);
-  if (stats.tracebacks >= 2 && m >= 2) {
-    const double sweep = static_cast<double>(stats.tracebacks - 1) *
-                         static_cast<double>(m - 1);
-    reg.set_gauge(key("realignments_avoided_pct"),
-                  100.0 * (1.0 - static_cast<double>(stats.realignments) /
-                                     sweep));
-  }
 }
 
 }  // namespace
@@ -262,7 +205,7 @@ void Search::sync(Sweeper& sweeper) const {
 }
 
 FinderResult Search::finish(std::span<Sweeper* const> sweepers,
-                            std::string_view prefix, double idle_seconds) {
+                            double idle_seconds) {
   FinderResult res;
   res.stats = stats_;
   std::set<const align::CheckpointCache*> caches;
@@ -279,8 +222,6 @@ FinderResult Search::finish(std::span<Sweeper* const> sweepers,
   res.stats.queue_pops = queue_.pops();
   res.stats.idle_seconds = idle_seconds;
   res.stats.seconds = timer_.seconds();
-  if constexpr (obs::kEnabled)
-    publish_finder_stats(res.stats, queue_, s_.length(), prefix);
   res.tops = std::move(tops_);
   return res;
 }

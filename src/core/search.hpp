@@ -28,7 +28,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "align/bottom_row_store.hpp"
@@ -104,11 +103,10 @@ class Search {
   /// Hands `sweeper` the acceptances it has not yet seen.
   void sync(Sweeper& sweeper) const;
 
-  /// Sums this run's sweeper statistics into the search's, publishes them
-  /// under `prefix` ("finder." / "parallel." / "cluster.") and returns the
+  /// Sums this run's sweeper statistics into the search's and returns the
   /// result. Call once, after the last sweep.
   FinderResult finish(std::span<Sweeper* const> sweepers,
-                      std::string_view prefix, double idle_seconds = 0.0);
+                      double idle_seconds = 0.0);
 
  private:
   struct Before {

@@ -14,7 +14,6 @@ std::vector<GroupTask> make_groups(int m, int lanes) {
 void GroupQueue::push(int group_index, TaskKey key) {
   const bool inserted = entries_.emplace(key, group_index).second;
   REPRO_CHECK_MSG(inserted, "group " << group_index << " already queued");
-  pushes_ += 1;
 }
 
 std::optional<int> GroupQueue::pop_best() {

@@ -86,7 +86,6 @@ class GroupQueue {
         pops_ += 1;
         return g;
       }
-      stale_skips_ += 1;
     }
     return std::nullopt;
   }
@@ -95,13 +94,9 @@ class GroupQueue {
   [[nodiscard]] std::optional<std::pair<TaskKey, int>> peek() const;
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  /// Lifetime push / pop counts and the number of up-to-date entries skipped
-  /// over by pop_best_if while hunting for a stale group (a direct measure of
-  /// how speculative the shared-memory scheduler had to get). Plain integers:
-  /// every caller already serializes queue access.
-  [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
+  /// Lifetime pop count. A plain integer: every caller already serializes
+  /// queue access.
   [[nodiscard]] std::uint64_t pops() const { return pops_; }
-  [[nodiscard]] std::uint64_t stale_skips() const { return stale_skips_; }
 
  private:
   struct Cmp {
@@ -113,9 +108,7 @@ class GroupQueue {
     }
   };
   std::set<std::pair<TaskKey, int>, Cmp> entries_;
-  std::uint64_t pushes_ = 0;
   std::uint64_t pops_ = 0;
-  std::uint64_t stale_skips_ = 0;
 };
 
 }  // namespace repro::core

@@ -4,7 +4,6 @@
 
 #include "align/bottom_row_store.hpp"
 #include "core/search.hpp"
-#include "obs/metrics.hpp"
 #include "parallel/parallel_finder.hpp"
 
 namespace repro::core {
@@ -13,7 +12,6 @@ FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options,
                                  align::Engine& engine) {
-  obs::ScopedSpan span(obs::Registry::global(), "finder.run");
   Search search(s, scoring, options, engine.lanes());
   std::optional<align::BottomRowStore> archive;
   if (options.memory == MemoryMode::kArchiveRows) archive.emplace(s.length());
@@ -38,7 +36,7 @@ FinderResult find_top_alignments(const seq::Sequence& s,
       search.finish_accept(*a, sweeper.trace(search, *a));
     }
   }
-  return search.finish(sweepers, "finder.");
+  return search.finish(sweepers);
 }
 
 FinderResult find_top_alignments(const seq::Sequence& s,

@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 
@@ -32,10 +31,6 @@ void MetricsReport::counter(std::string_view key, std::uint64_t value) {
   counters_.emplace_back(std::string(key), value);
 }
 
-void MetricsReport::include_registry(const Registry& registry) {
-  registry_ = &registry;
-}
-
 std::string MetricsReport::to_json() const {
   util::JsonWriter json;
   json.begin_object();
@@ -56,10 +51,6 @@ std::string MetricsReport::to_json() const {
   json.begin_object();
   for (const auto& [key, value] : counters_) json.kv(key, value);
   json.end_object();
-  if (registry_ != nullptr) {
-    json.key("registry");
-    registry_->write_json(json);
-  }
   json.end_object();
   return json.str();
 }

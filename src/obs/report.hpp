@@ -7,8 +7,7 @@
 //     "name": "<bench or tool name>",
 //     "params": { ... },       // run configuration (m, tops, engine, ...)
 //     "metrics": { ... },      // derived numbers (percentages, rates)
-//     "counters": { ... },     // explicit monotonic counts for this run
-//     "registry": { ... }      // optional obs::Registry snapshot
+//     "counters": { ... }      // explicit monotonic counts for this run
 //   }
 //
 // Benches write one per invocation via --json <path>; reprofind writes one
@@ -24,8 +23,6 @@
 #include <vector>
 
 namespace repro::obs {
-
-class Registry;
 
 class MetricsReport {
  public:
@@ -49,9 +46,6 @@ class MetricsReport {
   /// Monotonic counts for this run (appears under "counters").
   void counter(std::string_view key, std::uint64_t value);
 
-  /// Embeds a snapshot of `registry` under "registry".
-  void include_registry(const Registry& registry);
-
   /// The finished document as a JSON string.
   [[nodiscard]] std::string to_json() const;
 
@@ -65,7 +59,6 @@ class MetricsReport {
   std::vector<std::pair<std::string, Value>> params_;
   std::vector<std::pair<std::string, double>> metrics_;
   std::vector<std::pair<std::string, std::uint64_t>> counters_;
-  const Registry* registry_ = nullptr;
 };
 
 }  // namespace repro::obs

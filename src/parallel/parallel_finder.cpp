@@ -6,11 +6,9 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <string>
 #include <thread>
 
 #include "align/bottom_row_store.hpp"
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -125,17 +123,7 @@ core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
   for (auto& sw : sweepers) workers.push_back(&sw);
 
   const std::vector<double> idle = run_workers(search, workers);
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::Registry::global();
-    for (std::size_t t = 0; t < idle.size(); ++t) {
-      reg.timer("parallel.idle_wait_sec").add_seconds(idle[t]);
-      reg.timer("parallel.idle_wait_sec.t" + std::to_string(t))
-          .add_seconds(idle[t]);
-    }
-    reg.counter("parallel.threads")
-        .add(static_cast<std::uint64_t>(options.threads));
-  }
-  return search.finish(workers, "parallel.",
+  return search.finish(workers,
                        std::accumulate(idle.begin(), idle.end(), 0.0));
 }
 

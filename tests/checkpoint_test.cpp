@@ -681,7 +681,7 @@ TEST(SharedCheckpointCache, SweepersResumeFromEachOtherAndInvalidateOnce) {
   // The run's statistics count the shared cache once, not per sweeper.
   core::Search search(g.sequence, scoring, opt, /*lanes=*/1);
   core::Sweeper* const sweepers[] = {&a, &b};
-  const core::FinderResult res = search.finish(sweepers, "shared_cache.");
+  const core::FinderResult res = search.finish(sweepers);
   EXPECT_EQ(res.stats.ckpt_hits, cache.stats().hits);
   EXPECT_EQ(res.stats.ckpt_misses, cache.stats().misses);
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +33,14 @@ RunResult run_cli(const std::string& args) {
     result.out.append(buffer.data(), n);
   result.status = pclose(pipe);
   return result;
+}
+
+/// The whole file at `path`; empty when it cannot be read.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 std::string temp_fasta() {
@@ -252,21 +261,55 @@ TEST(Cli, MetricsJsonWritesPerfRecord) {
                               " --tops 3 --engine scalar --metrics-json " +
                               metrics_path);
   ASSERT_EQ(r.status, 0) << r.out;
-  std::ifstream in(metrics_path);
-  ASSERT_TRUE(in.good()) << "metrics file was not written";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string doc = buf.str();
+  const std::string doc = read_file(metrics_path);
+  ASSERT_FALSE(doc.empty()) << "metrics file was not written";
   EXPECT_NE(doc.find("\"schema\":\"repro-metrics-v1\""), std::string::npos)
       << doc;
   EXPECT_NE(doc.find("\"name\":\"reprofind.find\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"engine\":\"scalar\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"cells\":"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"tracebacks\":"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"registry\":{"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"idle_seconds\":"), std::string::npos) << doc;
+  EXPECT_EQ(doc.find("\"registry\""), std::string::npos) << doc;
   const auto open_braces = std::count(doc.begin(), doc.end(), '{');
   const auto close_braces = std::count(doc.begin(), doc.end(), '}');
   EXPECT_EQ(open_braces, close_braces);
+}
+
+// The value of integer key `key` in a metrics JSON document.
+std::uint64_t counter_value(const std::string& doc, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto at = doc.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing: " << doc;
+  if (at == std::string::npos) return 0;
+  return std::stoull(doc.substr(at + needle.size()));
+}
+
+TEST(Cli, ClusterMetricsJsonCountsMessagesPerRank) {
+  const std::string fasta = temp_fasta();
+  ASSERT_EQ(run_cli("generate --kind titin --length 300 --out " + fasta)
+                .status, 0);
+  const auto metrics_path = (std::filesystem::temp_directory_path() /
+                             "reprofind_cluster_metrics_test.json")
+                                .string();
+  std::filesystem::remove(metrics_path);
+  const RunResult r = run_cli("find --fasta " + fasta +
+                              " --tops 3 --engine scalar --ranks 3"
+                              " --metrics-json " + metrics_path);
+  ASSERT_EQ(r.status, 0) << r.out;
+  const std::string doc = read_file(metrics_path);
+  ASSERT_FALSE(doc.empty()) << "metrics file was not written";
+  std::uint64_t messages = 0;
+  std::uint64_t words = 0;
+  for (int rank = 0; rank < 3; ++rank) {
+    const std::string k = std::to_string(rank);
+    messages += counter_value(doc, "cluster_messages_rank" + k);
+    words += counter_value(doc, "cluster_payload_words_rank" + k);
+  }
+  EXPECT_EQ(doc.find("\"cluster_messages_rank3\""), std::string::npos) << doc;
+  EXPECT_GT(messages, 0u);
+  EXPECT_EQ(messages, counter_value(doc, "cluster_messages"));
+  EXPECT_EQ(words, counter_value(doc, "cluster_payload_words"));
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 // determinism across repeats, and every finder option in every driver.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "cluster/master_worker.hpp"
 #include "core/top_alignment_finder.hpp"
 #include "core/verify.hpp"
-#include "obs/metrics.hpp"
 #include "parallel/parallel_finder.hpp"
 #include "seq/generator.hpp"
 
@@ -227,32 +228,69 @@ TYPED_TEST(DriverMatrix, EveryOptionMatchesSequential) {
   }
 }
 
+/// What the engines of one factory computed, added up as each is destroyed.
+struct EngineTotals {
+  std::mutex mutex;
+  std::uint64_t cells = 0;
+  align::PrecisionStats precision;
+};
+
+/// Forwards to an inner engine and adds the inner engine's own counts to
+/// `totals` when destroyed (cluster ranks destroy theirs on their threads).
+class TallyEngine final : public align::Engine {
+ public:
+  TallyEngine(std::unique_ptr<align::Engine> inner,
+              std::shared_ptr<EngineTotals> totals)
+      : inner_(std::move(inner)), totals_(std::move(totals)) {}
+  TallyEngine(const TallyEngine&) = delete;
+  TallyEngine& operator=(const TallyEngine&) = delete;
+  ~TallyEngine() override {
+    const align::PrecisionStats p = inner_->precision_stats();
+    const std::lock_guard lock(totals_->mutex);
+    totals_->cells += inner_->cells_computed();
+    totals_->precision.i8_sweeps += p.i8_sweeps;
+    totals_->precision.i16_sweeps += p.i16_sweeps;
+    totals_->precision.escalations += p.escalations;
+    totals_->precision.profile_hits += p.profile_hits;
+  }
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] int lanes() const override { return inner_->lanes(); }
+  [[nodiscard]] bool supports_checkpoints() const override {
+    return inner_->supports_checkpoints();
+  }
+  [[nodiscard]] align::PrecisionStats precision_stats() const override {
+    return inner_->precision_stats();
+  }
+
+ protected:
+  void do_align(const align::GroupJob& job,
+                std::span<const std::span<align::Score>> out) override {
+    inner_->align(job, out);
+  }
+
+ private:
+  std::unique_ptr<align::Engine> inner_;
+  std::shared_ptr<EngineTotals> totals_;
+};
+
 TYPED_TEST(DriverMatrix, StatsSumTheRunsEngines) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "REPRO_OBS=OFF build";
   const auto g = seq::synthetic_titin(300, 12);
   FinderOptions opt;
   opt.num_top_alignments = 5;
-  auto& reg = obs::Registry::global();
-  const auto counter = [&reg](const char* name) {
-    const auto snap = reg.snapshot();
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  const auto totals = std::make_shared<EngineTotals>();
+  const align::EngineFactory factory = [totals] {
+    return std::make_unique<TallyEngine>(
+        align::make_engine(align::EngineKind::kSimdAuto), totals);
   };
-  const char* const names[] = {
-      "align.lane_cells", "align.precision.i8_sweeps",
-      "align.precision.i16_sweeps", "align.precision.escalations",
-      "align.precision.profile_hits"};
-  std::vector<std::uint64_t> before;
-  for (const char* n : names) before.push_back(counter(n));
-  const auto res = TypeParam::run(
-      g.sequence, Scoring::protein_default(), opt,
-      align::engine_factory(align::EngineKind::kSimdAuto));
-  const std::uint64_t got[] = {res.stats.cells, res.stats.i8_sweeps,
-                               res.stats.i16_sweeps,
-                               res.stats.precision_escalations,
-                               res.stats.profile_hits};
-  for (std::size_t k = 0; k < before.size(); ++k)
-    EXPECT_EQ(got[k], counter(names[k]) - before[k]) << names[k];
+  const auto res =
+      TypeParam::run(g.sequence, Scoring::protein_default(), opt, factory);
+  // Every engine of the run is destroyed by the time the driver returns.
+  EXPECT_EQ(res.stats.cells, totals->cells);
+  EXPECT_EQ(res.stats.i8_sweeps, totals->precision.i8_sweeps);
+  EXPECT_EQ(res.stats.i16_sweeps, totals->precision.i16_sweeps);
+  EXPECT_EQ(res.stats.precision_escalations, totals->precision.escalations);
+  EXPECT_EQ(res.stats.profile_hits, totals->precision.profile_hits);
   EXPECT_GT(res.stats.cells, 0u);
   EXPECT_GT(res.stats.i8_sweeps, 0u);
   EXPECT_GE(res.stats.queue_pops, res.stats.tracebacks);

@@ -5,9 +5,9 @@ Rules
 -----
 no-kernel-locks       DP kernel translation units must contain no mutex /
                       lock / RMW-atomic / non-relaxed memory-order tokens:
-                      the REPRO_OBS=OFF build guarantees zero synchronisation
-                      in the cell loops, and relaxed override-bit loads are
-                      the only sanctioned atomic access.
+                      the cell loops hold no synchronisation in any build,
+                      and relaxed override-bit loads are the only sanctioned
+                      atomic access.
 engine-test-coverage  every EngineKind enumerator must be exercised by
                       tests/core_equivalence_test.cpp, and every enumerator
                       except kGeneralGap (no checkpoint support) by
@@ -19,17 +19,11 @@ engine-test-coverage  every EngineKind enumerator must be exercised by
 no-raw-new-delete     no raw new / delete expressions in src/ (containers,
                       unique_ptr and the aligned allocator cover every need);
                       `= delete` declarations are fine.
-metrics-naming        string literals fed to counter()/timer()/set_gauge()
-                      (and the finder key() helpers) must match the
-                      repro-metrics-v1 grammar
-                      [a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)* — a trailing '.'
-                      marks a prefix literal completed at runtime.
-metrics-registry      metric literals under the cluster./vcluster./align.
-                      namespaces must appear in CLUSTER_METRIC_NAMES /
-                      ALIGN_METRIC_NAMES: the grammar accepts any
-                      well-formed name, so a typo'd counter would silently
-                      fork a new time series. Add new names to the registry
-                      alongside the code.
+metrics-naming        string literals fed to MetricsReport counter()/metric()
+                      in tools/ and bench/ must match the repro-metrics-v1
+                      grammar [a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)* (a
+                      literal completed at runtime, such as a per-rank
+                      suffix, is checked as written).
 nolint-reason         every NOLINT must name its check and give a reason:
                       // NOLINT(<check>): <reason>
 shell-hygiene         shell scripts start with a bash shebang and set
@@ -69,52 +63,8 @@ LOCK_TOKENS = re.compile(
     r"memory_order_(acquire|release|acq_rel|seq_cst|consume))\b"
 )
 
-METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*\.?$")
-
-# Known-names registry for the cluster namespaces (metrics-registry rule).
-# Runtime-suffixed per-rank variants (cluster.messages.rank3, ...) share
-# their base literal; a bare "cluster." / "vcluster." literal is a prefix
-# completed at runtime and is exempt.
-CLUSTER_METRIC_NAMES = {
-    "cluster.messages",
-    "cluster.payload_words",
-    "cluster.row_replicas_served",
-    "cluster.row_deposits",
-    "cluster.ranks",
-    "cluster.faults_injected",
-    "cluster.retries",
-    "cluster.reassignments",
-    "cluster.heartbeat_misses",
-    "cluster.stale_results",
-    "cluster.row_rebuilds",
-    "cluster.sync_requests",
-    "cluster.workers_lost",
-    "vcluster.runs",
-    "vcluster.assignments",
-    "vcluster.row_replica_bytes",
-    "vcluster.comm_messages_modelled",
-    "vcluster.comm_seconds_modelled",
-    "vcluster.reassignments",
-    "vcluster.workers_lost",
-    "vcluster.worker_busy_fraction",
-    "vcluster.makespan_sec",
-}
-
-# Known-names registry for the align. namespace (kernel + adaptive-precision
-# counters emitted by the engines themselves).
-ALIGN_METRIC_NAMES = {
-    "align.lane_cells",
-    "align.group_alignments",
-    "align.lane_cells_skipped",
-    "align.precision.i8_sweeps",
-    "align.precision.i16_sweeps",
-    "align.precision.escalations",
-    "align.precision.profile_hits",
-    "align.precision.profile_builds",
-}
-REGISTERED_METRIC_NAMES = CLUSTER_METRIC_NAMES | ALIGN_METRIC_NAMES
-METRIC_CALL = re.compile(r"\b(?:counter|timer|set_gauge)\(\s*\"([^\"]*)\"")
-METRIC_KEY_CALL = re.compile(r"\bkey\(\s*\"([^\"]*)\"")
+METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
+METRIC_CALL = re.compile(r"\b(?:counter|metric)\(\s*\"([^\"]*)\"")
 
 NOLINT_OK = re.compile(r"NOLINT(?:NEXTLINE)?\([\w.,\- ]+\):\s*\S")
 NOLINT_ANY = re.compile(r"NOLINT")
@@ -215,8 +165,8 @@ def check_kernel_locks() -> None:
             if m and not allowed(raw_line, "no-kernel-locks"):
                 fail(path, no, "no-kernel-locks",
                      f"synchronisation token '{m.group(0)}' in a DP kernel "
-                     "file (REPRO_OBS=OFF builds promise lock-free cell "
-                     "loops; only relaxed loads are sanctioned)")
+                     "file (the cell loops are lock-free in every build; "
+                     "only relaxed loads are sanctioned)")
 
 
 def check_engine_coverage() -> None:
@@ -284,29 +234,15 @@ def check_raw_new_delete() -> None:
 
 
 def check_metrics_naming() -> None:
-    for path in glob_files(["src/**/*.cpp", "src/**/*.hpp"]):
-        text = path.read_text()
-        lines = text.splitlines()
-        for no, line in enumerate(lines, start=1):
-            names = METRIC_CALL.findall(line)
-            # key("...") helpers build metric names only in the finder layers.
-            if "core/" in str(path) or "parallel/" in str(path):
-                names += METRIC_KEY_CALL.findall(line)
-            for name in names:
-                if allowed(line, "metrics-naming"):
-                    continue
-                if not METRIC_NAME.match(name):
+    for path in glob_files(["tools/**/*.cpp", "bench/**/*.cpp",
+                            "bench/**/*.hpp"]):
+        for no, line in enumerate(path.read_text().splitlines(), start=1):
+            for name in METRIC_CALL.findall(line):
+                if not METRIC_NAME.match(name) and not allowed(
+                        line, "metrics-naming"):
                     fail(path, no, "metrics-naming",
                          f'metric name "{name}" violates repro-metrics-v1 '
                          "([a-z][a-z0-9_]* dot-separated segments)")
-                elif (re.match(r"^(v?cluster|align)\.", name)
-                      and not name.endswith(".")
-                      and name not in REGISTERED_METRIC_NAMES
-                      and not allowed(line, "metrics-registry")):
-                    fail(path, no, "metrics-registry",
-                         f'metric name "{name}" is not in the '
-                         "CLUSTER_METRIC_NAMES / ALIGN_METRIC_NAMES registry "
-                         "(tools/repro_lint.py) — add it there or fix the typo")
 
 
 def check_nolint_reasons() -> None:

@@ -11,13 +11,13 @@
 // delineates repeat regions; output formats: text (default), json, csv.
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "align/engine.hpp"
 #include "cluster/master_worker.hpp"
 #include "core/consensus.hpp"
 #include "core/delineate.hpp"
 #include "core/top_alignment_finder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "parallel/parallel_finder.hpp"
 #include "seq/fasta.hpp"
@@ -172,8 +172,8 @@ int cmd_find(int argc, char** argv) {
                    {"alignments", "print the gapped alignments (text format)"},
                    {"format", "text (default) | json | csv"},
                    {"metrics-json",
-                    "write a repro-metrics-v1 perf record (run counters + "
-                    "the obs registry) to this path"}});
+                    "write a repro-metrics-v1 perf record (the run's "
+                    "counters) to this path"}});
   if (args.help_requested()) return 0;
   REPRO_CHECK_MSG(args.has("fasta"), "--fasta is required (see --help)");
 
@@ -254,6 +254,13 @@ int cmd_find(int argc, char** argv) {
       cluster_total.row_rebuilds += info.row_rebuilds;
       cluster_total.sync_requests += info.sync_requests;
       cluster_total.workers_lost += info.workers_lost;
+      cluster_total.messages_by_rank.resize(info.messages_by_rank.size());
+      cluster_total.payload_words_by_rank.resize(
+          info.payload_words_by_rank.size());
+      for (std::size_t k = 0; k < info.messages_by_rank.size(); ++k) {
+        cluster_total.messages_by_rank[k] += info.messages_by_rank[k];
+        cluster_total.payload_words_by_rank[k] += info.payload_words_by_rank[k];
+      }
     } else if (threads > 1) {
       parallel::ParallelOptions popt;
       popt.threads = threads;
@@ -331,6 +338,13 @@ int cmd_find(int argc, char** argv) {
       report.counter("cluster_row_rebuilds", cluster_total.row_rebuilds);
       report.counter("cluster_sync_requests", cluster_total.sync_requests);
       report.counter("cluster_workers_lost", cluster_total.workers_lost);
+      for (std::size_t k = 0; k < cluster_total.messages_by_rank.size(); ++k) {
+        const std::string rank = std::to_string(k);
+        report.counter("cluster_messages_rank" + rank,
+                       cluster_total.messages_by_rank[k]);
+        report.counter("cluster_payload_words_rank" + rank,
+                       cluster_total.payload_words_by_rank[k]);
+      }
     }
     report.param("tops_requested", opt.num_top_alignments);
     report.param("sequences", static_cast<std::int64_t>(records.size()));
@@ -356,11 +370,11 @@ int cmd_find(int argc, char** argv) {
     report.counter("precision_escalations", total_stats.precision_escalations);
     report.counter("profile_hits", total_stats.profile_hits);
     report.metric("realign_seconds", total_stats.realign_seconds);
+    report.metric("idle_seconds", total_stats.idle_seconds);
     if (total_stats.rows_swept > 0)
       report.metric("ckpt_rows_skipped_pct",
                     100.0 * static_cast<double>(total_stats.rows_skipped) /
                         static_cast<double>(total_stats.rows_swept));
-    report.include_registry(obs::Registry::global());
     report.write_file(metrics_path);
   }
   return 0;
