@@ -112,14 +112,14 @@ int main(int argc, char** argv) {
                                : "-",
                        secs, static_cast<long long>(info.messages),
                        static_cast<long long>(info.payload_words),
-                       static_cast<long long>(info.faults_injected),
+                       static_cast<long long>(info.fault_stats.injected()),
                        static_cast<long long>(info.retries),
                        static_cast<long long>(info.reassignments),
                        static_cast<long long>(info.row_rebuilds),
                        static_cast<long long>(info.workers_lost)});
         messages_sum += info.messages;
         words_sum += info.payload_words;
-        injected_sum += info.faults_injected;
+        injected_sum += info.fault_stats.injected();
         retries_sum += info.retries;
         reassign_sum += info.reassignments;
         rebuild_sum += info.row_rebuilds;

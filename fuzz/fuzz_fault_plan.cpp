@@ -96,11 +96,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                  : cluster::RowStorage::kMasterReplica;
   copt.finder = opt;
   copt.fault_plan = cluster::FaultPlan::from_seed(fault_seed, ranks);
-  copt.ft.task_timeout_ms = 60;
-  copt.ft.row_timeout_ms = 30;
-  copt.ft.hello_timeout_ms = 40;
-  copt.ft.max_backoff_ms = 400;
-  copt.ft.poll_ms = 5;
 
   const auto factory = align::engine_factory(align::EngineKind::kScalar);
   const core::FinderResult res = cluster::find_top_alignments_cluster(

@@ -114,12 +114,6 @@ FaultEvent parse_event(std::string_view token) {
 
 }  // namespace
 
-bool FaultPlan::schedules_crash() const {
-  return std::any_of(events.begin(), events.end(), [](const FaultEvent& e) {
-    return is_death(e.kind);
-  });
-}
-
 std::vector<int> FaultPlan::crashed_ranks() const {
   std::set<int> ranks;
   for (const FaultEvent& e : events)

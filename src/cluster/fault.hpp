@@ -50,8 +50,6 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 
   [[nodiscard]] bool empty() const { return events.empty(); }
-  /// True when a kCrash or kKill is scheduled.
-  [[nodiscard]] bool schedules_crash() const;
   /// Ranks scheduled to crash or be killed (deduplicated).
   [[nodiscard]] std::vector<int> crashed_ranks() const;
   /// True when at least one event is a kDelay (Comm then polls its waits so

@@ -39,10 +39,17 @@ enum Tag : int {
   kSyncReply,    // M->W: [target_version, npairs, pairs...]  (cumulative
                  //        from version 0 — idempotent to reapply)
   kReject,       // W->M: [r0, version]  (assign version no longer computable)
-  kPing,         // M->W: []  (sent on a missed deadline; liveness probe)
-  kPong,         // W->M: []
   kShutdown,     // M->W: []
 };
+
+// Recovery timing. Task deadlines and resends arm only under a fault plan
+// (an in-process fault-free run cannot lose messages); closed-rank
+// detection is always on. Spurious timeouts only repeat deduplicated work.
+constexpr milliseconds kTaskTimeout{60};   // least task deadline
+constexpr milliseconds kRowTimeout{30};    // row-fetch / sync resend base
+constexpr milliseconds kHelloTimeout{40};  // worker hello resend base
+constexpr milliseconds kMaxBackoff{400};   // resend interval cap (x2 each)
+constexpr milliseconds kPoll{5};           // receive quantum of every loop
 
 /// Process-shared recovery accounting. Observability only — never consulted
 /// by the protocol itself, so relaxed atomics are fine (a real-MPI port
@@ -82,10 +89,20 @@ std::vector<std::int16_t> row_from_message(const Message& msg) {
   return row;
 }
 
-milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft) {
-  const auto scaled = static_cast<std::int64_t>(
-      static_cast<double>(current.count()) * ft.backoff);
-  return milliseconds(std::min<std::int64_t>(scaled, ft.max_backoff_ms));
+milliseconds next_backoff(milliseconds current) {
+  return std::min(2 * current, kMaxBackoff);
+}
+
+/// Advisory owner of row r among the workers still alive. Fault-free this
+/// is the static partition 1 + (r % workers); after a crash the shard
+/// re-homes to a surviving rank, which rebuilds the row on demand.
+int owner_of_alive(const Comm& comm, int r) {
+  std::vector<int> alive;
+  for (int w = 1; w < comm.size(); ++w)
+    if (!comm.closed(w)) alive.push_back(w);
+  if (alive.empty())
+    throw std::runtime_error("cluster: every worker died during a row fetch");
+  return alive[static_cast<std::size_t>(r) % alive.size()];
 }
 
 /// Master (rank 0): the search (queue, acceptance + traceback), worker
@@ -94,12 +111,10 @@ milliseconds next_backoff(milliseconds current, const FaultToleranceOptions& ft)
 /// recomputes accepted rows.
 class Master {
  public:
-  Master(Comm& comm, core::Search& search, const ClusterOptions& options,
-         RecoveryStats& recovery, align::BottomRowStore* archive,
-         core::Sweeper* sweeper)
+  Master(Comm& comm, core::Search& search, RecoveryStats& recovery,
+         align::BottomRowStore* archive, core::Sweeper* sweeper)
       : comm_(comm),
         search_(search),
-        options_(options),
         recovery_(recovery),
         archive_(archive),
         sweeper_(sweeper),
@@ -113,7 +128,7 @@ class Master {
       if (alive_workers() == 0)
         throw std::runtime_error(
             "cluster: every worker died with work remaining");
-      if (const auto got = poll_recv(milliseconds(options_.ft.poll_ms)))
+      if (const auto got = poll_recv(kPoll))
         handle(got->first, got->second);
     }
     // A crash that came due from here on could not be observed, so none is
@@ -135,12 +150,14 @@ class Master {
  private:
   struct Assignment {
     core::SweepOrder order;
+    Clock::time_point start;
     Clock::time_point deadline;
   };
   enum class WState { kNew, kIdle, kBusy, kDead };
   struct WorkerRec {
     WState state = WState::kNew;
     std::optional<Assignment> job;
+    Clock::duration timeout = kTaskTimeout;  ///< this worker's task deadline
   };
 
   int alive_workers() const {
@@ -177,7 +194,8 @@ class Master {
   /// Liveness sweep: fold in closed (crashed or exited) workers and, when a
   /// fault plan is active, expire assignment deadlines. The deadline path
   /// is optimistic: the worker may merely be slow, but cancel+requeue is
-  /// always safe under result dedup, so false positives only cost work.
+  /// always safe under result dedup, so false positives only cost work —
+  /// and each lapse doubles the worker's deadline, so they stop.
   void sweep() {
     const auto now = Clock::now();
     for (int w = 1; w < comm_.size(); ++w) {
@@ -195,7 +213,7 @@ class Master {
       }
       if (deadlines_armed() && rec.job.has_value() && now >= rec.job->deadline) {
         recovery_.bump(recovery_.heartbeat_misses);
-        comm_.send(0, w, {kPing, {}});
+        rec.timeout *= 2;
         cancel_assignment(w);
         recovery_.bump(recovery_.retries);
         mark_idle(w);
@@ -215,27 +233,14 @@ class Master {
     }
   }
 
-  /// Advisory owner of row r among the workers still alive. Fault-free this
-  /// is the static partition 1 + (r % workers); after a crash the shard
-  /// re-homes to a surviving rank, which rebuilds the row on demand.
-  int owner_of_alive(int r) const {
-    std::vector<int> alive;
-    for (int w = 1; w < comm_.size(); ++w)
-      if (!comm_.closed(w)) alive.push_back(w);
-    if (alive.empty())
-      throw std::runtime_error(
-          "cluster: every worker died during a row fetch");
-    return alive[static_cast<std::size_t>(r) % alive.size()];
-  }
-
   /// Fetches row r from its (current) owner, servicing every other message
   /// normally while blocked — results keep flowing during the master's
   /// fetch, only acceptance is on hold. Times out, backs off, and re-routes
   /// to a surviving owner if the first choice dies mid-request.
   std::vector<std::int16_t> fetch_row_remote(int r) {
-    auto backoff = milliseconds(options_.ft.row_timeout_ms);
+    auto backoff = kRowTimeout;
     for (;;) {
-      const int owner = owner_of_alive(r);
+      const int owner = owner_of_alive(comm_, r);
       comm_.send(0, owner, {kRowRequest, {r}});
       const auto deadline = Clock::now() + backoff;
       for (;;) {
@@ -258,7 +263,7 @@ class Master {
       // in-process run just keeps waiting (the owner may be computing).
       if (!comm_.fault_active() && !comm_.closed(owner)) continue;
       recovery_.bump(recovery_.retries);
-      backoff = next_backoff(backoff, options_.ft);
+      backoff = next_backoff(backoff);
       sweep();  // fold in the owner's death before re-routing
     }
   }
@@ -306,8 +311,8 @@ class Master {
       WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
       REPRO_DCHECK(rec.state == WState::kIdle && !rec.job.has_value());
       rec.state = WState::kBusy;
-      rec.job = Assignment{
-          *o, Clock::now() + milliseconds(options_.ft.task_timeout_ms)};
+      const auto now = Clock::now();
+      rec.job = Assignment{*o, now, now + rec.timeout};
       comm_.send(0, w, {kAssign, {o->r0, o->count, o->version}});
     }
   }
@@ -349,8 +354,6 @@ class Master {
           mark_idle(src);
         }
         break;
-      case kPong:
-        break;  // liveness evidence only; the deadline already handled it
       default:
         REPRO_CHECK_MSG(false, "master received unexpected tag " << msg.tag);
     }
@@ -393,6 +396,8 @@ class Master {
       return;
     }
     const core::SweepOrder order = rec.job->order;
+    longest_sweep_ = std::max(longest_sweep_, Clock::now() - rec.job->start);
+    rec.timeout = std::max<Clock::duration>(kTaskTimeout, 2 * longest_sweep_);
     rec.job.reset();
     REPRO_CHECK(order.count == count);
     const auto first = msg.data.begin() + 3;
@@ -417,13 +422,13 @@ class Master {
 
   Comm& comm_;
   core::Search& search_;
-  const ClusterOptions& options_;
   RecoveryStats& recovery_;
   align::BottomRowStore* archive_;  // replica mode only
   core::Sweeper* sweeper_;          // MemoryMode::kRecomputeRows only
   std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // partitioned
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
+  Clock::duration longest_sweep_{};  ///< assign-to-result, applied results
   std::uint64_t replicas_served_ = 0;
 };
 
@@ -462,7 +467,7 @@ class Worker {
 
   void run() {
     comm_.send(rank_, 0, {kReqWork, {}});
-    auto hello_backoff = milliseconds(options_.ft.hello_timeout_ms);
+    auto hello_backoff = kHelloTimeout;
     auto next_hello = Clock::now() + hello_backoff;
     try {
       for (;;) {
@@ -472,8 +477,7 @@ class Worker {
           handle_assign(assign);
           continue;
         }
-        const auto got =
-            comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
+        const auto got = comm_.recv_any_for(rank_, kPoll);
         if (!got) {
           if (comm_.closed(0)) return;  // master gone (e.g. shutdown dropped)
           // Re-hello until the master provably knows us (first assign):
@@ -482,7 +486,7 @@ class Worker {
               Clock::now() >= next_hello) {
             comm_.send(rank_, 0, {kReqWork, {}});
             recovery_.bump(recovery_.retries);
-            hello_backoff = next_backoff(hello_backoff, options_.ft);
+            hello_backoff = next_backoff(hello_backoff);
             next_hello = Clock::now() + hello_backoff;
           }
           continue;
@@ -542,9 +546,6 @@ class Worker {
       case kSyncReply:
         apply_sync(msg);
         break;
-      case kPing:
-        comm_.send(rank_, 0, {kPong, {}});
-        break;
       default:
         REPRO_CHECK_MSG(false, "worker " << rank_ << " got unexpected tag "
                                          << msg.tag << " from " << src);
@@ -588,11 +589,10 @@ class Worker {
   void sync_to(int target) {
     recovery_.bump(recovery_.sync_requests);
     comm_.send(rank_, 0, {kSyncRequest, {target}});
-    auto backoff = milliseconds(options_.ft.row_timeout_ms);
+    auto backoff = kRowTimeout;
     auto deadline = Clock::now() + backoff;
     while (version_ < target) {
-      const auto got =
-          comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
+      const auto got = comm_.recv_any_for(rank_, kPoll);
       if (got) {
         const auto& [src, msg] = *got;
         if (msg.tag == kShutdown) throw ShutdownSignal{};
@@ -607,18 +607,9 @@ class Worker {
       if (comm_.closed(0)) throw ShutdownSignal{};
       comm_.send(rank_, 0, {kSyncRequest, {target}});
       recovery_.bump(recovery_.retries);
-      backoff = next_backoff(backoff, options_.ft);
+      backoff = next_backoff(backoff);
       deadline = Clock::now() + backoff;
     }
-  }
-
-  /// Advisory owner of row r among live workers (possibly this rank).
-  int owner_of_alive(int r) const {
-    std::vector<int> alive;
-    for (int w = 1; w < comm_.size(); ++w)
-      if (!comm_.closed(w)) alive.push_back(w);
-    REPRO_DCHECK(!alive.empty());  // we are alive and a worker
-    return alive[static_cast<std::size_t>(r) % alive.size()];
   }
 
   /// Deterministically recomputes the v0 bottom row of r from scratch (a
@@ -667,16 +658,15 @@ class Worker {
       if (const auto it = owned_rows_.find(r); it != owned_rows_.end())
         return it->second;
     }
-    auto backoff = milliseconds(options_.ft.row_timeout_ms);
+    auto backoff = kRowTimeout;
     for (;;) {
-      const int owner = partitioned() ? owner_of_alive(r) : 0;
+      const int owner = partitioned() ? owner_of_alive(comm_, r) : 0;
       if (owner == rank_) return rebuild_row(r);  // shard re-homed to us
       comm_.send(rank_, owner, {kRowRequest, {r}});
       const auto deadline = Clock::now() + backoff;
       for (;;) {
         if (Clock::now() >= deadline) break;
-        const auto got =
-            comm_.recv_any_for(rank_, milliseconds(options_.ft.poll_ms));
+        const auto got = comm_.recv_any_for(rank_, kPoll);
         if (!got) continue;
         const auto& [src, msg] = *got;
         if (msg.tag == kRowReply && msg.data.at(0) == r)
@@ -693,7 +683,7 @@ class Worker {
       if (!comm_.fault_active() && !comm_.closed(owner)) continue;
       if (comm_.closed(0)) throw ShutdownSignal{};
       recovery_.bump(recovery_.retries);
-      backoff = next_backoff(backoff, options_.ft);
+      backoff = next_backoff(backoff);
     }
   }
 
@@ -733,7 +723,7 @@ class Worker {
         // before our result reaches the master, so the deposit is always in
         // the owner's mailbox before any consumer's request — and if the
         // fault plan drops it, the owner rebuilds on demand).
-        const int owner = owner_of_alive(r);
+        const int owner = owner_of_alive(comm_, r);
         if (owner == rank_) {
           owned_rows_.emplace(r, std::move(row));
         } else {
@@ -826,8 +816,7 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
                                  budget, recovery);
     sweepers.push_back(&w->sweeper());
   }
-  Master master(comm, search, options, recovery,
-                archive ? &*archive : nullptr,
+  Master master(comm, search, recovery, archive ? &*archive : nullptr,
                 master_sweeper ? &*master_sweeper : nullptr);
   run_ranks(comm, [&](int rank) {
     if (rank == 0) {
@@ -840,7 +829,6 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
   // Read the counters after the join: stragglers (workers finishing
   // superseded work during shutdown) keep sending — and counting — until
   // their bodies exit.
-  const FaultStats faults = comm.fault_stats();
   const auto load = [](const std::atomic<std::uint64_t>& c) {
     return c.load(std::memory_order_relaxed);
   };
@@ -857,7 +845,6 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
       info->payload_words_by_rank[static_cast<std::size_t>(rank)] =
           comm.words_sent_from(rank);
     }
-    info->faults_injected = faults.injected();
     info->retries = load(recovery.retries);
     info->reassignments = load(recovery.reassignments);
     info->heartbeat_misses = load(recovery.heartbeat_misses);
@@ -865,7 +852,7 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     info->row_rebuilds = load(recovery.row_rebuilds);
     info->sync_requests = load(recovery.sync_requests);
     info->workers_lost = load(recovery.workers_lost);
-    info->fault_stats = faults;
+    info->fault_stats = comm.fault_stats();
   }
   return search.finish(sweepers);
 }

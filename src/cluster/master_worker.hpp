@@ -27,6 +27,12 @@
 // Because results are deterministic functions of (group, version) and the
 // acceptance guard is unchanged, the accepted top alignments under any such
 // fault schedule are identical to the fault-free — and sequential — run's.
+//
+// The timeouts are fixed (master_worker.cpp) and arm only under a fault
+// plan; closed-rank detection is always on. A worker's task deadline
+// adapts: it doubles on every lapse and, on every applied result, resets
+// to twice the longest sweep applied so far (at least 60 ms), so a sweep
+// slower than the deadline is not requeued forever.
 #pragma once
 
 #include <cstdint>
@@ -52,20 +58,6 @@ namespace repro::cluster {
 ///     polling concern the paper raises.
 enum class RowStorage { kMasterReplica, kPartitioned };
 
-/// Timeout/retry tuning for the recovery protocol. Task deadlines and
-/// proactive hello resends only arm when a fault plan is active (an
-/// in-process fault-free run cannot lose messages, so arming them would
-/// just add noise); closed-rank detection is always on, which is what
-/// turns a worker dying mid-run from a hang into a recovered run.
-struct FaultToleranceOptions {
-  int task_timeout_ms = 150;  ///< master: assignment deadline before requeue
-  int row_timeout_ms = 60;    ///< row-fetch / sync-request resend base
-  int hello_timeout_ms = 80;  ///< worker: hello resend base until registered
-  double backoff = 2.0;       ///< exponential backoff factor for resends
-  int max_backoff_ms = 2000;  ///< resend interval cap
-  int poll_ms = 20;           ///< master main-loop receive quantum
-};
-
 struct ClusterOptions {
   /// Total ranks including the master; ranks == 1 runs a degenerate
   /// master-computes-everything mode (for testing the protocol plumbing).
@@ -76,7 +68,6 @@ struct ClusterOptions {
   /// crash rank 0 and must leave at least one worker alive — the regime in
   /// which recovery (and identical output) is guaranteed. Empty = reliable.
   FaultPlan fault_plan;
-  FaultToleranceOptions ft;
 };
 
 struct ClusterRunInfo {
@@ -90,15 +81,15 @@ struct ClusterRunInfo {
   std::vector<std::uint64_t> payload_words_by_rank;
 
   /// Recovery accounting (all zero on a fault-free run).
-  std::uint64_t faults_injected = 0;   ///< drops+delays+dups+crashes fired
   std::uint64_t retries = 0;           ///< timed-out requests resent/requeued
   std::uint64_t reassignments = 0;     ///< tasks re-homed off dead workers
-  std::uint64_t heartbeat_misses = 0;  ///< assignment deadlines that lapsed
+  std::uint64_t heartbeat_misses = 0;  ///< task deadlines that lapsed (the
+                                       ///< task was requeued; no ping is sent)
   std::uint64_t stale_results = 0;     ///< duplicate/superseded results dropped
   std::uint64_t row_rebuilds = 0;      ///< partitioned rows recomputed on demand
   std::uint64_t sync_requests = 0;     ///< worker version resynchronisations
   std::uint64_t workers_lost = 0;      ///< ranks observed dead by the master
-  FaultStats fault_stats;              ///< per-kind injection breakdown
+  FaultStats fault_stats;              ///< injections, by kind and in total
 };
 
 core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,

@@ -180,98 +180,9 @@ void Comm::send(int from, int to, Message msg) {
   box.cv.notify_all();
 }
 
-Message Comm::recv(int to, int from) {
-  REPRO_CHECK(from >= 0 && from < size() && to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    flush_held(box);
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->first == from) {
-        note_op(to);
-        Message msg = std::move(it->second);
-        box.queue.erase(it);
-        return msg;
-      }
-    }
-    if (closed_[static_cast<std::size_t>(from)].load(std::memory_order_acquire) &&
-        box.held[static_cast<std::size_t>(from)].empty())
-      throw ChannelClosed(from);
-    if (has_delays_) {
-      box.cv.wait_for(lock, kTickQuantum);
-      tick_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      box.cv.wait(lock);
-    }
-  }
-}
-
-Message Comm::recv_tagged(int to, int from, int tag) {
-  REPRO_CHECK(from >= 0 && from < size() && to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    flush_held(box);
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->first == from && it->second.tag == tag) {
-        note_op(to);
-        Message msg = std::move(it->second);
-        box.queue.erase(it);
-        return msg;
-      }
-    }
-    if (closed_[static_cast<std::size_t>(from)].load(std::memory_order_acquire) &&
-        box.held[static_cast<std::size_t>(from)].empty())
-      throw ChannelClosed(from);
-    if (has_delays_) {
-      box.cv.wait_for(lock, kTickQuantum);
-      tick_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      box.cv.wait(lock);
-    }
-  }
-}
-
 void Comm::broadcast(int from, const Message& msg) {
   for (int to = 0; to < size(); ++to)
     if (to != from) send(from, to, msg);
-}
-
-void Comm::barrier(int rank) {
-  if (size() == 1) return;
-  if (rank == 0) {
-    for (int w = 1; w < size(); ++w) recv_tagged(0, w, kBarrierTag);
-    for (int w = 1; w < size(); ++w) send(0, w, {kBarrierTag, {}});
-  } else {
-    send(rank, 0, {kBarrierTag, {}});
-    recv_tagged(rank, 0, kBarrierTag);
-  }
-}
-
-std::pair<int, Message> Comm::recv_any(int to) {
-  REPRO_CHECK(to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    flush_held(box);
-    if (!box.queue.empty()) {
-      note_op(to);
-      auto front = std::move(box.queue.front());
-      box.queue.pop_front();
-      return front;
-    }
-    bool any_held = false;
-    for (const auto& channel : box.held) any_held |= !channel.empty();
-    if (!any_held && closed_count_.load(std::memory_order_acquire) >=
-                         size() - (closed(to) ? 0 : 1))
-      throw ChannelClosed(to);  // every peer is gone; nothing can arrive
-    if (has_delays_) {
-      box.cv.wait_for(lock, kTickQuantum);
-      tick_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      box.cv.wait(lock);
-    }
-  }
 }
 
 std::optional<std::pair<int, Message>> Comm::recv_any_for(
@@ -292,7 +203,7 @@ std::optional<std::pair<int, Message>> Comm::recv_any_for(
     for (const auto& channel : box.held) any_held |= !channel.empty();
     if (!any_held && closed_count_.load(std::memory_order_acquire) >=
                          size() - (closed(to) ? 0 : 1))
-      throw ChannelClosed(to);
+      throw ChannelClosed(to);  // every peer is gone; nothing can arrive
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return std::nullopt;
     const auto slice = has_delays_
@@ -302,14 +213,6 @@ std::optional<std::pair<int, Message>> Comm::recv_any_for(
     box.cv.wait_for(lock, slice);
     if (has_delays_) tick_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-bool Comm::iprobe(int to) {
-  REPRO_CHECK(to >= 0 && to < size());
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::lock_guard lock(box.mutex);
-  flush_held(box);
-  return !box.queue.empty();
 }
 
 void Comm::close(int rank) {
@@ -330,10 +233,6 @@ bool Comm::closed(int rank) const {
   const auto r = static_cast<std::size_t>(rank);
   return closed_[r].load(std::memory_order_acquire) ||
          crashed_[r].load(std::memory_order_acquire);
-}
-
-int Comm::alive_ranks() const {
-  return size() - closed_count_.load(std::memory_order_acquire);
 }
 
 FaultStats Comm::fault_stats() const {

@@ -3,10 +3,10 @@
 // The paper's distributed finder is written against MPI (§4.3). No MPI
 // implementation is assumed here; ranks are threads of one process and
 // messages are moved queues, but the programming model is the same:
-// explicit ranks, tagged messages, blocking receives, FIFO ordering per
-// (source, destination) channel, no shared state between ranks other than
-// what is messaged. The master/worker protocol (master_worker.cpp) uses
-// only this interface, so porting it to real MPI is mechanical.
+// explicit ranks, tagged messages, FIFO ordering per (source, destination)
+// channel, no shared state between ranks other than what is messaged. The
+// master/worker protocol (master_worker.cpp) needs only send, broadcast and
+// a timed receive from any source, so porting it to real MPI is mechanical.
 //
 // Unlike the paper's reliable Myrinet, this substrate models failure:
 //   * A seeded FaultPlan (cluster/fault.hpp) injects message drops, bounded
@@ -16,11 +16,11 @@
 //     messages behind it until release).
 //   * Channels close: when a rank's body exits — normally, by error, or by
 //     a scheduled crash — run_ranks closes it, and a receive that can never
-//     be satisfied (peer closed, nothing queued or held) throws
+//     be satisfied (every peer closed, nothing queued or held) throws
 //     ChannelClosed instead of blocking forever. This is the fix for the
 //     recv-after-peer-exit deadlock: any peer death is observable.
-//   * recv_any_for bounds a receive by a timeout, the primitive under the
-//     master's heartbeats and retry/reassignment logic.
+//   * recv_any_for bounds the receive by a timeout, the primitive under the
+//     master's task deadlines and the retry/reassignment logic.
 #pragma once
 
 #include <atomic>
@@ -46,8 +46,8 @@ struct Message {
   std::vector<std::int32_t> data;
 };
 
-/// Thrown by a receive that can never complete: the awaited peer (or, for
-/// recv_any, every peer) has closed and nothing deliverable remains.
+/// Thrown by a receive that can never complete: every peer has closed and
+/// nothing deliverable remains.
 struct ChannelClosed : std::runtime_error {
   explicit ChannelClosed(int rank_)
       : std::runtime_error("channel closed: rank " + std::to_string(rank_) +
@@ -82,38 +82,16 @@ class Comm {
   /// are silently discarded (the peer can no longer receive).
   void send(int from, int to, Message msg);
 
-  /// Blocking receive of the next message from a specific source
-  /// (FIFO within the (from, to) channel). Throws ChannelClosed if `from`
-  /// closes with no deliverable message on the channel.
-  Message recv(int to, int from);
-
-  /// Blocking receive of the next message from `from` with tag `tag`,
-  /// leaving other messages queued (like a tag-filtered MPI_Recv).
-  /// Throws ChannelClosed if `from` closes with no matching message left.
-  Message recv_tagged(int to, int from, int tag);
-
-  /// Blocking receive from any source; returns (source, message).
-  /// Messages from different sources may interleave in any order, but each
-  /// (source, destination) channel stays FIFO — like MPI_ANY_SOURCE.
-  /// Throws ChannelClosed when every other rank has closed and nothing
-  /// deliverable remains.
-  std::pair<int, Message> recv_any(int to);
-
-  /// recv_any bounded by a timeout: nullopt when nothing arrived in time.
-  /// The timeout primitive behind master heartbeats and fetch retries.
+  /// Receive from any source within `timeout`; returns (source, message),
+  /// or nullopt when nothing arrived in time. Messages from different
+  /// sources may interleave in any order, but each (source, destination)
+  /// channel stays FIFO — like MPI_ANY_SOURCE. Throws ChannelClosed when
+  /// every other rank has closed and nothing deliverable remains.
   std::optional<std::pair<int, Message>> recv_any_for(
       int to, std::chrono::milliseconds timeout);
 
-  /// Nonblocking probe: true when recv_any(to) would not block.
-  bool iprobe(int to);
-
   /// Sends `msg` from `from` to every other rank (MPI_Bcast-shaped).
   void broadcast(int from, const Message& msg);
-
-  /// Collective barrier: every rank must call it; returns when all have.
-  /// Implemented purely with messages (gather at rank 0, then release) on a
-  /// reserved tag, so it composes with pending application traffic.
-  void barrier(int rank);
 
   /// Marks a rank as exited: its mailbox stops accepting sends and blocked
   /// receives on it become ChannelClosed. Idempotent; run_ranks calls this
@@ -130,9 +108,6 @@ class Comm {
   /// master calls it when the search is done, since a crash after that
   /// point could not be observed or recovered from.
   void disarm_crashes();
-
-  /// Ranks not yet closed.
-  [[nodiscard]] int alive_ranks() const;
 
   /// Injection counts from the fault plan so far (all zero when fault-free).
   [[nodiscard]] FaultStats fault_stats() const;
@@ -151,9 +126,6 @@ class Comm {
   /// deposits and replica replies).
   [[nodiscard]] std::uint64_t messages_sent_from(int rank) const;
   [[nodiscard]] std::uint64_t words_sent_from(int rank) const;
-
-  /// Tag reserved for barrier traffic; applications must not use it.
-  static constexpr int kBarrierTag = -1001;
 
  private:
   struct Held {

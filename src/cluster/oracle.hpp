@@ -11,13 +11,6 @@
 // scores are shared by the whole sweep — only the small fraction of
 // speculative realignments a particular processor count provokes is
 // computed fresh.
-//
-// The same determinism carries over to the simulator's failure model
-// (ClusterModel::worker_failure_times): a task lost to a worker death is
-// requeued and recomputed at the then-current version, so member_scores is
-// simply consulted again — scores are a pure function of (group, version),
-// which is exactly why the live protocol's recovery preserves the accepted
-// sequence.
 #pragma once
 
 #include <map>

@@ -14,7 +14,6 @@ struct Completion {
   core::SweepOrder order;
   std::vector<align::Score> scores;
   int worker = 0;
-  bool lost = false;  // worker died mid-task; `time` is the detection time
 
   bool operator>(const Completion& o) const { return time > o.time; }
 };
@@ -30,16 +29,6 @@ class Simulation {
         lanes_(oracle.lanes()),
         workers_(model.processors <= 1 ? 1 : model.processors - 1) {
     REPRO_CHECK(model.processors >= 1);
-    if (model.processors > 1 && !model.worker_failure_times.empty()) {
-      // Same recovery regime as the live protocol: at least one worker must
-      // outlive the run for the output guarantee to hold.
-      bool survivor = false;
-      for (int w = 0; w < workers_ && !survivor; ++w)
-        survivor = failure_time(w) <= 0.0;
-      REPRO_CHECK_MSG(survivor,
-                      "worker_failure_times must leave one worker alive");
-      has_failures_ = true;
-    }
     oracle_.begin_run();
     for (int w = 0; w < workers_; ++w) idle_.push_back(w);
   }
@@ -64,24 +53,6 @@ class Simulation {
  private:
   int version() const { return search_.version(); }
 
-  /// Scheduled failure time for worker `w`; <= 0 means "never fails".
-  double failure_time(int w) const {
-    const auto& times = model_.worker_failure_times;
-    return static_cast<std::size_t>(w) < times.size()
-               ? times[static_cast<std::size_t>(w)]
-               : 0.0;
-  }
-
-  bool fails_before(int w, double t) const {
-    if (!has_failures_) return false;
-    const double f = failure_time(w);
-    return f > 0.0 && f <= t;
-  }
-
-  void note_worker_lost(int w) {
-    if (lost_workers_.insert(w).second) ++result_.workers_lost;
-  }
-
   double worker_rate() const {
     const bool dual =
         model_.cpus_per_node >= 2 && model_.processors > model_.cpus_per_node;
@@ -105,13 +76,6 @@ class Simulation {
   }
 
   bool try_assign() {
-    // Idle workers whose scheduled failure has already struck are gone: the
-    // master would find their channel closed on the next assignment attempt.
-    while (!idle_.empty() &&
-           fails_before(idle_.back(), std::max(now_, master_free_))) {
-      note_worker_lost(idle_.back());
-      idle_.pop_back();
-    }
     if (idle_.empty()) return false;
     const auto o = search_.begin_sweep();
     if (!o) return false;
@@ -157,17 +121,6 @@ class Simulation {
     }
 
     c.time = start + duration;
-    if (fails_before(w, c.time)) {
-      // Worker dies mid-task: the result never arrives. The master notices
-      // the closed channel one latency after the failure and requeues the
-      // task then — until detection the task stays in-flight, blocking
-      // acceptance exactly as in the live protocol.
-      note_worker_lost(w);
-      const double fail = std::max(failure_time(w), start);
-      duration = fail - start;  // busy time actually delivered
-      c.time = fail + (distributed ? model_.latency_sec : 0.0);
-      c.lost = true;
-    }
     running_.push(std::move(c));
     busy_time_ += duration;
     return true;
@@ -177,13 +130,6 @@ class Simulation {
     const Completion c = running_.top();
     running_.pop();
     now_ = std::max(now_, c.time);
-    if (c.lost) {
-      // Detection of a failed worker: discard the undelivered scores and
-      // requeue the task (unchanged key); the worker never returns to idle.
-      ++result_.reassignments;
-      search_.cancel_sweep(c.order);
-      return;
-    }
     search_.finish_sweep(c.order, c.scores);
     idle_.push_back(c.worker);
   }
@@ -199,12 +145,10 @@ class Simulation {
       running_;
   std::set<std::pair<int, int>> node_cache_;
   std::vector<int> idle_;
-  std::set<int> lost_workers_;
 
   double now_ = 0.0;
   double master_free_ = 0.0;
   double busy_time_ = 0.0;
-  bool has_failures_ = false;
   SimResult result_;
 };
 

@@ -38,14 +38,6 @@ struct ClusterModel {
   /// the cache-aware kernel (the paper's 100 % second-CPU gain); ~0.625
   /// models the memory-bus-bound non-cache-aware kernel (25 % gain).
   double second_cpu_efficiency = 1.0;
-  /// Optional worker-failure schedule (virtual seconds), indexed by worker
-  /// id (0-based, master excluded). An entry <= 0 — or a missing entry —
-  /// means that worker never fails. A worker that dies mid-task loses the
-  /// result; the master observes the closed channel one latency later and
-  /// requeues the task (mirroring the live protocol in master_worker.cpp).
-  /// As there, the schedule must leave at least one worker alive, and the
-  /// schedule is ignored at processors <= 1 (the lone CPU is the master).
-  std::vector<double> worker_failure_times;
 };
 
 struct SimResult {
@@ -60,8 +52,6 @@ struct SimResult {
   /// efficiency decay.
   double comm_seconds_modelled = 0.0;
   std::uint64_t comm_messages_modelled = 0;  ///< modelled message count
-  std::uint64_t reassignments = 0;  ///< tasks requeued off failed workers
-  std::uint64_t workers_lost = 0;   ///< scheduled failures observed by master
 };
 
 /// Simulates one run; the oracle supplies real scores (memoised across

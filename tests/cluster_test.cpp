@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "cluster/master_worker.hpp"
 #include "cluster/mpisim.hpp"
@@ -14,31 +15,28 @@ namespace {
 
 using core::FinderOptions;
 using seq::Scoring;
+using std::chrono::milliseconds;
 
 TEST(Comm, PointToPointFifo) {
   Comm comm(2);
   for (int k = 0; k < 5; ++k) comm.send(0, 1, {k, {k * 10}});
   for (int k = 0; k < 5; ++k) {
-    const Message msg = comm.recv(1, 0);
-    EXPECT_EQ(msg.tag, k);
-    EXPECT_EQ(msg.data.at(0), k * 10);
+    const auto got = comm.recv_any_for(1, milliseconds(0));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->first, 0);
+    EXPECT_EQ(got->second.tag, k);
+    EXPECT_EQ(got->second.data.at(0), k * 10);
   }
 }
 
-TEST(Comm, RecvFiltersBySource) {
-  Comm comm(3);
-  comm.send(2, 0, {7, {}});
-  comm.send(1, 0, {5, {}});
-  EXPECT_EQ(comm.recv(0, 1).tag, 5);  // skips rank 2's message
-  EXPECT_EQ(comm.recv(0, 2).tag, 7);
-}
-
 TEST(Comm, RecvAnyAndProbe) {
+  // A zero timeout is a nonblocking probe that consumes what it finds.
   Comm comm(2);
-  EXPECT_FALSE(comm.iprobe(1));
+  EXPECT_FALSE(comm.recv_any_for(1, milliseconds(0)).has_value());
   comm.send(0, 1, {3, {1, 2}});
-  EXPECT_TRUE(comm.iprobe(1));
-  const auto [src, msg] = comm.recv_any(1);
+  const auto got = comm.recv_any_for(1, milliseconds(0));
+  ASSERT_TRUE(got.has_value());
+  const auto& [src, msg] = *got;
   EXPECT_EQ(src, 0);
   EXPECT_EQ(msg.tag, 3);
   EXPECT_EQ(comm.messages_sent(), 1u);
@@ -52,65 +50,25 @@ TEST(Comm, BlockingRecvWakesOnSend) {
     if (rank == 0) {
       comm.send(0, 1, {9, {}});
     } else {
-      const Message msg = comm.recv(1, 0);
-      got = msg.tag == 9;
+      const auto msg = comm.recv_any_for(1, std::chrono::seconds(60));
+      got = msg.has_value() && msg->second.tag == 9;
     }
   });
   EXPECT_TRUE(got.load());
-}
-
-TEST(Comm, RecvTaggedSkipsOtherMessages) {
-  Comm comm(2);
-  comm.send(0, 1, {7, {1}});
-  comm.send(0, 1, {9, {2}});
-  comm.send(0, 1, {7, {3}});
-  EXPECT_EQ(comm.recv_tagged(1, 0, 9).data.at(0), 2);
-  // FIFO among remaining tag-7 messages.
-  EXPECT_EQ(comm.recv_tagged(1, 0, 7).data.at(0), 1);
-  EXPECT_EQ(comm.recv_tagged(1, 0, 7).data.at(0), 3);
 }
 
 TEST(Comm, BroadcastReachesEveryOtherRank) {
   Comm comm(4);
   comm.broadcast(1, {5, {42}});
   for (int rank : {0, 2, 3}) {
-    const auto [src, msg] = comm.recv_any(rank);
-    EXPECT_EQ(src, 1);
-    EXPECT_EQ(msg.tag, 5);
-    EXPECT_EQ(msg.data.at(0), 42);
+    const auto got = comm.recv_any_for(rank, milliseconds(0));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->first, 1);
+    EXPECT_EQ(got->second.tag, 5);
+    EXPECT_EQ(got->second.data.at(0), 42);
   }
-  EXPECT_FALSE(comm.iprobe(1));  // the sender gets nothing
-}
-
-TEST(Comm, BarrierSynchronisesRanks) {
-  Comm comm(4);
-  std::atomic<int> before{0};
-  std::atomic<int> after{0};
-  std::atomic<bool> violated{false};
-  run_ranks(comm, [&](int rank) {
-    before.fetch_add(1);
-    comm.barrier(rank);
-    // Every rank must have passed `before` by the time any rank is here.
-    if (before.load() != 4) violated = true;
-    after.fetch_add(1);
-    comm.barrier(rank);
-    if (after.load() != 4) violated = true;
-  });
-  EXPECT_FALSE(violated.load());
-}
-
-TEST(Comm, BarrierComposesWithPendingTraffic) {
-  Comm comm(2);
-  comm.send(0, 1, {3, {9}});  // queued application message
-  run_ranks(comm, [&](int rank) { comm.barrier(rank); });
-  // The barrier must not have consumed the application message.
-  EXPECT_EQ(comm.recv(1, 0).data.at(0), 9);
-}
-
-TEST(Comm, SingleRankBarrierIsNoop) {
-  Comm comm(1);
-  comm.barrier(0);
-  SUCCEED();
+  // The sender gets nothing.
+  EXPECT_FALSE(comm.recv_any_for(1, milliseconds(0)).has_value());
 }
 
 TEST(Comm, RunRanksPropagatesExceptions) {

@@ -168,12 +168,6 @@ struct Ranks {
     copt.row_storage = kStorage;
     copt.finder = opt;
     if (kSeed > 0) copt.fault_plan = cluster::FaultPlan::from_seed(kSeed, 3);
-    // Fast recovery: spurious timeouts only repeat deduplicated work.
-    copt.ft.task_timeout_ms = 60;
-    copt.ft.row_timeout_ms = 30;
-    copt.ft.hello_timeout_ms = 40;
-    copt.ft.max_backoff_ms = 400;
-    copt.ft.poll_ms = 5;
     return cluster::find_top_alignments_cluster(s, sc, copt, factory);
   }
 };

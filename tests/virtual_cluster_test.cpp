@@ -160,51 +160,6 @@ TEST(VirtualCluster, CommunicationCostsCharged) {
   EXPECT_GT(res.row_replica_bytes, 0u);
 }
 
-TEST(VirtualCluster, WorkerFailuresRequeueLostTasksAndStillFinish) {
-  Fixture f;
-  FinderOptions opt;
-  opt.num_top_alignments = 4;
-  const SimResult clean = simulate_cluster(f.oracle, fast_model(4), opt);
-  ASSERT_EQ(clean.tops_found, 4);
-  // Workers 0 and 2 die mid-run; worker 1 (entry 0.0 = never fails)
-  // carries the remainder — the live protocol's recovery regime.
-  ClusterModel faulty = fast_model(4);
-  faulty.worker_failure_times = {clean.makespan_sec * 0.25, 0.0,
-                                 clean.makespan_sec * 0.5};
-  const SimResult res = simulate_cluster(f.oracle, faulty, opt);
-  EXPECT_EQ(res.tops_found, 4);
-  EXPECT_EQ(res.workers_lost, 2u);
-  EXPECT_GE(res.reassignments, 1u);
-  // Losing workers (and repeating their in-flight work) can only slow the
-  // virtual run down.
-  EXPECT_GT(res.makespan_sec, clean.makespan_sec);
-  // Acceptances are driven by the same deterministic guard, so the oracle's
-  // accepted sequence is unchanged — the faulty replay verifies against it.
-  EXPECT_EQ(f.oracle.accepted().size(), 4u);
-}
-
-TEST(VirtualCluster, FailureScheduleKillingAllWorkersIsRejected) {
-  Fixture f;
-  FinderOptions opt;
-  opt.num_top_alignments = 1;
-  ClusterModel bad = fast_model(3);
-  bad.worker_failure_times = {1e-3, 1e-3};
-  EXPECT_THROW(simulate_cluster(f.oracle, bad, opt), std::logic_error);
-}
-
-TEST(VirtualCluster, FailureScheduleIgnoredAtOneProcessor) {
-  // The lone CPU is the master; the schedule targets workers only.
-  Fixture f;
-  FinderOptions opt;
-  opt.num_top_alignments = 2;
-  ClusterModel solo = fast_model(1);
-  solo.worker_failure_times = {1e-6};
-  const SimResult res = simulate_cluster(f.oracle, solo, opt);
-  EXPECT_EQ(res.tops_found, 2);
-  EXPECT_EQ(res.workers_lost, 0u);
-  EXPECT_EQ(res.reassignments, 0u);
-}
-
 TEST(VirtualCluster, DualCpuContentionModel) {
   // §5.2: the non-cache-aware kernel gains only 25 % from the second CPU.
   Fixture f;

@@ -227,6 +227,7 @@ int cmd_find(int argc, char** argv) {
   core::FinderStats total_stats;
   std::uint64_t total_tops = 0;
   cluster::ClusterRunInfo cluster_total;
+  std::uint64_t cluster_faults_injected = 0;
 
   util::JsonWriter json;
   if (format == "json") json.begin_array();
@@ -246,7 +247,7 @@ int cmd_find(int argc, char** argv) {
       cluster_total.payload_words += info.payload_words;
       cluster_total.row_replicas_served += info.row_replicas_served;
       cluster_total.row_deposits += info.row_deposits;
-      cluster_total.faults_injected += info.faults_injected;
+      cluster_faults_injected += info.fault_stats.injected();
       cluster_total.retries += info.retries;
       cluster_total.reassignments += info.reassignments;
       cluster_total.heartbeat_misses += info.heartbeat_misses;
@@ -329,7 +330,7 @@ int cmd_find(int argc, char** argv) {
       report.counter("cluster_row_replicas_served",
                      cluster_total.row_replicas_served);
       report.counter("cluster_row_deposits", cluster_total.row_deposits);
-      report.counter("cluster_faults_injected", cluster_total.faults_injected);
+      report.counter("cluster_faults_injected", cluster_faults_injected);
       report.counter("cluster_retries", cluster_total.retries);
       report.counter("cluster_reassignments", cluster_total.reassignments);
       report.counter("cluster_heartbeat_misses",
