@@ -6,7 +6,9 @@
 //   * SIMD group scheduling computes < 0.70 % extra alignments;
 //   * checkpoint-resume realignment (the incremental-realignment subsystem)
 //     skips the clean DP-row prefix of every realignment sweep — compared
-//     against a cache-disabled run over the identical schedule.
+//     against a cache-disabled run over the identical schedule;
+//   * the auto engine's band sweep takes most first-sweep lane cells from
+//     the adjacent group's last rectangle (counter cells_reused).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
 
   double avoided_sum = 0.0, per_top_sum = 0.0, extra_sum = 0.0;
   std::uint64_t sweep_realigns_sum = 0, best_realigns_sum = 0;
-  std::uint64_t cells_sum = 0;
+  std::uint64_t cells_sum = 0, cells_reused_sum = 0;
   double seconds_sum = 0.0;
   double ckpt_speedup_sum = 0.0, realign_on_sum = 0.0, realign_off_sum = 0.0;
   std::uint64_t rows_skipped_sum = 0, rows_swept_sum = 0;
@@ -112,6 +114,16 @@ int main(int argc, char** argv) {
                      static_cast<double>(aligned(r_best.stats)) -
                  1.0);
 
+    // Band sweep: the auto engine's ascending first-sweep groups.
+    const auto e_auto = align::make_engine(align::EngineKind::kSimdAuto);
+    const auto r_auto =
+        core::find_top_alignments(g.sequence, scoring, best, *e_auto);
+    if (!core::same_tops(r_best.tops, r_auto.tops, &diff)) {
+      std::cerr << "auto engine results diverge: " << diff << '\n';
+      return 1;
+    }
+    cells_reused_sum += r_auto.stats.cells_reused;
+
     // Checkpoint ablation: identical schedule on the distal-repeat
     // workload, default 256 MiB budget vs cache disabled (the off run
     // recomputes every DP row of every realignment sweep).
@@ -174,6 +186,9 @@ int main(int argc, char** argv) {
                "(random background + dense tandem array; default 256 MiB "
                "budget vs disabled, identical schedule):\n";
   ckpt_table.print(std::cout);
+  std::cout << "\nBand sweep (auto engine, titin inputs): " << cells_reused_sum
+            << " first-sweep lane cells taken from the adjacent group's last "
+               "rectangle.\n";
 
   const double nseeds = static_cast<double>(seeds.size());
   obs::MetricsReport report("bench_scheduler");
@@ -207,6 +222,7 @@ int main(int argc, char** argv) {
   report.counter("sweep_realignments", sweep_realigns_sum);
   report.counter("best_first_realignments", best_realigns_sum);
   report.counter("cells", cells_sum);
+  report.counter("cells_reused", cells_reused_sum);
   bench::maybe_write_json(args, report);
   return 0;
 }

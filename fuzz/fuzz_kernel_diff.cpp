@@ -16,6 +16,11 @@
 //     they staged. Byte 1 can pick a uniform DNA scoring with a large
 //     match score, so the u8 pass saturates within m <= 34 and the group
 //     finishes in i16 from its last certified row (the precision ladder).
+//   * the adaptive engines, sweeping every group in ascending order under
+//     the empty triangle as the finder's first sweep does (so each group
+//     after the first takes the band path over its predecessor's last
+//     rectangle), give the scalar empty-triangle rows and stage the bytes a
+//     fresh engine stages for the same groups in descending order.
 //
 // Any divergence throws; the driver reports it with the reproducing input.
 #include <algorithm>
@@ -105,6 +110,61 @@ void check_groups(repro::align::Engine& engine, const std::string& label,
   }
 }
 
+// Sweeps every group of `make()`'s engine in ascending order, then on a
+// fresh engine in descending order (no group follows its predecessor), both
+// under the empty triangle through a sink; rows must match `ref` and the
+// staged rows must be identical.
+template <class Make>
+void check_ascending(const Make& make, const std::string& label,
+                     const GroupJob& base, int stride,
+                     const std::vector<std::vector<Score>>& ref) {
+  const auto band = make();
+  const auto fresh = make();
+  const int m = static_cast<int>(base.seq.size());
+  const int lanes = band->lanes();
+  struct Group {
+    std::vector<std::vector<Score>> rows;
+    CheckpointSink sink;
+  };
+  const auto sweep = [&](repro::align::Engine& engine, int r0) {
+    Group g;
+    GroupJob job = base;
+    job.r0 = r0;
+    job.count = std::min(lanes, m - r0);
+    std::vector<std::span<Score>> outs;
+    for (int k = 0; k < job.count; ++k)
+      g.rows.emplace_back(static_cast<std::size_t>(m - r0 - k));
+    for (auto& row : g.rows) outs.emplace_back(row);
+    g.sink.stride = stride;
+    g.sink.top_row = r0 - 1;
+    job.sink = &g.sink;
+    engine.align(job, outs);
+    return g;
+  };
+  std::vector<int> r0s;
+  for (int r0 = 1; r0 < m; r0 += lanes) r0s.push_back(r0);
+  std::vector<Group> up;
+  for (const int r0 : r0s) up.push_back(sweep(*band, r0));
+  for (std::size_t g = r0s.size(); g-- > 0;) {
+    const Group down = sweep(*fresh, r0s[g]);
+    const int r0 = r0s[g];
+    for (std::size_t k = 0; k < up[g].rows.size(); ++k)
+      compare_rows(ref[static_cast<std::size_t>(r0) + k], up[g].rows[k],
+                   label + " ascending", r0 + static_cast<int>(k));
+    const CheckpointSink& a = up[g].sink;
+    bool same = a.count == down.sink.count &&
+                a.elem_size == down.sink.elem_size;
+    for (int t = 0; same && t < a.count; ++t) {
+      const auto& x = a.rows[static_cast<std::size_t>(t)];
+      const auto& y = down.sink.rows[static_cast<std::size_t>(t)];
+      same = x.row == y.row && x.h == y.h && x.max_y == y.max_y;
+    }
+    if (!same)
+      finding(label + " ascending: staged rows differ at r0=" +
+              std::to_string(r0));
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -152,10 +212,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   base.scoring = &scoring;
   base.overrides = &tri;
   std::vector<std::vector<Score>> refs(static_cast<std::size_t>(m));
+  std::vector<std::vector<Score>> plain_refs(static_cast<std::size_t>(m));
   for (int r = 1; r < m; ++r) {
     GroupJob job = base;
     job.r0 = r;
     job.count = 1;
+    GroupJob plain = job;
+    plain.overrides = nullptr;
+    plain_refs[static_cast<std::size_t>(r)] = scalar->align_one(plain);
 
     CheckpointSink sink;
     sink.stride = stride;
@@ -187,5 +251,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check_groups(*autobest, "auto", base, stride, refs);
   check_groups(*autogen, "auto-generic", base, stride, refs);
   check_groups(*autostriped, "auto-generic/stripe3", base, stride, refs);
+
+  GroupJob first = base;
+  first.overrides = nullptr;
+  check_ascending([] { return repro::align::make_engine(EngineKind::kSimdAuto); },
+                  "auto", first, stride, plain_refs);
+  check_ascending(
+      [] { return repro::align::detail::make_adaptive_generic_engine(0); },
+      "auto-generic", first, stride, plain_refs);
   return 0;
 }

@@ -35,6 +35,9 @@ struct PrecisionStats {
   std::uint64_t escalations = 0;      ///< i8 sweeps finished at i16 (sticky)
   std::uint64_t profile_hits = 0;     ///< sweeps served by a cached profile
   std::uint64_t profile_builds = 0;   ///< query profiles (re)built
+  /// Lane cells of first-sweep groups taken from the previous group's last
+  /// rectangle instead of computed (the band sweep; simd_kernel.hpp).
+  std::uint64_t cells_reused = 0;
 };
 
 class Engine {
@@ -63,10 +66,13 @@ class Engine {
   /// Convenience wrapper for single-rectangle use (tests, traceback prep).
   std::vector<Score> align_one(const GroupJob& job);
 
-  /// Cells computed since construction (each lane-cell counts once, so SIMD
-  /// engines accumulate lanes x rows x columns — the quantity behind the
-  /// paper's "more than a billion matrix entries per second"). Engines are
-  /// single-threaded, so these are plain integers.
+  /// Lane cells of the requested rectangles since construction: lanes x
+  /// rows x columns per group, less the rows a checkpoint resume restored
+  /// (the quantity behind the paper's "more than a billion matrix entries
+  /// per second"). A band sweep takes some of them from the previous
+  /// group's last rectangle instead of computing them; precision_stats()
+  /// counts those as cells_reused. Engines are single-threaded, so these
+  /// are plain integers.
   [[nodiscard]] std::uint64_t cells_computed() const { return cells_; }
 
   /// Group alignments performed since construction.

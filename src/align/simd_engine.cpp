@@ -86,6 +86,9 @@ struct SseOps16x8 {
   static Vec adds(Vec a, Vec b) { return _mm_adds_epu8(a, b); }
   static Vec subs(Vec a, Vec b) { return _mm_subs_epu8(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
+  static bool all_eq(Vec a, Vec b) {
+    return _mm_movemask_epi8(_mm_cmpeq_epi8(a, b)) == 0xFFFF;
+  }
 };
 
 #endif  // REPRO_HAVE_SSE2

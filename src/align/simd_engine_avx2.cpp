@@ -72,6 +72,9 @@ struct Avx2Ops32x8 {
   static Vec adds(Vec a, Vec b) { return _mm256_adds_epu8(a, b); }
   static Vec subs(Vec a, Vec b) { return _mm256_subs_epu8(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+  static bool all_eq(Vec a, Vec b) {
+    return _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)) == -1;
+  }
 };
 
 }  // namespace

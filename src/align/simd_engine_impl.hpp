@@ -16,18 +16,29 @@
 //     checkpoint row above the break, else the job's u8 resume view, else
 //     row 0. The widened staged rows stay in front of the i16 pass's own,
 //     so the group's cache entry holds the same grid rows, all i16.
-//     Escalation is sticky per split: override growth only ever zeroes
-//     cells, so DP values are monotonically nonincreasing across
-//     realignment rounds — a group that saturated once is swept at i16 from
-//     then on (and, conversely, a group certified clean can never saturate
-//     in a later round). An i16 resume row tells an engine that another
-//     engine sharing its checkpoint cache escalated the split; a u8 one,
-//     stored by an engine that swept the split clean under a later
+//     Escalation is sticky per split, as a policy: override growth only
+//     ever zeroes cells, so DP values are nonincreasing across realignment
+//     rounds, which implies only that a split certified clean stays clean.
+//     A split that saturated once may fit u8 under a later triangle, but
+//     finding out costs a u8 pass that would likely break again, so it is
+//     swept at i16 from then on. An i16 resume row tells an engine that
+//     another engine sharing its checkpoint cache escalated the split; a u8
+//     one, stored by an engine that swept the split clean under a later
 //     triangle, seeds an escalated engine's i16 pass widened.
+//     First sweeps in ascending r0 on one engine take the band path
+//     (simd_kernel.hpp, "Band rows"): a group right after the adjacent one
+//     recomputes only where it differs from that group's last rectangle,
+//     kept on a grid the engine owns. Group 1 seeds the grid. A group that
+//     escalates ends the chain; the adjacent groups after it run the plain
+//     sweep while they escalate, and the group after the first clean one
+//     re-seeds. Any other call ends the chain, and the first call with
+//     overrides frees the grid.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -38,6 +49,7 @@
 #include "align/engine_detail.hpp"
 #include "align/query_profile.hpp"
 #include "align/simd_kernel.hpp"
+#include "check/contracts.hpp"
 
 namespace repro::align::detail {
 
@@ -146,9 +158,14 @@ class AdaptiveEngineT final : public Engine {
                 std::span<const std::span<Score>> out) override {
     validate_job(job, out, lanes());
     if (profile8_.ensure(job.seq, *job.scoring, stats_)) {
-      // New workload: prior escalation decisions no longer apply.
+      // New workload: prior escalation decisions and the reference no
+      // longer apply.
       escalated_.clear();
+      chain_ = Chain::kNone;
     }
+    // Band sweeps serve the first sweep only: the first overridden call
+    // ends them for good, so the grid goes.
+    if (job.overrides != nullptr) grid_.reset();
     // An i16 resume row means an engine sharing the checkpoint cache
     // escalated this split; a u8 one was certified exact, so the i16 pass
     // resumes from it widened.
@@ -156,10 +173,26 @@ class AdaptiveEngineT final : public Engine {
     if (job.resume != nullptr && !u8_resume) escalated_.insert(job.r0);
     GroupJob j16 = job;
     int kept = 0;  // widened u8 rows staged in front of the i16 pass's own
+    const Chain chain = chain_;
+    chain_ = Chain::kNone;
     if (profile8_.feasible() && escalated_.count(job.r0) == 0) {
       bool sat = false;
-      run_simd_group<Ops8>(job, out, stripe_, scratch8_, profile8_, &sat);
+      BandGrid* band = plan_band(job, chain);
+      run_simd_group<Ops8>(job, out, stripe_, scratch8_, profile8_, &sat,
+                           band);
       note_sweep<std::uint8_t>(stats_);
+      if (band != nullptr) {
+        stats_.cells_reused += band->cells_reused;
+        if constexpr (check::kContractsEnabled) check_band(job, out, sat);
+      }
+      if (chains(job, chain)) {
+        // The next adjacent group continues the chain: it bands over this
+        // group's reference, waits out an escalated run, or re-seeds.
+        chain_ = sat ? Chain::kEscalated
+                 : band != nullptr ? Chain::kReference
+                                   : Chain::kClean;
+        chain_next_ = job.r0 + job.count;
+      }
       if (!sat) return;
       ++stats_.escalations;
       escalated_.insert(job.r0);
@@ -184,6 +217,104 @@ class AdaptiveEngineT final : public Engine {
   }
 
  private:
+  /// How the last call leaves the next adjacent first-sweep group (r0 =
+  /// chain_next_): kReference — the grid holds that group's reference, so
+  /// it bands; kEscalated — the call escalated, so the group runs the plain
+  /// sweep with no grid writes; kClean — the call ran that plain sweep clean,
+  /// so the group re-seeds the grid. kNone — anything else.
+  enum class Chain { kNone, kReference, kEscalated, kClean };
+
+  /// Grid bytes above which every group runs the plain sweep: 3 B per
+  /// upper-triangle cell, so m <= 6,689.
+  static constexpr std::size_t kBandGridMaxBytes = std::size_t{64} << 20;
+
+  /// True when `job` is a first-sweep group the band path serves: whole
+  /// u8 rows from row 1 under the empty triangle, the finder's group at r0
+  /// (L splits, fewer only at the end), and a grid within its cap. (The
+  /// profile was not rebuilt, or the chain would be kNone.)
+  [[nodiscard]] bool band_job(const GroupJob& job) const {
+    const int m = static_cast<int>(job.seq.size());
+    return job.overrides == nullptr && job.resume == nullptr &&
+           (stripe_ <= 0 || stripe_ >= m) &&
+           job.count == std::min(Ops8::kLanes, m - job.r0) &&
+           3 * BandGrid::cells(m) <= kBandGridMaxBytes;
+  }
+
+  /// True when the next adjacent group may continue the chain after `job`:
+  /// a full band job that starts or continues it.
+  [[nodiscard]] bool chains(const GroupJob& job, Chain chain) const {
+    return band_job(job) && job.count == Ops8::kLanes &&
+           (job.r0 == 1 || (chain != Chain::kNone && job.r0 == chain_next_));
+  }
+
+  /// The band step of the u8 pass of `job`, given the chain the last call
+  /// left, or nullptr for the plain sweep. A seed (group 1, whose rows are
+  /// at most L, or the group after a clean one that ended an escalated run)
+  /// sweeps whole and writes the grid; a band step over a reference writes
+  /// it back only for a full group, as a partial one is the sequence's
+  /// last.
+  BandGrid* plan_band(const GroupJob& job, Chain chain) {
+    const int m = static_cast<int>(job.seq.size());
+    const bool adjacent = chain != Chain::kNone && job.r0 == chain_next_;
+    const bool band = adjacent && chain == Chain::kReference && band_job(job);
+    const bool seed = !band && chains(job, chain) &&
+                      (job.r0 == 1 || (adjacent && chain == Chain::kClean));
+    if (!band && !seed) return nullptr;
+    const std::size_t cells = BandGrid::cells(m);
+    if (seed && (grid_ == nullptr || grid_m_ != m)) {
+      // Pages are touched only as rows are written.
+      grid_ = std::make_unique_for_overwrite<std::uint8_t[]>(3 * cells);
+      grid_m_ = m;
+    }
+    band_ = {grid_.get(),
+             grid_.get() + cells,
+             grid_.get() + 2 * cells,
+             seed,
+             job.count == Ops8::kLanes && job.r0 + job.count < m,
+             0};
+    return &band_;
+  }
+
+  /// Contract of the band path: a direct sweep of the same job gives the
+  /// same certificate, bottom rows and staged checkpoint rows.
+  void check_band(const GroupJob& job, std::span<const std::span<Score>> out,
+                  bool sat) {
+    check_rows_.resize(out.size());
+    check_outs_.resize(out.size());
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      check_rows_[k].resize(out[k].size());
+      check_outs_[k] = check_rows_[k];
+    }
+    GroupJob direct = job;
+    if (job.sink != nullptr) {
+      check_sink_.stride = job.sink->stride;
+      check_sink_.top_row = job.sink->top_row;
+      direct.sink = &check_sink_;
+    }
+    bool direct_sat = false;
+    run_simd_group<Ops8>(direct, check_outs_, stripe_, check_scratch_,
+                         profile8_, &direct_sat);
+    REPRO_DCHECK_MSG(direct_sat == sat, "band sweep of group r0="
+                                            << job.r0
+                                            << " changed the u8 certificate");
+    if (!sat)
+      for (std::size_t k = 0; k < out.size(); ++k)
+        REPRO_DCHECK_MSG(std::equal(out[k].begin(), out[k].end(),
+                                    check_rows_[k].begin()),
+                         "band sweep of group r0=" << job.r0
+                             << " changed bottom row " << k);
+    if (job.sink == nullptr) return;
+    const CheckpointSink& a = *job.sink;
+    REPRO_DCHECK(a.count == check_sink_.count);
+    for (int t = 0; t < a.count; ++t) {
+      const CheckpointRow& x = a.rows[static_cast<std::size_t>(t)];
+      const CheckpointRow& y = check_sink_.rows[static_cast<std::size_t>(t)];
+      REPRO_DCHECK_MSG(x.row == y.row && x.h == y.h && x.max_y == y.max_y,
+                       "band sweep of group r0=" << job.r0
+                           << " changed staged checkpoint row " << x.row);
+    }
+  }
+
   /// Points j16 at the deepest state the broken u8 pass j8 certified,
   /// widened to i16: the last staged row (the kernel keeps only certified
   /// ones), else j8's resume view, else row 1.
@@ -247,6 +378,16 @@ class AdaptiveEngineT final : public Engine {
   CheckpointView wide_view_;  ///< the i16 pass's widened resume state
   std::vector<std::int16_t> wide_h_, wide_max_y_;  ///< widened u8 states
   CheckpointSink own_sink_;  ///< the i16 pass's rows when u8 rows are kept
+  Chain chain_ = Chain::kNone;
+  int chain_next_ = 0;  ///< r0 of the group that continues the chain
+  std::unique_ptr<std::uint8_t[]> grid_;  ///< H, MaxX, MaxY planes
+  int grid_m_ = 0;                        ///< sequence length grid_ fits
+  BandGrid band_;
+  // The direct re-sweep of check_band (checked builds only).
+  SimdScratchT<std::uint8_t> check_scratch_;
+  std::vector<std::vector<Score>> check_rows_;
+  std::vector<std::span<Score>> check_outs_;
+  CheckpointSink check_sink_;
 };
 
 }  // namespace repro::align::detail

@@ -68,6 +68,27 @@
 //     no adds saturates, which the peak certification guarantees. (The
 //     induction uses only diag >= 0 and the update's monotonicity, not the
 //     clamp, so a clamped X carried on in i16 lanes keeps the invariant.)
+//   * Band rows (u8 first sweeps, driven by AdaptiveEngineT): group r0 run
+//     right after group r0 - L differs from that group's last rectangle
+//     (split r0 - 1, the reference) only near its left border. The
+//     reference's u8 state (H, MaxX, MaxY) is kept per cell on a BandGrid.
+//     Rows y < r0 are swept from column 0, compared with the reference from
+//     the first unmasked column on, and stop at the first column c >=
+//     count - 1 past the row above's last change (the last column where its
+//     H or MaxY differs) whose H, MaxX and MaxY equal the reference's in
+//     every lane. That is exact: from c + 1 on, every input of the cell
+//     recurrence (the diagonal and MaxY from the row above, MaxX from the
+//     left, the profile entry, and no mask) is the reference's, and the
+//     clamped u8 recurrence is a function of its inputs, so every lane
+//     computes the reference's state to the end of the row. The skipped
+//     cells hold values the reference's certified sweep had, so they cannot
+//     move the saturation peak past the limit, and the sweep stops at the
+//     same row and certifies the same way as a full sweep. Columns past a
+//     row's stop are read as a broadcast of the reference (by the row
+//     below, by row r0 and by emitted checkpoint rows). Rows y >= r0 are
+//     new to the reference and hold the bottom rows: they are swept whole.
+//     The last lane, the next group's reference, is written back wherever
+//     the next group will read it.
 //
 // The kernel is templated over an Ops policy (SSE2, AVX2, or a portable
 // scalar-lane fallback) providing saturating adds/subs, max, and masking.
@@ -256,6 +277,11 @@ struct GenericOps8 {
       r.v[k] = static_cast<std::uint8_t>(a.v[k] & b.v[k]);
     return r;
   }
+  static bool all_eq(Vec a, Vec b) {
+    for (int k = 0; k < W; ++k)
+      if (a.v[k] != b.v[k]) return false;
+    return true;
+  }
 };
 
 /// Scratch buffers reused across group alignments (one instance per engine;
@@ -272,6 +298,8 @@ struct SimdScratchT {
                 "scratch rows must satisfy 32-byte AVX2 vector loads");
   std::vector<Elem, util::AlignedAllocator<Elem>> h;
   std::vector<Elem, util::AlignedAllocator<Elem>> max_y;
+  /// Every column's MaxX after a row, kept only by band sweeps.
+  std::vector<Elem, util::AlignedAllocator<Elem>> max_x;
   std::vector<Elem, util::AlignedAllocator<Elem>> carry_h;
   std::vector<Elem, util::AlignedAllocator<Elem>> carry_mx;
   /// Per-stripe diagonal entry vectors captured from a restored checkpoint
@@ -321,6 +349,7 @@ struct SweepConsts {
   Vec open, ext, zero, bias;
   Elem* h;              ///< this part's lanes of the H state at column 0
   Elem* max_y;          ///< the same for the MaxY state
+  Elem* max_x;          ///< the same for the kept MaxX (band sweeps only)
   const Elem* colmask;  ///< the same for the colmask table
   std::size_t stride;   ///< elements per column in all three (the group's L)
   int r0;
@@ -439,6 +468,97 @@ void sweep_pair(const SweepConsts<Ops> s, const SweepRow<Ops> a,
   peak = p;
 }
 
+/// The reference of a band sweep (see "Band rows"): the u8 state (H, MaxX,
+/// MaxY) that the previous group's last rectangle left in every cell it
+/// covers, one plane each of m(m-1)/2 cells, row-major over the upper
+/// triangle (DP row y holds global columns j = y .. m-1). The engine owns
+/// the planes; run_simd_group reads and rewrites them.
+struct BandGrid {
+  std::uint8_t* h = nullptr;
+  std::uint8_t* mx = nullptr;
+  std::uint8_t* my = nullptr;
+  /// No reference yet: sweep the rows above r0 whole and write them.
+  bool seed = false;
+  /// Write the group's last lane back as the next group's reference (a full
+  /// group only).
+  bool write = false;
+  /// Lane cells the sweep took from the reference instead of computing.
+  std::uint64_t cells_reused = 0;
+
+  [[nodiscard]] static std::size_t cells(int m) {
+    return static_cast<std::size_t>(m) * static_cast<std::size_t>(m - 1) / 2;
+  }
+  /// Index of cell (y, r0): column c of a group at r0 is entry `at + c`.
+  /// Not below 0, since every row before y holds at least one cell.
+  [[nodiscard]] static std::size_t at(int m, int y, int r0) {
+    const auto yy = static_cast<std::size_t>(y);
+    return (yy - 1) * static_cast<std::size_t>(m) - (yy - 1) * yy / 2 +
+           static_cast<std::size_t>(r0) - yy;
+  }
+};
+
+/// One reference row as a band row loop sees it, each pointer at column 0 of
+/// the group: the row above (a broadcast source for columns the sweep left
+/// to the reference) and the row itself (what the stop test compares).
+struct BandRow {
+  const std::uint8_t* up_h;
+  const std::uint8_t* up_my;
+  const std::uint8_t* h;
+  const std::uint8_t* mx;
+  const std::uint8_t* my;
+};
+
+/// Sweeps DP row `row` over columns [ca, cb) like sweep_row (no overrides)
+/// and also keeps each column's MaxX. kGrid reads the row above from the
+/// reference, broadcast to every lane, instead of from memory. kTest
+/// compares every column with the reference: `changed` becomes the last
+/// one whose H or MaxY differs in some lane, and the sweep stops after the
+/// first column from `from` on whose (H, MaxX, MaxY) equals the reference in
+/// every lane and returns it; the result is cb when no column does.
+template <class Ops, bool kMask, bool kDeep, bool kGrid, bool kTest>
+int sweep_keep(const SweepConsts<Ops> s, const SweepRow<Ops> row,
+               const BandRow b, int ca, int cb, typename Ops::Vec& diag,
+               typename Ops::Vec& mx, typename Ops::Vec& peak,
+               const typename Ops::Vec peak_mask, int from = 0,
+               int* changed = nullptr) {
+  using Vec = typename Ops::Vec;
+  Vec d = diag;
+  Vec x = mx;
+  Vec p = peak;
+  int stop = cb;
+  for (int c = ca; c < cb; ++c) {
+    const std::size_t e = static_cast<std::size_t>(c) * s.stride;
+    Vec up;
+    Vec my;
+    if constexpr (kGrid) {
+      up = Ops::set1(b.up_h[c]);
+      my = Ops::set1(b.up_my[c]);
+    } else {
+      up = Ops::load(s.h + e);
+      my = Ops::load(s.max_y + e);
+    }
+    const Vec h =
+        dp_cell<Ops, kMask, false, kDeep>(s, row, c, d, x, my, p, peak_mask);
+    Ops::store(s.h + e, h);
+    Ops::store(s.max_y + e, my);
+    Ops::store(s.max_x + e, x);
+    d = up;
+    if constexpr (kTest) {
+      if (!Ops::all_eq(h, Ops::set1(b.h[c])) ||
+          !Ops::all_eq(my, Ops::set1(b.my[c]))) {
+        *changed = c;
+      } else if (c >= from && Ops::all_eq(x, Ops::set1(b.mx[c]))) {
+        stop = c;
+        break;
+      }
+    }
+  }
+  diag = d;
+  mx = x;
+  peak = p;
+  return stop;
+}
+
 /// Calls f(std::true_type{}) or f(std::false_type{}): turns a per-row flag
 /// into a template argument, so each column loop is compiled per case.
 template <class F>
@@ -490,12 +610,13 @@ void by_override_runs(const SweepRow<Ops>& a,
 /// saturated. A saturating sweep stops at the first row that breaks the
 /// certificate: the sink keeps only the staged rows above that row (none
 /// when striped), and the outputs are garbage the caller must discard by
-/// finishing the sweep at wider precision.
+/// finishing the sweep at wider precision. A non-null `band` runs the band
+/// sweep (u8 lanes, unstriped, no resume, no overrides; see "Band rows").
 template <class Ops>
 void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
                     int stripe_cols, SimdScratchT<typename Ops::Elem>& scratch,
                     const QueryProfileT<typename Ops::Elem>& profile,
-                    bool* saturated = nullptr) {
+                    bool* saturated = nullptr, BandGrid* band = nullptr) {
   constexpr int L = Ops::kLanes;
   using Elem = typename Ops::Elem;
   constexpr bool kUnsigned = !std::is_signed_v<Elem>;
@@ -625,6 +746,13 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   static_assert(kParts * PL == L, "parts must tile the lane vector");
   const PVec v_zero = Part::zero();
   const PVec v_neg = Part::set1(neg_inf_of<Elem>());
+  REPRO_CHECK_MSG(band == nullptr ||
+                      (kUnsigned && kParts == 1 && !resumed && !striped &&
+                       job.overrides == nullptr &&
+                       (!band->write || count == L)),
+                  "a band sweep needs whole u8 rows of an empty-triangle "
+                  "sweep from row 1 (group r0=" << r0 << ")");
+  if (band != nullptr) grow_to(scratch.max_x, state_elems);
   std::array<SweepConsts<Part>, kParts> consts;
   for (int p = 0; p < kParts; ++p)
     consts[static_cast<std::size_t>(p)] = {
@@ -634,6 +762,7 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
         Part::set1(static_cast<Elem>(profile.bias())),
         h.data() + p * PL,
         max_y.data() + p * PL,
+        band != nullptr ? scratch.max_x.data() : nullptr,
         colmask + p * PL,
         L,
         r0};
@@ -684,6 +813,90 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     return -1;
   };
 
+  // Band sweep state (see "Band rows"): the row above holds its own state
+  // in h / max_y up to column `reach` and the reference's beyond, and its H
+  // and MaxY equal the reference's past column `changed` (the boundary row
+  // equals the reference everywhere).
+  int reach = width - 1;
+  int changed = -1;
+  // Sweeps row y of a band sweep, keeping MaxX and writing the last lane
+  // back; false leaves the row to the plain loops below.
+  const auto sweep_band_row = [&](int y) {
+    if constexpr (kUnsigned) {
+      const int cm = count - 1;  // columns [0, cm) carry border masks
+      if (y == r0 && reach < width - 1) {
+        // Row r0 reads all of row r0 - 1, whose tail is the reference's.
+        const std::size_t ga = BandGrid::at(m, y - 1, r0);
+        for (int c = reach + 1; c < width; ++c) {
+          const std::size_t e = static_cast<std::size_t>(c) * L;
+          Part::store(h.data() + e, Part::set1(band->h[ga + c]));
+          Part::store(max_y.data() + e, Part::set1(band->my[ga + c]));
+        }
+        reach = width - 1;
+      }
+      if (y >= r0 && !band->write) return false;
+      const std::size_t gy = BandGrid::at(m, y, r0);
+      BandRow b{nullptr, nullptr, band->h + gy, band->mx + gy, band->my + gy};
+      if (y > 1) {
+        const std::size_t ga = BandGrid::at(m, y - 1, r0);
+        b.up_h = band->h + ga;
+        b.up_my = band->my + ga;
+      }
+      const SweepRow<Part> r = row_of(y);
+      const SweepConsts<Part>& k = consts[0];
+      PVec d = v_zero;
+      PVec x = v_neg;
+      PVec& pk = v_peak[0];
+      const int deep = y - r0;
+      if (deep >= 0 || band->seed) {
+        // A row new to the reference, or a seed's: swept whole, as its last
+        // lane is the next reference.
+        const PVec pm =
+            deep > 0 ? Part::load(deepmask + (deep - 1) * L) : v_zero;
+        with_flag(deep > 0, [&](auto is_deep) {
+          constexpr bool kD = decltype(is_deep)::value;
+          sweep_keep<Part, true, kD, false, false>(k, r, b, 0, cm, d, x, pk,
+                                                   pm);
+          sweep_keep<Part, false, kD, false, false>(k, r, b, cm, width, d, x,
+                                                    pk, pm);
+        });
+      } else {
+        // The row may stop past the masks and the row above's last change;
+        // the row above's own state ends at `reach`.
+        const int from = std::max(cm, changed + 1);
+        const int g = reach + 1;
+        REPRO_DCHECK_MSG(from <= g, "band row " << y << " may stop at column "
+                                                << from
+                                                << " before the row above's "
+                                                   "state ends at "
+                                                << g);
+        changed = cm - 1;
+        sweep_keep<Part, true, false, false, false>(k, r, b, 0, cm, d, x, pk,
+                                                    v_zero);
+        int s = sweep_keep<Part, false, false, false, true>(
+            k, r, b, cm, g, d, x, pk, v_zero, from, &changed);
+        if (s == g)
+          s = sweep_keep<Part, false, false, true, true>(
+              k, r, b, g, width, d, x, pk, v_zero, from, &changed);
+        reach = std::min(s, width - 1);
+        band->cells_reused += static_cast<std::uint64_t>(width - 1 - reach) *
+                              static_cast<std::uint64_t>(L);
+      }
+      if (band->write) {
+        // The next group reads the reference only past its own masks.
+        const int next_cm = std::min(L, m - r0 - L) - 1;
+        for (int c = L + next_cm; c <= reach; ++c) {
+          const std::size_t e = static_cast<std::size_t>(c) * L + (L - 1);
+          band->h[gy + c] = h[e];
+          band->mx[gy + c] = scratch.max_x[e];
+          band->my[gy + c] = max_y[e];
+        }
+      }
+      return true;
+    }
+    return false;
+  };
+
   for (int c0 = 0; c0 < width; c0 += stripe) {
     const int c1 = std::min(width, c0 + stripe);
     const int cm = std::clamp(count - 1, c0, c1);  // [c0, cm) need colmask
@@ -708,7 +921,14 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
       const bool emits =
           sink != nullptr && emit_idx < sink->count &&
           y == sink->rows[static_cast<std::size_t>(emit_idx)].row;
-      if (y < r0 && !emits) {
+      bool band_swept = false;
+      if constexpr (kUnsigned) {
+        if (band != nullptr) band_swept = sweep_band_row(y);
+      }
+      if (band_swept) {
+        // Row y is in h / max_y up to column `reach`, and the reference's
+        // beyond.
+      } else if (y < r0 && !emits) {
         // Rows y and y+1 <= r0 in one pass; only row y+1 reaches memory.
         const SweepRow<Part> a = row_of(y);
         const SweepRow<Part> b = row_of(y + 1);
@@ -804,11 +1024,22 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
       if (sink != nullptr && emit_idx < sink->count &&
           y == sink->rows[static_cast<std::size_t>(emit_idx)].row) {
         CheckpointRow& cr = sink->rows[static_cast<std::size_t>(emit_idx)];
+        // A band row's state ends at `reach`; every lane equals the
+        // reference beyond it.
+        const int own = band != nullptr ? reach + 1 : c1;
         const std::size_t off = static_cast<std::size_t>(c0) * L * sizeof(Elem);
         const std::size_t len =
-            static_cast<std::size_t>(c1 - c0) * L * sizeof(Elem);
+            static_cast<std::size_t>(own - c0) * L * sizeof(Elem);
         std::memcpy(cr.h.data() + off, at(h, c0, 0), len);
         std::memcpy(cr.max_y.data() + off, at(max_y, c0, 0), len);
+        if constexpr (kUnsigned) {
+          const std::size_t gy = own < c1 ? BandGrid::at(m, y, r0) : 0;
+          for (int c = own; c < c1; ++c) {
+            const std::size_t e = static_cast<std::size_t>(c) * L;
+            std::memset(cr.h.data() + e, band->h[gy + c], L);
+            std::memset(cr.max_y.data() + e, band->my[gy + c], L);
+          }
+        }
         if constexpr (check::kContractsEnabled && !kUnsigned) {
           // The emitted slice must satisfy the same non-negativity the
           // resume path asserts before re-entering the sweep. (Unsigned

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -29,8 +30,8 @@ using std::chrono::milliseconds;
 enum Tag : int {
   kReqWork = 1,  // W->M: hello (resent with backoff until registered)
   kAssign,       // M->W: [r0, count, version]
-  kResult,       // W->M: [r0, count, version, scores...; rows... when
-                 //        version==0 in replica mode]
+  kResult,       // W->M: [r0, count, version, sweep_us, scores...; rows...
+                 //        when version==0 in replica mode]
   kRowRequest,   // any->owner: [r]  (owner = master in replica mode)
   kRowReply,     // owner->any: [r, row values...]
   kRowDeposit,   // W->owner W: [r, row values...]  (partitioned mode, v0)
@@ -150,7 +151,6 @@ class Master {
  private:
   struct Assignment {
     core::SweepOrder order;
-    Clock::time_point start;
     Clock::time_point deadline;
   };
   enum class WState { kNew, kIdle, kBusy, kDead };
@@ -311,8 +311,7 @@ class Master {
       WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
       REPRO_DCHECK(rec.state == WState::kIdle && !rec.job.has_value());
       rec.state = WState::kBusy;
-      const auto now = Clock::now();
-      rec.job = Assignment{*o, now, now + rec.timeout};
+      rec.job = Assignment{*o, Clock::now() + rec.timeout};
       comm_.send(0, w, {kAssign, {o->r0, o->count, o->version}});
     }
   }
@@ -386,6 +385,10 @@ class Master {
     const int count = msg.data.at(1);
     const int v = msg.data.at(2);
     WorkerRec& rec = workers_[static_cast<std::size_t>(src)];
+    // The worker's own sweep time: queueing behind a lapsed sweep and
+    // message delays are not part of it.
+    longest_sweep_ = std::max<Clock::duration>(
+        longest_sweep_, std::chrono::microseconds(msg.data.at(3)));
     // Dedup: only the result matching the worker's live assignment record
     // is applied. Anything else — a duplicate delivery, a result computed
     // for an assignment that timed out and was requeued, a straggler from
@@ -393,14 +396,18 @@ class Master {
     if (!rec.job.has_value() || rec.job->order.r0 != r0 ||
         rec.job->order.version != v) {
       recovery_.bump(recovery_.stale_results);
+      // The worker sweeps its assignments in order, so it starts its live
+      // task no earlier than now: restart that task's clock.
+      if (rec.job.has_value())
+        rec.job->deadline =
+            Clock::now() + std::max(rec.timeout, 2 * longest_sweep_);
       return;
     }
     const core::SweepOrder order = rec.job->order;
-    longest_sweep_ = std::max(longest_sweep_, Clock::now() - rec.job->start);
     rec.timeout = std::max<Clock::duration>(kTaskTimeout, 2 * longest_sweep_);
     rec.job.reset();
     REPRO_CHECK(order.count == count);
-    const auto first = msg.data.begin() + 3;
+    const auto first = msg.data.begin() + 4;
     const std::span<const align::Score> scores(first, first + count);
     // Replica mode: a first alignment's bottom rows ride the result for
     // archival. (Partitioned mode: the worker already routed each row to
@@ -428,7 +435,7 @@ class Master {
   std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // partitioned
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
-  Clock::duration longest_sweep_{};  ///< assign-to-result, applied results
+  Clock::duration longest_sweep_{};  ///< longest worker-reported sweep
   std::uint64_t replicas_served_ = 0;
 };
 
@@ -703,11 +710,17 @@ class Worker {
       comm_.send(rank_, 0, {kReject, {r0, v}});
       return;
     }
+    const auto begin = Clock::now();
     const std::span<const align::Score> scores = sweeper_.sweep(r0, count, v);
     sweeper_.commit();
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        Clock::now() - begin)
+                        .count();
     Message result;
     result.tag = kResult;
-    result.data = {r0, count, v};
+    result.data = {r0, count, v,
+                   static_cast<std::int32_t>(std::min<std::int64_t>(
+                       us, std::numeric_limits<std::int32_t>::max()))};
     result.data.insert(result.data.end(), scores.begin(), scores.end());
     if (v == 0 && archived()) {
       for (int k = 0; k < count; ++k) {

@@ -31,8 +31,10 @@
 // The timeouts are fixed (master_worker.cpp) and arm only under a fault
 // plan; closed-rank detection is always on. A worker's task deadline
 // adapts: it doubles on every lapse and, on every applied result, resets
-// to twice the longest sweep applied so far (at least 60 ms), so a sweep
-// slower than the deadline is not requeued forever.
+// to twice the longest sweep so far (at least 60 ms), so a sweep slower
+// than the deadline is not requeued forever. Sweep lengths are the
+// workers' own (each result carries one); a stale result restarts the
+// clock of the task its worker sweeps next.
 #pragma once
 
 #include <cstdint>

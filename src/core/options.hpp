@@ -66,6 +66,9 @@ struct FinderStats {
   std::uint64_t i16_sweeps = 0;            ///< group sweeps run in i16 lanes
   std::uint64_t precision_escalations = 0; ///< u8 sweeps finished at i16
   std::uint64_t profile_hits = 0;          ///< sweeps reusing a cached profile
+  /// First-sweep lane cells taken from the adjacent group's last rectangle
+  /// (PrecisionStats::cells_reused); `cells` counts them as computed.
+  std::uint64_t cells_reused = 0;
   /// Wall time inside realignment-phase sweeps (version > 0); the parallel
   /// finder sums it across threads like idle_seconds.
   double realign_seconds = 0.0;

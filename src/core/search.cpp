@@ -405,6 +405,7 @@ void Sweeper::add_stats(FinderStats& stats) const {
   stats.i16_sweeps += p.i16_sweeps - prec0_.i16_sweeps;
   stats.precision_escalations += p.escalations - prec0_.escalations;
   stats.profile_hits += p.profile_hits - prec0_.profile_hits;
+  stats.cells_reused += p.cells_reused - prec0_.cells_reused;
   stats.rows_swept += rows_swept_;
   stats.rows_skipped += rows_skipped_;
   stats.realign_seconds += realign_seconds_;

@@ -508,21 +508,22 @@ class SlowRealignEngine final : public align::Engine {
   std::chrono::milliseconds nap_;
 };
 
-TEST(SlowSweeps, TaskDeadlineAdaptsToSweepLength) {
-  // Every realignment sweep takes 200 ms, under a plan whose one drop is
-  // never reached: deadlines are armed, nothing is lost. A fixed deadline
-  // shorter than the sweep requeues every realignment each time it runs
-  // (hundreds of lapses here); one that doubles on a lapse and resets to
-  // twice the longest applied sweep lapses a few times and then holds.
-  struct Probe {
-    std::atomic<bool> finished{false};
-    // Written by the runner before `finished`; read only after the join.
-    std::string error;
-    bool matched = false;
-    std::uint64_t misses = 0;
-  };
-  auto probe = std::make_shared<Probe>();
-  std::thread runner([probe] {
+/// What a slow-sweep cluster run reports back to the test thread.
+struct SlowRun {
+  std::atomic<bool> finished{false};
+  // Written by the runner before `finished`; read only after the join.
+  std::string error;
+  bool matched = false;
+  std::uint64_t misses = 0;
+};
+
+/// Runs titin m=100 (4 tops) on 3 ranks whose engines sleep `nap` in every
+/// realignment sweep, under a plan whose one drop is never reached:
+/// deadlines are armed, nothing is lost. Returns null when the run did not
+/// finish within the watchdog's 120 s (the runner is then leaked).
+std::shared_ptr<SlowRun> run_slow_sweeps(std::chrono::milliseconds nap) {
+  auto probe = std::make_shared<SlowRun>();
+  std::thread runner([probe, nap] {
     try {
       const auto g = seq::synthetic_titin(100, 91);
       FinderOptions opt;
@@ -537,11 +538,7 @@ TEST(SlowSweeps, TaskDeadlineAdaptsToSweepLength) {
       ClusterRunInfo info;
       const auto res = find_top_alignments_cluster(
           g.sequence, Scoring::protein_default(), copt,
-          [] {
-            return std::make_unique<SlowRealignEngine>(
-                std::chrono::milliseconds(200));
-          },
-          &info);
+          [nap] { return std::make_unique<SlowRealignEngine>(nap); }, &info);
       probe->matched = core::same_tops(reference.tops, res.tops);
       probe->misses = info.heartbeat_misses;
     } catch (const std::exception& e) {
@@ -556,12 +553,38 @@ TEST(SlowSweeps, TaskDeadlineAdaptsToSweepLength) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   if (!probe->finished.load()) {
     runner.detach();  // leak the running search; the probe keeps state alive
-    FAIL() << "slow sweeps kept the run from finishing";
+    return nullptr;
   }
   runner.join();
-  EXPECT_EQ(probe->error, "");
-  EXPECT_TRUE(probe->matched);
-  EXPECT_LE(probe->misses, 40u);
+  return probe;
+}
+
+TEST(SlowSweeps, TaskDeadlineAdaptsToSweepLength) {
+  // Every realignment sweep takes 200 ms. A fixed deadline shorter than
+  // the sweep requeues every realignment each time it runs (hundreds of
+  // lapses here); one that doubles on a lapse and resets to twice the
+  // longest sweep lapses a few times and then holds.
+  const auto run = run_slow_sweeps(std::chrono::milliseconds(200));
+  ASSERT_NE(run, nullptr) << "slow sweeps kept the run from finishing";
+  EXPECT_EQ(run->error, "");
+  EXPECT_TRUE(run->matched);
+  EXPECT_LE(run->misses, 40u);
+}
+
+TEST(SlowSweeps, OnlyEachWorkersFirstSlowSweepLapses) {
+  // A worker's first 200 ms sweep lapses at its 60 and 180 ms deadlines
+  // and is requeued, each time to the same idle worker, which sweeps it
+  // again after the first copy. The first result back carries the sweep's
+  // own 200 ms, so every later deadline is at least 400 ms, and each
+  // stale copy restarts the clock of the task queued behind it. Counting
+  // assign-to-result time instead measured the first result from its last
+  // requeue (20 ms) and the next task from behind the stale copies, so
+  // deadlines kept lapsing all run.
+  const auto run = run_slow_sweeps(std::chrono::milliseconds(200));
+  ASSERT_NE(run, nullptr) << "slow sweeps kept the run from finishing";
+  EXPECT_EQ(run->error, "");
+  EXPECT_TRUE(run->matched);
+  EXPECT_LE(run->misses, 4u);  // two per worker
 }
 
 // ---------------------------------------------------------------------------

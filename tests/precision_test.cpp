@@ -1,8 +1,9 @@
 // Adaptive-precision SIMD: static headroom boundaries (bias-aware),
 // saturation certification at the exact u8 ceiling, transparent i8 -> i16
 // escalation matching the scalar oracle, the precision ladder (an
-// escalated sweep finishing in i16 from the deepest certified u8 row), and
-// query-profile reuse across runs and parallel partitions.
+// escalated sweep finishing in i16 from the deepest certified u8 row), the
+// band sweep of ascending first-sweep groups, and query-profile reuse
+// across runs and parallel partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -602,6 +603,222 @@ TEST(PrecisionLadder, I16CeilingUnderAutoNamesTheWiderEngines) {
       EXPECT_NE(msg.find("scalar"), std::string::npos) << msg;
       EXPECT_EQ(msg.find("use an adaptive"), std::string::npos) << msg;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Band sweep: a first-sweep group that follows the adjacent group on the
+// same engine recomputes only where it differs from that group's last
+// rectangle. Every call must give what a fresh engine gives for the same
+// calls out of order.
+
+enum class Call { kFirst, kRealign, kAlignOne };
+
+struct BandStep {
+  const seq::Sequence* s;
+  int r0;
+  Call call = Call::kFirst;
+};
+
+struct BandOut {
+  std::vector<std::vector<align::Score>> rows;
+  align::CheckpointSink sink;
+};
+
+// One call as core::Sweeper makes it: the empty triangle and a sink on the
+// Sweeper's grid for a first sweep, the triangle for a realignment, one
+// split through align_one.
+BandOut band_call(align::Engine& engine, const BandStep& step,
+                  const seq::Scoring& sc,
+                  const align::OverrideTriangle& triangle) {
+  BandOut run;
+  const int m = step.s->length();
+  align::GroupJob job;
+  job.seq = step.s->codes();
+  job.scoring = &sc;
+  job.r0 = step.r0;
+  if (step.call == Call::kAlignOne) {
+    run.rows.push_back(engine.align_one(job));
+    return run;
+  }
+  job.count = std::min(engine.lanes(), m - step.r0);
+  if (step.call == Call::kRealign) job.overrides = &triangle;
+  std::vector<std::span<align::Score>> outs;
+  for (int k = 0; k < job.count; ++k)
+    run.rows.emplace_back(static_cast<std::size_t>(m - step.r0 - k));
+  for (auto& row : run.rows) outs.emplace_back(row);
+  const int rows = step.r0 + job.count - 1;
+  run.sink.stride = std::max(1, (rows + 15) / 16);
+  run.sink.top_row = step.r0 - 1;
+  job.sink = &run.sink;
+  engine.align(job, outs);
+  return run;
+}
+
+// Runs `steps` in order on one engine and in reverse on a fresh one, which
+// sees no adjacent ascending groups; expects equal rows, staged rows and
+// precision counts. Returns the first engine's reused lane cells after
+// each step.
+std::vector<std::uint64_t> expect_band_matches_fresh(
+    const MakeEngine& make, const std::vector<BandStep>& steps,
+    const seq::Scoring& sc, const std::string& what) {
+  const auto band = make(0);
+  const auto fresh = make(0);
+  // The realignment triangle: a few pairs of the first sequence's top rows.
+  const int m = steps.front().s->length();
+  align::OverrideTriangle triangle(m);
+  for (int i = 0; i < 6 && i < m - 1 - i; ++i) triangle.set(i, m - 1 - i);
+  std::vector<BandOut> a;
+  std::vector<std::uint64_t> reused;
+  for (const BandStep& step : steps) {
+    const align::OverrideTriangle single(step.s->length());
+    a.push_back(band_call(*band, step, sc,
+                          step.s == steps.front().s ? triangle : single));
+    reused.push_back(band->precision_stats().cells_reused);
+  }
+  std::vector<BandOut> b(steps.size());
+  for (std::size_t t = steps.size(); t-- > 0;) {
+    const align::OverrideTriangle single(steps[t].s->length());
+    b[t] = band_call(*fresh, steps[t], sc,
+                     steps[t].s == steps.front().s ? triangle : single);
+  }
+  for (std::size_t t = 0; t < steps.size(); ++t) {
+    const std::string at = what + " (" + band->name() + "), step " +
+                           std::to_string(t) + " r0=" +
+                           std::to_string(steps[t].r0);
+    EXPECT_EQ(a[t].rows, b[t].rows) << at;
+    const align::CheckpointSink& x = a[t].sink;
+    const align::CheckpointSink& y = b[t].sink;
+    EXPECT_EQ(x.elem_size, y.elem_size) << at;
+    EXPECT_EQ(x.lanes, y.lanes) << at;
+    EXPECT_EQ(x.count, y.count) << at;
+    for (int k = 0; k < std::min(x.count, y.count); ++k) {
+      const auto& rx = x.rows[static_cast<std::size_t>(k)];
+      const auto& ry = y.rows[static_cast<std::size_t>(k)];
+      EXPECT_EQ(rx.row, ry.row) << at;
+      EXPECT_TRUE(rx.h == ry.h && rx.max_y == ry.max_y)
+          << at << ": staged row " << rx.row;
+    }
+  }
+  const align::PrecisionStats pa = band->precision_stats();
+  const align::PrecisionStats pb = fresh->precision_stats();
+  EXPECT_EQ(pa.i8_sweeps, pb.i8_sweeps) << what;
+  EXPECT_EQ(pa.i16_sweeps, pb.i16_sweeps) << what;
+  EXPECT_EQ(pa.escalations, pb.escalations) << what;
+  EXPECT_EQ(pa.profile_hits, pb.profile_hits) << what;
+  EXPECT_EQ(pa.profile_builds, pb.profile_builds) << what;
+  EXPECT_EQ(pb.cells_reused, 0u) << what;
+  EXPECT_EQ(band->cells_computed(), fresh->cells_computed()) << what;
+  return reused;
+}
+
+// Every first-sweep group of `s`, ascending.
+std::vector<BandStep> ascending(const seq::Sequence& s, int lanes) {
+  std::vector<BandStep> steps;
+  for (int r0 = 1; r0 < s.length(); r0 += lanes) steps.push_back({&s, r0});
+  return steps;
+}
+
+TEST(BandSweep, AscendingRunsMatchAFreshEngine) {
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  const seq::Scoring dna = seq::Scoring::paper_example();
+  const auto titin = seq::synthetic_titin(600, 4241).sequence;
+  const auto random_protein =
+      seq::random_sequence(seq::Alphabet::protein(), 450, 7);
+  const auto random_dna = seq::random_sequence(seq::Alphabet::dna(), 450, 11);
+  for (const MakeEngine& make : adaptive_engines()) {
+    const int lanes = make(0)->lanes();
+    const auto reused =
+        expect_band_matches_fresh(make, ascending(titin, lanes), protein,
+                                  "titin");
+    EXPECT_GT(reused.back(), 0u) << "titin takes the band";
+    expect_band_matches_fresh(make, ascending(random_protein, lanes), protein,
+                              "random protein");
+    expect_band_matches_fresh(make, ascending(random_dna, lanes), dna,
+                              "random DNA");
+  }
+}
+
+TEST(BandSweep, EscalatedRunThenReseed) {
+  // A tandem block in the middle: the groups over it escalate, the band
+  // resumes after it from a re-seeded reference.
+  const auto& protein_alphabet = seq::Alphabet::protein();
+  const std::string unit =
+      seq::random_sequence(protein_alphabet, 24, 5).to_string();
+  std::string text = seq::random_sequence(protein_alphabet, 300, 3).to_string();
+  for (int copy = 0; copy < 10; ++copy) text += unit;
+  text += seq::random_sequence(protein_alphabet, 400, 4).to_string();
+  const auto s = seq::Sequence::from_string("tandem", text, protein_alphabet);
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  for (const MakeEngine& make : adaptive_engines()) {
+    const int lanes = make(0)->lanes();
+    const auto steps = ascending(s, lanes);
+    const auto reused =
+        expect_band_matches_fresh(make, steps, protein, "lowcomplex");
+    // The first escalated group ends the first chain; the band must take
+    // cells again after the run.
+    const auto probe = make(0);
+    std::size_t first_escalated = 0;
+    while (first_escalated < steps.size() &&
+           probe->precision_stats().escalations == 0)
+      band_call(*probe, steps[first_escalated++], protein,
+                align::OverrideTriangle(s.length()));
+    ASSERT_GT(probe->precision_stats().escalations, 0u) << probe->name();
+    EXPECT_GT(reused.back(), reused[first_escalated - 1])
+        << probe->name() << ": no band step after the escalated run";
+  }
+}
+
+TEST(BandSweep, ShortAndRaggedSequences) {
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  for (const MakeEngine& make : adaptive_engines()) {
+    const int lanes = make(0)->lanes();
+    for (const int m : {lanes + 1, 2 * lanes - 5, 2 * lanes, 7 * lanes + 3}) {
+      const auto s = seq::random_sequence(seq::Alphabet::protein(), m, 2003);
+      expect_band_matches_fresh(make, ascending(s, lanes), protein,
+                                "m=" + std::to_string(m));
+    }
+  }
+}
+
+TEST(BandSweep, OtherCallsBreakTheChain) {
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  const auto s = seq::synthetic_titin(500, 2003).sequence;
+  const auto other = seq::synthetic_titin(480, 4241).sequence;
+  for (const MakeEngine& make : adaptive_engines()) {
+    const int L = make(0)->lanes();
+    // Each interruption sits between two band groups.
+    expect_band_matches_fresh(
+        make,
+        {{&s, 1}, {&s, 1 + L}, {&s, 1 + 3 * L}, {&s, 1 + 2 * L},
+         {&s, 1 + 4 * L}},
+        protein, "non-adjacent group");
+    expect_band_matches_fresh(make,
+                              {{&s, 1},
+                               {&s, 1 + L},
+                               {&s, 1, Call::kRealign},
+                               {&s, 1 + 2 * L},
+                               {&s, 1 + 3 * L, Call::kRealign},
+                               {&s, 1 + 3 * L}},
+                              protein, "realignment");
+    // A low-memory plain recompute: a whole group under the empty triangle.
+    expect_band_matches_fresh(
+        make,
+        {{&s, 1}, {&s, 1 + L}, {&s, 1 + L}, {&s, 1 + 2 * L}, {&s, 1 + 3 * L}},
+        protein, "plain recompute");
+    expect_band_matches_fresh(make,
+                              {{&s, 1},
+                               {&s, 1 + L},
+                               {&s, 1 + 2 * L, Call::kAlignOne},
+                               {&s, 1 + 2 * L},
+                               {&s, 1 + 3 * L}},
+                              protein, "align_one");
+    // One engine reused on a second sequence, and back.
+    std::vector<BandStep> steps = ascending(s, L);
+    for (const BandStep& step : ascending(other, L)) steps.push_back(step);
+    steps.push_back({&s, 1});
+    steps.push_back({&s, 1 + L});
+    expect_band_matches_fresh(make, steps, protein, "second sequence");
   }
 }
 

@@ -84,7 +84,7 @@ note "repro_lint.py (repo invariants)"
 if ! python3 tools/repro_lint.py; then
   stage_fail "repro_lint.py reported violations"
 fi
-note "perf_pairs.py doctests (the clear-gain verdict)"
+note "perf_pairs.py doctests (the clear-gain verdict and the history record)"
 if ! python3 -m doctest tools/perf_pairs.py; then
   stage_fail "perf_pairs.py doctests failed"
 fi

@@ -2,7 +2,7 @@
 """Compares end-to-end metrics of a base commit and the working tree.
 
     python3 tools/perf_pairs.py --base HEAD~1 --workload titin-t4 \
-        --seed 2003 --pairs 10
+        --seed 2003 --pairs 10 [--history BENCH_history.jsonl]
 
 Run from anywhere inside the repository. The base commit is unpacked with
 `git archive` into a temporary directory (under $TMPDIR), so its perfbench
@@ -17,11 +17,15 @@ pair's end-to-end metrics (the `end_to_end` list of BENCHMARK.json), then
 per metric the median and interquartile range of each side, the change of
 the medians and the number of pairs the working tree won. A gain is clear
 when the working tree wins nearly every pair and its median moves by more
-than the base's IQR. A run that fails or reports an incorrect call stops
-the script with a non-zero exit. The temporary copy is removed at the end.
+than the base's IQR. With --history the same summary is appended to the
+given file as one JSON line (base ref, head, workload, seed, pairs, and per
+metric the medians, IQRs, change, wins and verdict). A run that fails or
+reports an incorrect call stops the script with a non-zero exit and writes
+no record. The temporary copy is removed at the end.
 """
 
 import argparse
+import datetime
 import json
 import os
 import shutil
@@ -98,21 +102,66 @@ def is_clear(base, head, better):
             and shift > q3 - q1)
 
 
-def summarize(metrics, pairs):
-    print(f"\n{'metric':<28}{'base p50':>10}{'IQR':>9}{'head p50':>10}"
-          f"{'IQR':>9}{'change':>9}{'wins':>7}  clear")
+def compare(metrics, pairs):
+    """Per metric: both sides' median and IQR, the change of the medians in
+    percent, the pairs the head won and the verdict.
+
+    >>> s = compare([("find", "lower")],
+    ...             [{"base": {"find": 10}, "head": {"find": 8}},
+    ...              {"base": {"find": 12}, "head": {"find": 9}}])
+    >>> s["find"]["base_p50"], s["find"]["head_p50"], s["find"]["wins"]
+    (11.0, 8.5, 2)
+    >>> round(s["find"]["change_pct"], 2), s["find"]["clear"]
+    (-22.73, True)
+    """
+    summary = {}
     for name, better in metrics:
         base = [p["base"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
         bq1, bq3 = quartiles(base)
         hq1, hq3 = quartiles(head)
         bmed, hmed = statistics.median(base), statistics.median(head)
-        wins = count_wins(base, head, better)
-        change = 100.0 * (hmed - bmed) / bmed if bmed else float("nan")
-        clear = is_clear(base, head, better)
-        print(f"{name:<28}{bmed:>10.4g}{bq3 - bq1:>9.3g}{hmed:>10.4g}"
-              f"{hq3 - hq1:>9.3g}{change:>+8.1f}%{wins:>4}/{len(pairs):<2}  "
-              f"{'yes' if clear else 'no'}")
+        summary[name] = {
+            "base_p50": bmed, "base_iqr": bq3 - bq1,
+            "head_p50": hmed, "head_iqr": hq3 - hq1,
+            "change_pct": 100.0 * (hmed - bmed) / bmed if bmed else None,
+            "wins": count_wins(base, head, better),
+            "clear": is_clear(base, head, better),
+        }
+    return summary
+
+
+def summarize(summary, npairs):
+    print(f"\n{'metric':<28}{'base p50':>10}{'IQR':>9}{'head p50':>10}"
+          f"{'IQR':>9}{'change':>9}{'wins':>7}  clear")
+    for name, m in summary.items():
+        change = m["change_pct"] if m["change_pct"] is not None else float("nan")
+        print(f"{name:<28}{m['base_p50']:>10.4g}{m['base_iqr']:>9.3g}"
+              f"{m['head_p50']:>10.4g}{m['head_iqr']:>9.3g}{change:>+8.1f}%"
+              f"{m['wins']:>4}/{npairs:<2}  {'yes' if m['clear'] else 'no'}")
+
+
+def history_record(args, head, summary, npairs):
+    """The BENCH_history.jsonl line of one invocation.
+
+    >>> class A: base, workload, seed = "f8a18bf", "titin-seq", 2003
+    >>> rec = history_record(A, "f8a18bf-dirty", {"find": {"wins": 9}}, 10)
+    >>> rec["base"], rec["head"], rec["pairs"], rec["metrics"]["find"]["wins"]
+    ('f8a18bf', 'f8a18bf-dirty', 10, 9)
+    """
+    return {
+        "date": datetime.datetime.now(datetime.timezone.utc)
+                .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "base": args.base, "head": head, "workload": args.workload,
+        "seed": args.seed, "pairs": npairs, "metrics": summary,
+    }
+
+
+def describe_head():
+    """The working tree's commit, marked -dirty when it has changes."""
+    return subprocess.run(["git", "describe", "--always", "--dirty"],
+                          cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def main():
@@ -121,6 +170,8 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=2003)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--history",
+                        help="append the summary to this JSON-lines file")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -142,7 +193,13 @@ def main():
             print(f"pair {k + 1} ({order[0][0]} first): " + "  ".join(
                 f"{name} {pair['base'][name]:.4g} -> {pair['head'][name]:.4g}"
                 for name, _ in metrics), flush=True)
-        summarize(metrics, pairs)
+        summary = compare(metrics, pairs)
+        summarize(summary, len(pairs))
+        if args.history:
+            record = history_record(args, describe_head(), summary, len(pairs))
+            with open(args.history, "a", encoding="utf-8") as f:
+                f.write(json.dumps(record) + "\n")
+            log(f"appended the summary to {args.history}")
     except (RuntimeError, subprocess.CalledProcessError, KeyError) as e:
         log("failed:", e)
         return 1

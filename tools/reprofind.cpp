@@ -287,6 +287,7 @@ int cmd_find(int argc, char** argv) {
     total_stats.i8_sweeps += res.stats.i8_sweeps;
     total_stats.i16_sweeps += res.stats.i16_sweeps;
     total_stats.precision_escalations += res.stats.precision_escalations;
+    total_stats.cells_reused += res.stats.cells_reused;
     total_stats.profile_hits += res.stats.profile_hits;
     total_stats.realign_seconds += res.stats.realign_seconds;
     total_stats.seconds += res.stats.seconds;
@@ -370,6 +371,7 @@ int cmd_find(int argc, char** argv) {
     report.counter("i16_sweeps", total_stats.i16_sweeps);
     report.counter("precision_escalations", total_stats.precision_escalations);
     report.counter("profile_hits", total_stats.profile_hits);
+    report.counter("cells_reused", total_stats.cells_reused);
     report.metric("realign_seconds", total_stats.realign_seconds);
     report.metric("idle_seconds", total_stats.idle_seconds);
     if (total_stats.rows_swept > 0)
