@@ -123,11 +123,11 @@ void BM_ScalarStriped(benchmark::State& state) {
 }
 void BM_Simd4Generic(benchmark::State& state) {
   run_engine_bench(state,
-                   [] { return align::detail::make_simd_generic_engine(4, 0); });
+                   [] { return align::detail::make_simd_generic_engine(4); });
 }
 void BM_Simd8Generic(benchmark::State& state) {
   run_engine_bench(state,
-                   [] { return align::detail::make_simd_generic_engine(8, 0); });
+                   [] { return align::detail::make_simd_generic_engine(8); });
 }
 void BM_Simd4(benchmark::State& state) {
   run_engine_bench(state, align::EngineKind::kSimd4);
@@ -146,12 +146,12 @@ void BM_Simd8x32(benchmark::State& state) {
 // the adaptive engine on titin/protein (escalates transparently).
 void BM_Simd8x8Generic(benchmark::State& state) {
   run_u8_engine_bench(
-      state, [] { return align::detail::make_adaptive_generic_engine(0); });
+      state, [] { return align::detail::make_adaptive_generic_engine(); });
 }
 #if REPRO_HAVE_SSE2
 void BM_Simd16x8Sse2(benchmark::State& state) {
   run_u8_engine_bench(state,
-                      [] { return align::detail::make_adaptive_sse2_engine(0); });
+                      [] { return align::detail::make_adaptive_sse2_engine(); });
 }
 #endif
 #if REPRO_ENABLE_AVX2
@@ -161,7 +161,7 @@ void BM_Simd32x8Avx2(benchmark::State& state) {
     return;
   }
   run_u8_engine_bench(state,
-                      [] { return align::detail::make_adaptive_avx2_engine(0); });
+                      [] { return align::detail::make_adaptive_avx2_engine(); });
 }
 #endif
 void BM_AutoBest(benchmark::State& state) {
@@ -242,7 +242,7 @@ void BM_ScalarResume(benchmark::State& state) {
 }
 void BM_Simd8GenericResume(benchmark::State& state) {
   run_resume_bench(state,
-                   [] { return align::detail::make_simd_generic_engine(8, 0); });
+                   [] { return align::detail::make_simd_generic_engine(8); });
 }
 BENCHMARK(BM_ScalarResume)
     ->Args({2000, 0})
@@ -576,18 +576,18 @@ int run_precision_ablation(int argc, char** argv) {
     align::EngineFactory i16;
   };
   std::vector<IsaPair> pairs{
-      {"generic", [] { return align::detail::make_adaptive_generic_engine(0); },
-       [] { return align::detail::make_simd_generic_engine(8, 0); }}};
+      {"generic", [] { return align::detail::make_adaptive_generic_engine(); },
+       [] { return align::detail::make_simd_generic_engine(8); }}};
 #if REPRO_HAVE_SSE2
   pairs.push_back(
-      {"sse2", [] { return align::detail::make_adaptive_sse2_engine(0); },
-       [] { return align::detail::make_simd_engine(8, 0); }});
+      {"sse2", [] { return align::detail::make_adaptive_sse2_engine(); },
+       [] { return align::detail::make_simd_engine(8); }});
 #endif
 #if REPRO_ENABLE_AVX2
   if (align::avx2_available())
     pairs.push_back(
-        {"avx2", [] { return align::detail::make_adaptive_avx2_engine(0); },
-         [] { return align::detail::make_simd_avx2_engine(0); }});
+        {"avx2", [] { return align::detail::make_adaptive_avx2_engine(); },
+         [] { return align::detail::make_simd_avx2_engine(); }});
 #endif
   util::Table rate_table({"isa", "u8 cells/s", "i16 cells/s", "speedup"});
   rate_table.set_precision(2);
@@ -648,11 +648,11 @@ int run_precision_ablation(int argc, char** argv) {
     engines.push_back(align::engine_factory(kind));
   for (const int lanes : {4, 8, 16})
     engines.push_back(
-        [lanes] { return align::detail::make_simd_generic_engine(lanes, 0); });
-  engines.push_back([] { return align::detail::make_simd32_generic_engine(8, 0); });
-  engines.push_back([] { return align::detail::make_adaptive_generic_engine(0); });
+        [lanes] { return align::detail::make_simd_generic_engine(lanes); });
+  engines.push_back([] { return align::detail::make_simd32_generic_engine(8); });
+  engines.push_back([] { return align::detail::make_adaptive_generic_engine(); });
 #if REPRO_HAVE_SSE2
-  engines.push_back([] { return align::detail::make_adaptive_sse2_engine(0); });
+  engines.push_back([] { return align::detail::make_adaptive_sse2_engine(); });
 #endif
 
   const auto in_range = seq::synthetic_dna_tandem(200, 9, 5, 21).sequence;

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
       std::cerr << "auto engine results diverge: " << diff << '\n';
       return 1;
     }
-    cells_reused_sum += r_auto.stats.cells_reused;
+    cells_reused_sum += r_auto.stats.precision.cells_reused;
 
     // Checkpoint ablation: identical schedule on the distal-repeat
     // workload, default 256 MiB budget vs cache disabled (the off run

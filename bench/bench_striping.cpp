@@ -4,10 +4,13 @@
 // Paper claims: for the SSE kernel, striping is up to 6.5x and on average
 // ~4x faster than the same kernel without striping; for the conventional
 // kernel the gain is a marginal 16 %. (2003-era cache hierarchies; modern
-// hardware prefetchers shrink the gap — the shape to check is
-// striped <= unstriped, with the gap growing with matrix width.)
+// hardware prefetchers shrink the gap.) The SIMD engines sweep whole rows,
+// as striping was neutral or slower for them on current caches
+// (EXPERIMENTS.md §5.1), so this bench times the scalar kernel only, at its
+// L1-sized default stripe and over whole rows.
 #include <iostream>
 
+#include "align/engine_detail.hpp"
 #include "bench_common.hpp"
 #include "util/args.hpp"
 #include "util/stats.hpp"
@@ -53,50 +56,31 @@ int main(int argc, char** argv) {
   const auto g = seq::synthetic_titin(m, 2003);
   const seq::Scoring scoring = seq::Scoring::protein_default();
 
-  // Each kernel runs with its default stripe and with striping disabled.
-  const std::vector<align::EngineKind> kinds{
-      align::EngineKind::kScalarStriped, align::EngineKind::kSimd8,
-      align::EngineKind::kSimd4, align::EngineKind::kSimd16};
-
   // Matrix shapes: wide-and-short rectangles stress the row state the most.
   const std::vector<int> splits{m / 8, m / 4, m / 2, 3 * m / 4};
 
   util::Table table({"kernel", "split r", "striped (s)", "no stripes (s)",
                      "speedup from striping"});
   table.set_precision(3);
-  std::vector<double> ratios_simd, ratios_scalar;
-  for (const auto kind : kinds) {
-    for (const int r0 : splits) {
-      const auto striped = align::make_engine(kind, /*stripe=*/0);
-      const auto plain = align::make_engine(kind, /*stripe=*/-1);
-      const double t_striped = run_group(*striped, g.sequence, scoring, r0, reps);
-      const double t_plain = run_group(*plain, g.sequence, scoring, r0, reps);
-      const double ratio = t_plain / t_striped;
-      (kind == align::EngineKind::kScalarStriped ? ratios_scalar : ratios_simd)
-          .push_back(ratio);
-      table.add_row({striped->name(), static_cast<long long>(r0), t_striped,
-                     t_plain, ratio});
-    }
+  std::vector<double> ratios;
+  const auto striped = align::detail::make_scalar_striped_engine(0);
+  const auto plain = align::detail::make_scalar_striped_engine(-1);
+  for (const int r0 : splits) {
+    const double t_striped = run_group(*striped, g.sequence, scoring, r0, reps);
+    const double t_plain = run_group(*plain, g.sequence, scoring, r0, reps);
+    ratios.push_back(t_plain / t_striped);
+    table.add_row({striped->name(), static_cast<long long>(r0), t_striped,
+                   t_plain, ratios.back()});
   }
   table.print(std::cout);
 
   obs::MetricsReport report("bench_striping");
   report.param("m", m);
   report.param("reps", reps);
-  if (!ratios_simd.empty()) {
-    const auto s = util::summarize(ratios_simd);
-    std::cout << "\nSIMD striping speedup: min " << s.min << ", avg " << s.mean
-              << ", max " << s.max << "   (paper: avg ~4x, up to 6.5x on a "
-                 "Pentium III)\n";
-    report.metric("simd_striping_speedup_avg", s.mean);
-    report.metric("simd_striping_speedup_max", s.max);
-  }
-  if (!ratios_scalar.empty()) {
-    const auto s = util::summarize(ratios_scalar);
-    std::cout << "scalar striping speedup: avg " << s.mean
-              << "   (paper: ~1.16x)\n";
-    report.metric("scalar_striping_speedup_avg", s.mean);
-  }
+  const auto sum = util::summarize(ratios);
+  std::cout << "\nscalar striping speedup: avg " << sum.mean
+            << "   (paper: ~1.16x)\n";
+  report.metric("scalar_striping_speedup_avg", sum.mean);
   std::cout << "note: 2003-era L1/L2 penalties were far larger; modern "
                "prefetchers shrink these gaps (see EXPERIMENTS.md).\n";
   bench::maybe_write_json(args, report);

@@ -10,12 +10,12 @@
 //   * resuming the scalar engine from any checkpoint row it emitted
 //     reproduces the fresh bottom row exactly (§3 checkpoint-resume
 //     bit-identity), and
-//   * the adaptive engines (auto, auto-generic, and auto-generic with a
-//     tiny explicit stripe), sweeping whole groups through a checkpoint
-//     sink, give the scalar bottom rows — also when resumed from any row
-//     they staged. Byte 1 can pick a uniform DNA scoring with a large
-//     match score, so the u8 pass saturates within m <= 34 and the group
-//     finishes in i16 from its last certified row (the precision ladder).
+//   * the adaptive engines (auto and auto-generic), sweeping whole groups
+//     through a checkpoint sink, give the scalar bottom rows — also when
+//     resumed from any row they staged. Byte 1 can pick a uniform DNA
+//     scoring with a large match score, so the u8 pass saturates within
+//     m <= 34 and the group finishes in i16 from its last certified row
+//     (the precision ladder).
 //   * the adaptive engines, sweeping every group in ascending order under
 //     the empty triangle as the finder's first sweep does (so each group
 //     after the first takes the band path over its predecessor's last
@@ -201,9 +201,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto scalar = repro::align::make_engine(
       repro::align::EngineKind::kScalar);
   // Stripe width 3 forces many stripe boundaries even on tiny rectangles.
-  const auto striped = repro::align::make_engine(
-      repro::align::EngineKind::kScalarStriped, 3);
-  const auto simd8 = repro::align::detail::make_simd_generic_engine(8, 0);
+  const auto striped = repro::align::detail::make_scalar_striped_engine(3);
+  const auto simd8 = repro::align::detail::make_simd_generic_engine(8);
   const auto simd4x32 = repro::align::make_engine(
       repro::align::EngineKind::kSimd4x32Generic);
 
@@ -246,18 +245,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   const auto autobest = repro::align::make_engine(EngineKind::kSimdAuto);
-  const auto autogen = repro::align::detail::make_adaptive_generic_engine(0);
-  const auto autostriped = repro::align::detail::make_adaptive_generic_engine(3);
+  const auto autogen = repro::align::detail::make_adaptive_generic_engine();
   check_groups(*autobest, "auto", base, stride, refs);
   check_groups(*autogen, "auto-generic", base, stride, refs);
-  check_groups(*autostriped, "auto-generic/stripe3", base, stride, refs);
 
   GroupJob first = base;
   first.overrides = nullptr;
   check_ascending([] { return repro::align::make_engine(EngineKind::kSimdAuto); },
                   "auto", first, stride, plain_refs);
   check_ascending(
-      [] { return repro::align::detail::make_adaptive_generic_engine(0); },
+      [] { return repro::align::detail::make_adaptive_generic_engine(); },
       "auto-generic", first, stride, plain_refs);
   return 0;
 }

@@ -75,8 +75,6 @@ struct CheckpointCacheStats {
 
 class CheckpointCache {
  public:
-  static constexpr std::size_t kDefaultBudget = std::size_t{256} << 20;
-
   explicit CheckpointCache(std::size_t byte_budget) : budget_(byte_budget) {}
 
   /// Deepest usable checkpoint for a sweep of the group at r0, or nullopt.

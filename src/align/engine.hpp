@@ -27,8 +27,8 @@ enum class Precision { kI8, kI16, kI32, kAdaptive };
 /// Adaptive-precision and query-profile activity since engine construction
 /// (all zero for engines without SIMD profiles). An escalated group's first
 /// alignment is one u8 sweep, stopped at its first saturating row, finished
-/// by one i16 sweep, so i8_sweeps + i16_sweeps >= alignments_performed()
-/// with equality only when nothing escalated.
+/// by one i16 sweep, so i8_sweeps + i16_sweeps >= the group alignments
+/// performed, with equality only when nothing escalated.
 struct PrecisionStats {
   std::uint64_t i8_sweeps = 0;        ///< group sweeps run in u8 lanes
   std::uint64_t i16_sweeps = 0;       ///< group sweeps run in i16 lanes
@@ -38,6 +38,26 @@ struct PrecisionStats {
   /// Lane cells of first-sweep groups taken from the previous group's last
   /// rectangle instead of computed (the band sweep; simd_kernel.hpp).
   std::uint64_t cells_reused = 0;
+
+  PrecisionStats& operator+=(const PrecisionStats& o) {
+    i8_sweeps += o.i8_sweeps;
+    i16_sweeps += o.i16_sweeps;
+    escalations += o.escalations;
+    profile_hits += o.profile_hits;
+    profile_builds += o.profile_builds;
+    cells_reused += o.cells_reused;
+    return *this;
+  }
+  /// The activity between two snapshots of one engine.
+  friend PrecisionStats operator-(PrecisionStats a, const PrecisionStats& b) {
+    a.i8_sweeps -= b.i8_sweeps;
+    a.i16_sweeps -= b.i16_sweeps;
+    a.escalations -= b.escalations;
+    a.profile_hits -= b.profile_hits;
+    a.profile_builds -= b.profile_builds;
+    a.cells_reused -= b.cells_reused;
+    return a;
+  }
 };
 
 class Engine {
@@ -58,7 +78,7 @@ class Engine {
 
   /// Computes bottom rows for splits job.r0 .. job.r0+job.count-1.
   /// out[k] must have exactly m - (job.r0 + k) elements. Non-virtual: the
-  /// wrapper centralizes the cell/alignment accounting (identical for every
+  /// wrapper centralizes the cell accounting (identical for every
   /// engine: lanes x rows x columns per group), so kernels never touch
   /// counters.
   void align(const GroupJob& job, std::span<const std::span<Score>> out);
@@ -71,16 +91,9 @@ class Engine {
   /// (the quantity behind the paper's "more than a billion matrix entries
   /// per second"). A band sweep takes some of them from the previous
   /// group's last rectangle instead of computing them; precision_stats()
-  /// counts those as cells_reused. Engines are single-threaded, so these
-  /// are plain integers.
+  /// counts those as cells_reused. Engines are single-threaded, so this is
+  /// a plain integer.
   [[nodiscard]] std::uint64_t cells_computed() const { return cells_; }
-
-  /// Group alignments performed since construction.
-  [[nodiscard]] std::uint64_t alignments_performed() const { return aligns_; }
-
-  /// Lane-cells skipped by checkpoint resumes (rows restored instead of
-  /// computed); cells_computed() already excludes them.
-  [[nodiscard]] std::uint64_t cells_skipped() const { return cells_skipped_; }
 
   /// Adaptive-precision / query-profile counters (zeros for engines without
   /// SIMD profiles). Escalated groups are swept partly at both precisions,
@@ -88,11 +101,7 @@ class Engine {
   /// alignment; these counters make that visible.
   [[nodiscard]] virtual PrecisionStats precision_stats() const { return {}; }
 
-  void reset_counters() {
-    cells_ = 0;
-    aligns_ = 0;
-    cells_skipped_ = 0;
-  }
+  void reset_counters() { cells_ = 0; }
 
  protected:
   /// Engine kernel: computes the bottom rows. Implementations validate the
@@ -102,8 +111,6 @@ class Engine {
 
  private:
   std::uint64_t cells_ = 0;
-  std::uint64_t aligns_ = 0;
-  std::uint64_t cells_skipped_ = 0;
 };
 
 /// One computation each: the recurrence, the group width and the lane
@@ -124,16 +131,14 @@ enum class EngineKind {
 };
 
 /// Creates an engine of `kind` on the widest ISA available (see EngineKind).
-/// `stripe_cols` (0 = engine default, -1 = no striping) controls the
-/// cache-aware striping of striped/SIMD engines.
-std::unique_ptr<Engine> make_engine(EngineKind kind, int stripe_cols = 0);
+std::unique_ptr<Engine> make_engine(EngineKind kind);
 
 /// Factory for per-thread / per-rank engines (engines are not thread-safe;
 /// every parallel worker owns one).
 using EngineFactory = std::function<std::unique_ptr<Engine>()>;
 
-/// Factory producing make_engine(kind, stripe_cols) instances.
-EngineFactory engine_factory(EngineKind kind, int stripe_cols = 0);
+/// Factory producing make_engine(kind) instances.
+EngineFactory engine_factory(EngineKind kind);
 
 /// True when the AVX2 kernels can run on this CPU and build.
 bool avx2_available();

@@ -40,19 +40,20 @@ inline bool override_bit(const std::atomic<std::uint64_t>* row, int i, int j) {
 // make_engine picks among them. The generic-lane ones run everywhere, so
 // tests call them to cross-check the portable kernels on any host.
 std::unique_ptr<Engine> make_scalar_engine();
-std::unique_ptr<Engine> make_scalar_striped_engine(int stripe_cols);
+/// `stripe_cols`: 0 = the L1-sized default, -1 = whole rows.
+std::unique_ptr<Engine> make_scalar_striped_engine(int stripe_cols = 0);
 std::unique_ptr<Engine> make_general_gap_engine();
-std::unique_ptr<Engine> make_simd_generic_engine(int lanes, int stripe_cols);
-std::unique_ptr<Engine> make_simd32_generic_engine(int lanes, int stripe_cols);
-std::unique_ptr<Engine> make_adaptive_generic_engine(int stripe_cols);
+std::unique_ptr<Engine> make_simd_generic_engine(int lanes);
+std::unique_ptr<Engine> make_simd32_generic_engine(int lanes);
+std::unique_ptr<Engine> make_adaptive_generic_engine();
 #if REPRO_HAVE_SSE2
-std::unique_ptr<Engine> make_simd_engine(int lanes, int stripe_cols);
-std::unique_ptr<Engine> make_adaptive_sse2_engine(int stripe_cols);
+std::unique_ptr<Engine> make_simd_engine(int lanes);
+std::unique_ptr<Engine> make_adaptive_sse2_engine();
 #endif
 #if REPRO_ENABLE_AVX2
-std::unique_ptr<Engine> make_simd_avx2_engine(int stripe_cols);
-std::unique_ptr<Engine> make_simd_avx2_32_engine(int stripe_cols);
-std::unique_ptr<Engine> make_adaptive_avx2_engine(int stripe_cols);
+std::unique_ptr<Engine> make_simd_avx2_engine();
+std::unique_ptr<Engine> make_simd_avx2_32_engine();
+std::unique_ptr<Engine> make_adaptive_avx2_engine();
 #endif
 
 }  // namespace repro::align::detail

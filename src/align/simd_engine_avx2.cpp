@@ -79,19 +79,17 @@ struct Avx2Ops32x8 {
 
 }  // namespace
 
-std::unique_ptr<Engine> make_simd_avx2_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<Avx2Ops16>>("simd16-avx2", stripe_cols);
+std::unique_ptr<Engine> make_simd_avx2_engine() {
+  return std::make_unique<SimdEngineT<Avx2Ops16>>("simd16-avx2");
 }
 
-std::unique_ptr<Engine> make_simd_avx2_32_engine(int stripe_cols) {
-  return std::make_unique<SimdEngineT<Avx2Ops8x32>>("simd8x32-avx2",
-                                                    stripe_cols);
+std::unique_ptr<Engine> make_simd_avx2_32_engine() {
+  return std::make_unique<SimdEngineT<Avx2Ops8x32>>("simd8x32-avx2");
 }
 
-std::unique_ptr<Engine> make_adaptive_avx2_engine(int stripe_cols) {
+std::unique_ptr<Engine> make_adaptive_avx2_engine() {
   return std::make_unique<
-      AdaptiveEngineT<Avx2Ops32x8, DoublePumpOps<Avx2Ops16>>>("auto-avx2",
-                                                              stripe_cols);
+      AdaptiveEngineT<Avx2Ops32x8, DoublePumpOps<Avx2Ops16>>>("auto-avx2");
 }
 
 }  // namespace repro::align::detail

@@ -7,11 +7,11 @@
 //     one cached query profile, one kernel instantiation. i16 saturation
 //     throws.
 //   * AdaptiveEngineT<Ops8, Ops16> — the adaptive driver: runs each group in
-//     u8 lanes over whole rows, and when the sweep's saturation guard fires
-//     (the kernel stops at the first row past the u8 limit) finishes that
-//     same sweep in i16 lanes *at the same lane count* (DoublePumpOps splits
-//     each u8 vector across two i16 registers), so group geometry, outputs,
-//     and checkpoint layouts stay native in both precisions. The i16 pass
+//     u8 lanes, and when the sweep's saturation guard fires (the kernel
+//     stops at the first row past the u8 limit) finishes that same sweep in
+//     i16 lanes *at the same lane count* (DoublePumpOps splits each u8
+//     vector across two i16 registers), so group geometry, outputs, and
+//     checkpoint layouts stay native in both precisions. The i16 pass
 //     resumes from the deepest certified u8 state, widened: the last staged
 //     checkpoint row above the break, else the job's u8 resume view, else
 //     row 0. The widened staged rows stay in front of the i16 pass's own,
@@ -53,12 +53,6 @@
 
 namespace repro::align::detail {
 
-// Stripe default: row state is H + MaxY, and the paper dedicates a third of
-// L1D (32 KiB typical) to the row section.
-inline int default_stripe(int lanes, int elem_bytes) {
-  return 32768 / 3 / (2 * elem_bytes * lanes);
-}
-
 /// Bumps the sweep counter matching Elem's precision (i32 sweeps are not
 /// tracked — they have no narrower precision to compare against).
 template <typename Elem>
@@ -76,11 +70,7 @@ class SimdEngineT final : public Engine {
                 "u8 lanes run only under AdaptiveEngineT");
 
  public:
-  SimdEngineT(std::string name, int stripe_cols)
-      : name_(std::move(name)),
-        stripe_(stripe_cols == 0
-                    ? default_stripe(Ops::kLanes, sizeof(typename Ops::Elem))
-                    : stripe_cols) {}
+  explicit SimdEngineT(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] int lanes() const override { return Ops::kLanes; }
@@ -94,13 +84,12 @@ class SimdEngineT final : public Engine {
                 std::span<const std::span<Score>> out) override {
     validate_job(job, out, lanes());
     profile_.ensure(job.seq, *job.scoring, stats_);
-    run_simd_group<Ops>(job, out, stripe_, scratch_, profile_);
+    run_simd_group<Ops>(job, out, scratch_, profile_);
     note_sweep<typename Ops::Elem>(stats_);
   }
 
  private:
   std::string name_;
-  int stripe_;
   SimdScratchT<typename Ops::Elem> scratch_;
   QueryProfileT<typename Ops::Elem> profile_;
   PrecisionStats stats_;
@@ -139,12 +128,7 @@ class AdaptiveEngineT final : public Engine {
                 "adaptive driver escalates u8 -> i16");
 
  public:
-  // Both passes sweep whole rows by default (stripe 0): the u8 rows above
-  // a saturating one must be complete to seed the i16 pass, and whole rows
-  // also ran the double-pumped i16 pass faster than L1-sized stripes
-  // (EXPERIMENTS.md §5.1).
-  AdaptiveEngineT(std::string name, int stripe_cols)
-      : name_(std::move(name)), stripe_(stripe_cols) {}
+  explicit AdaptiveEngineT(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] int lanes() const override { return Ops8::kLanes; }
@@ -178,8 +162,7 @@ class AdaptiveEngineT final : public Engine {
     if (profile8_.feasible() && escalated_.count(job.r0) == 0) {
       bool sat = false;
       BandGrid* band = plan_band(job, chain);
-      run_simd_group<Ops8>(job, out, stripe_, scratch8_, profile8_, &sat,
-                           band);
+      run_simd_group<Ops8>(job, out, scratch8_, profile8_, &sat, band);
       note_sweep<std::uint8_t>(stats_);
       if (band != nullptr) {
         stats_.cells_reused += band->cells_reused;
@@ -207,7 +190,7 @@ class AdaptiveEngineT final : public Engine {
       j16.sink = &own_sink_;
     }
     bool sat = false;
-    run_simd_group<Ops16>(j16, out, stripe_, scratch16_, profile16_, &sat);
+    run_simd_group<Ops16>(j16, out, scratch16_, profile16_, &sat);
     note_sweep<std::int16_t>(stats_);
     REPRO_CHECK_MSG(!sat, "the auto engine (" << name_
                           << ") reached its i16 ceiling in group r0="
@@ -228,14 +211,13 @@ class AdaptiveEngineT final : public Engine {
   /// upper-triangle cell, so m <= 6,689.
   static constexpr std::size_t kBandGridMaxBytes = std::size_t{64} << 20;
 
-  /// True when `job` is a first-sweep group the band path serves: whole
-  /// u8 rows from row 1 under the empty triangle, the finder's group at r0
+  /// True when `job` is a first-sweep group the band path serves: u8 rows
+  /// from row 1 under the empty triangle, the finder's group at r0
   /// (L splits, fewer only at the end), and a grid within its cap. (The
   /// profile was not rebuilt, or the chain would be kNone.)
   [[nodiscard]] bool band_job(const GroupJob& job) const {
     const int m = static_cast<int>(job.seq.size());
     return job.overrides == nullptr && job.resume == nullptr &&
-           (stripe_ <= 0 || stripe_ >= m) &&
            job.count == std::min(Ops8::kLanes, m - job.r0) &&
            3 * BandGrid::cells(m) <= kBandGridMaxBytes;
   }
@@ -292,8 +274,8 @@ class AdaptiveEngineT final : public Engine {
       direct.sink = &check_sink_;
     }
     bool direct_sat = false;
-    run_simd_group<Ops8>(direct, check_outs_, stripe_, check_scratch_,
-                         profile8_, &direct_sat);
+    run_simd_group<Ops8>(direct, check_outs_, check_scratch_, profile8_,
+                         &direct_sat);
     REPRO_DCHECK_MSG(direct_sat == sat, "band sweep of group r0="
                                             << job.r0
                                             << " changed the u8 certificate");
@@ -368,7 +350,6 @@ class AdaptiveEngineT final : public Engine {
   }
 
   std::string name_;
-  int stripe_;
   SimdScratchT<std::uint8_t> scratch8_;
   SimdScratchT<std::int16_t> scratch16_;
   QueryProfileT<std::uint8_t> profile8_;

@@ -25,9 +25,11 @@
 //   * Matrix state is interleaved in memory (Fig. 7): entry (c, k) lives at
 //     index c*L + k, so one aligned vector load fetches one column of all
 //     lanes.
-//   * Cache-aware striping (§4.1): columns are processed in stripes whose
-//     row state fits in L1; per-row (H, MaxX) carries flow across stripe
-//     boundaries.
+//   * Whole rows: every row is swept over all its columns in one pass, so
+//     no per-row state crosses a column boundary. The paper's cache-aware
+//     vertical striping (§4.1) was neutral or slower for these kernels on
+//     current caches (EXPERIMENTS.md §5.1); only the scalar cache-aware
+//     engine keeps it, as the §5.1 ablation.
 //   * Branch-free column loops: each loop is compiled per case (border
 //     columns c < count-1 or not, overridden column or not, deep row or
 //     not), so the hot loop tests nothing. A row with override bits is cut
@@ -35,11 +37,10 @@
 //     that tests the bits.
 //   * Register blocking: every row above r0 that emits no checkpoint is
 //     swept together with the row below it. Row y's H and MaxY stay in
-//     registers and feed row y+1, so only row y+1's state goes to memory;
-//     both rows' stripe carries are written at the stripe's end. An Ops
-//     whose vector spans several registers (the double-pumped i16 kernel)
-//     is swept one register-sized part at a time, so a row pair's live
-//     vectors still fit the register file.
+//     registers and feed row y+1, so only row y+1's state goes to memory.
+//     An Ops whose vector spans several registers (the double-pumped i16
+//     kernel) is swept one register-sized part at a time, so a row pair's
+//     live vectors still fit the register file.
 //   * Saturation safety: a running per-lane peak (masked so garbage
 //     lane-cells cannot contribute) certifies the sweep. A sweep is clean
 //     when the peak stays at or below the element type's certification
@@ -300,11 +301,6 @@ struct SimdScratchT {
   std::vector<Elem, util::AlignedAllocator<Elem>> max_y;
   /// Every column's MaxX after a row, kept only by band sweeps.
   std::vector<Elem, util::AlignedAllocator<Elem>> max_x;
-  std::vector<Elem, util::AlignedAllocator<Elem>> carry_h;
-  std::vector<Elem, util::AlignedAllocator<Elem>> carry_mx;
-  /// Per-stripe diagonal entry vectors captured from a restored checkpoint
-  /// (one cache-line-aligned slot per stripe; see run_simd_group).
-  std::vector<Elem, util::AlignedAllocator<Elem>> resume_diag;
 };
 
 /// resize() that never shrinks: steady-state sweeps reuse capacity, and the
@@ -434,8 +430,8 @@ void sweep_row(const SweepConsts<Ops> s, const SweepRow<Ops> row, int ca,
 /// Sweeps DP rows y = a.i + 1 and y + 1 together over columns [ca, cb): the
 /// register-blocked pass. Row y's H and MaxY stay in registers and feed row
 /// y + 1 directly, so one load and one store per state vector serve two
-/// rows. `diag_b` ends as row y's H at column cb - 1 (its stripe carry).
-/// Both rows lie at or above r0, so neither is deep.
+/// rows. `diag_b` ends as row y's H at column cb - 1. Both rows lie at or
+/// above r0, so neither is deep.
 template <class Ops, bool kMask, bool kOverA, bool kOverB>
 void sweep_pair(const SweepConsts<Ops> s, const SweepRow<Ops> a,
                 const SweepRow<Ops> b, int ca, int cb,
@@ -608,13 +604,13 @@ void by_override_runs(const SweepRow<Ops>& a,
 /// the saturation protocol: when null a saturating sweep throws (explicit
 /// fixed-precision engines); when non-null it is set to whether the sweep
 /// saturated. A saturating sweep stops at the first row that breaks the
-/// certificate: the sink keeps only the staged rows above that row (none
-/// when striped), and the outputs are garbage the caller must discard by
-/// finishing the sweep at wider precision. A non-null `band` runs the band
-/// sweep (u8 lanes, unstriped, no resume, no overrides; see "Band rows").
+/// certificate: the sink keeps only the staged rows above that row, and the
+/// outputs are garbage the caller must discard by finishing the sweep at
+/// wider precision. A non-null `band` runs the band sweep (u8 lanes, no
+/// resume, no overrides; see "Band rows").
 template <class Ops>
 void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
-                    int stripe_cols, SimdScratchT<typename Ops::Elem>& scratch,
+                    SimdScratchT<typename Ops::Elem>& scratch,
                     const QueryProfileT<typename Ops::Elem>& profile,
                     bool* saturated = nullptr, BandGrid* band = nullptr) {
   constexpr int L = Ops::kLanes;
@@ -629,6 +625,7 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   const int count = job.count;
   const int width = m - r0;          // columns of the widest lane (lane 0)
   const int rows = r0 + count - 1;   // rows of the deepest lane
+  const int cm = count - 1;          // columns [0, cm) carry border masks
   REPRO_CHECK_MSG(profile.feasible() && profile.width() == m,
                   "SIMD kernels require a feasible query profile of the "
                   "group's sequence (group r0=" << r0 << ")");
@@ -640,7 +637,7 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   // garbage lane-cells out of the saturation peak in the deepest rows.
   alignas(64) Elem colmask[L * L];
   alignas(64) Elem deepmask[L * L];
-  for (int c = 0; c + 1 < count; ++c)
+  for (int c = 0; c < cm; ++c)
     for (int k = 0; k < L; ++k)
       colmask[c * L + k] = static_cast<Elem>(c >= k ? -1 : 0);
   for (int t = 1; t < count; ++t)
@@ -649,17 +646,13 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
 
   auto& h = scratch.h;
   auto& max_y = scratch.max_y;
-  auto& carry_h = scratch.carry_h;
-  auto& carry_mx = scratch.carry_mx;
   const std::size_t state_elems = static_cast<std::size_t>(width) * L;
   const std::size_t state_bytes = state_elems * sizeof(Elem);
 
   // Checkpoint resume: restore the interleaved (H, MaxY) state as the kernel
   // left it after DP row resume->row and re-enter the sweep one row below.
-  // Stripe carries need no restoring — during the resumed sweep every carry
-  // of a row >= y_begin is written by an earlier stripe before a later
-  // stripe reads it; the only checkpoint-sourced carry is each stripe's
-  // initial diagonal (H[y_begin-1][c0-1]), captured below.
+  // Each row starts at column 0 with diagonal 0 and MaxX -inf, so nothing
+  // else needs restoring.
   int y_begin = 1;
   if (job.resume != nullptr) {
     const CheckpointView& ck = *job.resume;
@@ -688,41 +681,6 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   REPRO_DCHECK_MSG(util::is_vector_aligned(h.data()) &&
                        util::is_vector_aligned(max_y.data()),
                    "SIMD scratch rows must be 32-byte aligned");
-  const bool resumed = y_begin > 1;
-
-  const int stripe = stripe_cols <= 0 ? width : stripe_cols;
-  const bool striped = stripe < width;
-  if (striped) {
-    // Grow-only: carry values are only ever read after an earlier stripe of
-    // the same sweep wrote them (the stripe-0 carry_h read feeds a diagonal
-    // that stripe 0 never uses), so stale contents are harmless.
-    grow_to(carry_h, static_cast<std::size_t>(rows + 1) * L);
-    grow_to(carry_mx, static_cast<std::size_t>(rows + 1) * L);
-  }
-
-  // A restored stripe's first row needs the checkpoint's H at the column
-  // left of the stripe as its diagonal, but earlier stripes overwrite h[]
-  // while they sweep — capture those vectors up front, one slot per stripe.
-  // A slot is a whole number of cache lines holding one full vector, so the
-  // aligned vector loads stay legal and no copy spills into the next slot.
-  constexpr std::size_t kDiagSlotBytes =
-      (std::max(util::kCacheLine, L * sizeof(Elem)) + util::kCacheLine - 1) /
-      util::kCacheLine * util::kCacheLine;
-  static_assert(kDiagSlotBytes % util::kCacheLine == 0 &&
-                    kDiagSlotBytes >= L * sizeof(Elem) &&
-                    kDiagSlotBytes % sizeof(Elem) == 0,
-                "resume-diagonal slots must be aligned and hold one vector");
-  constexpr std::size_t kDiagSlot = kDiagSlotBytes / sizeof(Elem);
-  auto& resume_diag = scratch.resume_diag;
-  if (resumed && striped) {
-    const int nstripes = (width + stripe - 1) / stripe;
-    grow_to(resume_diag, static_cast<std::size_t>(nstripes) * kDiagSlot);
-    for (int s = 1; s < nstripes; ++s)
-      std::memcpy(
-          resume_diag.data() + static_cast<std::size_t>(s) * kDiagSlot,
-          h.data() + (static_cast<std::size_t>(s) * stripe - 1) * L,
-          sizeof(Elem) * L);
-  }
 
   // Checkpoint emission grid: rows on the sink's stride plus its top row,
   // clamped above every lane's bottom row so outputs are always recomputed.
@@ -747,11 +705,11 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   const PVec v_zero = Part::zero();
   const PVec v_neg = Part::set1(neg_inf_of<Elem>());
   REPRO_CHECK_MSG(band == nullptr ||
-                      (kUnsigned && kParts == 1 && !resumed && !striped &&
+                      (kUnsigned && kParts == 1 && y_begin == 1 &&
                        job.overrides == nullptr &&
                        (!band->write || count == L)),
-                  "a band sweep needs whole u8 rows of an empty-triangle "
-                  "sweep from row 1 (group r0=" << r0 << ")");
+                  "a band sweep needs u8 rows of an empty-triangle sweep "
+                  "from row 1 (group r0=" << r0 << ")");
   if (band != nullptr) grow_to(scratch.max_x, state_elems);
   std::array<SweepConsts<Part>, kParts> consts;
   for (int p = 0; p < kParts; ++p)
@@ -775,10 +733,6 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     return SweepRow<Part>{profile.row(seq[static_cast<std::size_t>(i)]) + r0,
                           obits, i};
   };
-  // Part p's lanes of entry `row` (a column, or a DP row of the carries).
-  const auto at = [](auto& v, int row, int p) {
-    return v.data() + static_cast<std::size_t>(row) * L + p * PL;
-  };
 
   // Running max of valid lane-cells per part (the saturation guard). Rows
   // <= y_begin-1 were certified by the sweep that emitted the restored
@@ -788,7 +742,6 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   // attribute (-Wignored-attributes).
   PVec v_peak[kParts];
   std::fill(std::begin(v_peak), std::end(v_peak), v_zero);
-  PVec carry_above[kParts];  // H of the row above, column c0-1
 
   // Certification limit: the largest peak from which one more adds input
   // provably could not have saturated. Every adds operand is an H value <=
@@ -823,7 +776,6 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
   // back; false leaves the row to the plain loops below.
   const auto sweep_band_row = [&](int y) {
     if constexpr (kUnsigned) {
-      const int cm = count - 1;  // columns [0, cm) carry border masks
       if (y == r0 && reach < width - 1) {
         // Row r0 reads all of row r0 - 1, whose tail is the reference's.
         const std::size_t ga = BandGrid::at(m, y - 1, r0);
@@ -897,162 +849,123 @@ void run_simd_group(const GroupJob& job, std::span<const std::span<Score>> out,
     return false;
   };
 
-  for (int c0 = 0; c0 < width; c0 += stripe) {
-    const int c1 = std::min(width, c0 + stripe);
-    const int cm = std::clamp(count - 1, c0, c1);  // [c0, cm) need colmask
-    // The boundary row (y = 0) has H = 0; resumed stripes past the first
-    // enter with the checkpoint's diagonal.
-    for (int p = 0; p < kParts; ++p)
-      carry_above[static_cast<std::size_t>(p)] =
-          resumed && c0 > 0
-              ? Part::load(resume_diag.data() +
-                           static_cast<std::size_t>(c0 / stripe) * kDiagSlot +
-                           p * PL)
-              : v_zero;
-    // H and MaxX entering row y at column c0 (0 and -inf at the border).
-    const auto entry_h = [&](int y, int p) {
-      return c0 == 0 ? v_zero : Part::load(at(carry_h, y, p));
-    };
-    const auto entry_mx = [&](int y, int p) {
-      return c0 == 0 ? v_neg : Part::load(at(carry_mx, y, p));
-    };
-    int emit_idx = 0;
-    for (int y = y_begin; y <= rows; ++y) {
-      const bool emits =
-          sink != nullptr && emit_idx < sink->count &&
-          y == sink->rows[static_cast<std::size_t>(emit_idx)].row;
-      bool band_swept = false;
+  int emit_idx = 0;
+  for (int y = y_begin; y <= rows; ++y) {
+    const bool emits = sink != nullptr && emit_idx < sink->count &&
+                       y == sink->rows[static_cast<std::size_t>(emit_idx)].row;
+    bool band_swept = false;
+    if constexpr (kUnsigned) {
+      if (band != nullptr) band_swept = sweep_band_row(y);
+    }
+    if (band_swept) {
+      // Row y is in h / max_y up to column `reach`, and the reference's
+      // beyond.
+    } else if (y < r0 && !emits) {
+      // Rows y and y+1 <= r0 in one pass; only row y+1 reaches memory.
+      const SweepRow<Part> a = row_of(y);
+      const SweepRow<Part> b = row_of(y + 1);
+      for (int p = 0; p < kParts; ++p) {
+        const auto pi = static_cast<std::size_t>(p);
+        PVec da = v_zero;
+        PVec db = v_zero;
+        PVec xa = v_neg;
+        PVec xb = v_neg;
+        by_override_runs(a, &b, r0, 0, width, [&](int ca, int cb, bool over) {
+          with_flag(over && a.obits != nullptr, [&](auto over_a) {
+            with_flag(over && b.obits != nullptr, [&](auto over_b) {
+              constexpr bool kA = decltype(over_a)::value;
+              constexpr bool kB = decltype(over_b)::value;
+              const int split = std::clamp(cm, ca, cb);
+              sweep_pair<Part, true, kA, kB>(consts[pi], a, b, ca, split, da,
+                                             db, xa, xb, v_peak[pi]);
+              sweep_pair<Part, false, kA, kB>(consts[pi], a, b, split, cb, da,
+                                              db, xa, xb, v_peak[pi]);
+            });
+          });
+        });
+      }
+      ++y;  // the pair's lower row: its state is in h / max_y
+    } else {
+      const SweepRow<Part> r = row_of(y);
+      const int deep = y - r0;  // > 0 in the last count-1 rows
+      for (int p = 0; p < kParts; ++p) {
+        const auto pi = static_cast<std::size_t>(p);
+        const PVec peak_mask =
+            deep > 0 ? Part::load(deepmask + (deep - 1) * L + p * PL) : v_zero;
+        PVec d = v_zero;
+        PVec x = v_neg;
+        by_override_runs(r, nullptr, r0, 0, width,
+                         [&](int ca, int cb, bool over) {
+          with_flag(over, [&](auto over_r) {
+            with_flag(deep > 0, [&](auto is_deep) {
+              constexpr bool kO = decltype(over_r)::value;
+              constexpr bool kD = decltype(is_deep)::value;
+              const int split = std::clamp(cm, ca, cb);
+              sweep_row<Part, true, kO, kD>(consts[pi], r, ca, split, d, x,
+                                            v_peak[pi], peak_mask);
+              sweep_row<Part, false, kO, kD>(consts[pi], r, split, cb, d, x,
+                                             v_peak[pi], peak_mask);
+            });
+          });
+        });
+      }
+    }
+    // The peak only grows, so the first row past the limit decides the
+    // sweep: stop there. Rows above this pass are certified, and so are the
+    // checkpoint rows staged from them.
+    if (const int bad = saturated_lane(); bad >= 0) {
+      REPRO_CHECK_MSG(saturated != nullptr,
+                      (kUnsigned ? "u8" : "i16")
+                          << " SIMD lane saturated (split r=" << r0 + bad
+                          << "); use an adaptive or wider engine for this "
+                             "input");
+      *saturated = true;
+      if (sink != nullptr) sink->count = emit_idx;
+      return;
+    }
+    // Extract lane k's bottom row when this is its last row.
+    const int k = y - r0;
+    if (k >= 0 && k < count) {
+      auto row_out = out[static_cast<std::size_t>(k)];
+      for (int c = k; c < width; ++c)
+        row_out[static_cast<std::size_t>(c - k)] = static_cast<Score>(
+            h[static_cast<std::size_t>(c) * L + static_cast<std::size_t>(k)]);
+      if constexpr (check::kContractsEnabled) {
+        for (int c = k; c < width; ++c)
+          REPRO_DCHECK_MSG(row_out[static_cast<std::size_t>(c - k)] >= 0,
+                           "negative bottom-row H (split r=" << r0 + k
+                               << ", column " << c - k << ")");
+      }
+    }
+    // Emit a checkpoint row: h/max_y now hold exactly the state a resume at
+    // row y+1 restores.
+    if (sink != nullptr && emit_idx < sink->count &&
+        y == sink->rows[static_cast<std::size_t>(emit_idx)].row) {
+      CheckpointRow& cr = sink->rows[static_cast<std::size_t>(emit_idx)];
+      // A band row's state ends at `reach`; every lane equals the reference
+      // beyond it.
+      const int own = band != nullptr ? reach + 1 : width;
+      const std::size_t len =
+          static_cast<std::size_t>(own) * L * sizeof(Elem);
+      std::memcpy(cr.h.data(), h.data(), len);
+      std::memcpy(cr.max_y.data(), max_y.data(), len);
       if constexpr (kUnsigned) {
-        if (band != nullptr) band_swept = sweep_band_row(y);
-      }
-      if (band_swept) {
-        // Row y is in h / max_y up to column `reach`, and the reference's
-        // beyond.
-      } else if (y < r0 && !emits) {
-        // Rows y and y+1 <= r0 in one pass; only row y+1 reaches memory.
-        const SweepRow<Part> a = row_of(y);
-        const SweepRow<Part> b = row_of(y + 1);
-        for (int p = 0; p < kParts; ++p) {
-          const auto pi = static_cast<std::size_t>(p);
-          PVec da = c0 == 0 ? v_zero : carry_above[pi];
-          PVec db = entry_h(y, p);
-          PVec xa = entry_mx(y, p);
-          PVec xb = entry_mx(y + 1, p);
-          by_override_runs(a, &b, r0, c0, c1, [&](int ca, int cb, bool over) {
-            with_flag(over && a.obits != nullptr, [&](auto over_a) {
-              with_flag(over && b.obits != nullptr, [&](auto over_b) {
-                constexpr bool kA = decltype(over_a)::value;
-                constexpr bool kB = decltype(over_b)::value;
-                const int split = std::clamp(cm, ca, cb);
-                sweep_pair<Part, true, kA, kB>(consts[pi], a, b, ca, split, da,
-                                               db, xa, xb, v_peak[pi]);
-                sweep_pair<Part, false, kA, kB>(consts[pi], a, b, split, cb,
-                                                da, db, xa, xb, v_peak[pi]);
-              });
-            });
-          });
-          if (striped) {
-            carry_above[pi] = Part::load(at(carry_h, y + 1, p));
-            Part::store(at(carry_h, y, p), db);
-            Part::store(at(carry_h, y + 1, p), Part::load(at(h, c1 - 1, p)));
-            Part::store(at(carry_mx, y, p), xa);
-            Part::store(at(carry_mx, y + 1, p), xb);
-          }
-        }
-        ++y;  // the pair's lower row: its state is in h / max_y
-      } else {
-        const SweepRow<Part> r = row_of(y);
-        const int deep = y - r0;  // > 0 in the last count-1 rows
-        for (int p = 0; p < kParts; ++p) {
-          const auto pi = static_cast<std::size_t>(p);
-          const PVec peak_mask =
-              deep > 0 ? Part::load(deepmask + (deep - 1) * L + p * PL)
-                       : v_zero;
-          PVec d = c0 == 0 ? v_zero : carry_above[pi];
-          PVec x = entry_mx(y, p);
-          by_override_runs(r, nullptr, r0, c0, c1,
-                           [&](int ca, int cb, bool over) {
-            with_flag(over, [&](auto over_r) {
-              with_flag(deep > 0, [&](auto is_deep) {
-                constexpr bool kO = decltype(over_r)::value;
-                constexpr bool kD = decltype(is_deep)::value;
-                const int split = std::clamp(cm, ca, cb);
-                sweep_row<Part, true, kO, kD>(consts[pi], r, ca, split, d, x,
-                                              v_peak[pi], peak_mask);
-                sweep_row<Part, false, kO, kD>(consts[pi], r, split, cb, d, x,
-                                               v_peak[pi], peak_mask);
-              });
-            });
-          });
-          if (striped) {
-            carry_above[pi] = Part::load(at(carry_h, y, p));
-            Part::store(at(carry_h, y, p), Part::load(at(h, c1 - 1, p)));
-            Part::store(at(carry_mx, y, p), x);
-          }
+        const std::size_t gy = own < width ? BandGrid::at(m, y, r0) : 0;
+        for (int c = own; c < width; ++c) {
+          const std::size_t e = static_cast<std::size_t>(c) * L;
+          std::memset(cr.h.data() + e, band->h[gy + c], L);
+          std::memset(cr.max_y.data() + e, band->my[gy + c], L);
         }
       }
-      // The peak only grows, so the first row past the limit decides the
-      // sweep: stop there. Rows above this pass are certified, and so are
-      // the checkpoint rows staged from them when every row is swept whole
-      // (a striped sweep has staged only some stripes of each row).
-      if (const int bad = saturated_lane(); bad >= 0) {
-        REPRO_CHECK_MSG(saturated != nullptr,
-                        (kUnsigned ? "u8" : "i16")
-                            << " SIMD lane saturated (split r=" << r0 + bad
-                            << "); use an adaptive or wider engine for this "
-                               "input");
-        *saturated = true;
-        if (sink != nullptr) sink->count = striped ? 0 : emit_idx;
-        return;
+      if constexpr (check::kContractsEnabled && !kUnsigned) {
+        // The emitted row must satisfy the same non-negativity the resume
+        // path asserts before re-entering the sweep. (Unsigned elements
+        // satisfy it by type.)
+        for (std::size_t e = 0; e < state_elems; ++e)
+          REPRO_DCHECK_MSG(h[e] >= 0,
+                           "negative H in emitted checkpoint row " << y);
       }
-      // Extract lane k's bottom row when this is its last row.
-      const int k = y - r0;
-      if (k >= 0 && k < count) {
-        auto row_out = out[static_cast<std::size_t>(k)];
-        for (int c = std::max(c0, k); c < c1; ++c)
-          row_out[static_cast<std::size_t>(c - k)] = static_cast<Score>(
-              h[static_cast<std::size_t>(c) * L + static_cast<std::size_t>(k)]);
-        if constexpr (check::kContractsEnabled) {
-          for (int c = std::max(c0, k); c < c1; ++c)
-            REPRO_DCHECK_MSG(row_out[static_cast<std::size_t>(c - k)] >= 0,
-                             "negative bottom-row H (split r=" << r0 + k
-                                 << ", column " << c - k << ")");
-        }
-      }
-      // Emit this stripe's slice of a checkpoint row: h/max_y now hold
-      // exactly the state a resume at row y+1 restores.
-      if (sink != nullptr && emit_idx < sink->count &&
-          y == sink->rows[static_cast<std::size_t>(emit_idx)].row) {
-        CheckpointRow& cr = sink->rows[static_cast<std::size_t>(emit_idx)];
-        // A band row's state ends at `reach`; every lane equals the
-        // reference beyond it.
-        const int own = band != nullptr ? reach + 1 : c1;
-        const std::size_t off = static_cast<std::size_t>(c0) * L * sizeof(Elem);
-        const std::size_t len =
-            static_cast<std::size_t>(own - c0) * L * sizeof(Elem);
-        std::memcpy(cr.h.data() + off, at(h, c0, 0), len);
-        std::memcpy(cr.max_y.data() + off, at(max_y, c0, 0), len);
-        if constexpr (kUnsigned) {
-          const std::size_t gy = own < c1 ? BandGrid::at(m, y, r0) : 0;
-          for (int c = own; c < c1; ++c) {
-            const std::size_t e = static_cast<std::size_t>(c) * L;
-            std::memset(cr.h.data() + e, band->h[gy + c], L);
-            std::memset(cr.max_y.data() + e, band->my[gy + c], L);
-          }
-        }
-        if constexpr (check::kContractsEnabled && !kUnsigned) {
-          // The emitted slice must satisfy the same non-negativity the
-          // resume path asserts before re-entering the sweep. (Unsigned
-          // elements satisfy it by type.)
-          for (int c = c0; c < c1; ++c)
-            for (int k2 = 0; k2 < L; ++k2)
-              REPRO_DCHECK_MSG(
-                  h[static_cast<std::size_t>(c) * L +
-                    static_cast<std::size_t>(k2)] >= 0,
-                  "negative H in emitted checkpoint row " << y);
-        }
-        ++emit_idx;
-      }
+      ++emit_idx;
     }
   }
 

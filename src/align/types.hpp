@@ -39,8 +39,9 @@ class OverrideTriangle;
 /// realignment: the interleaved (H, MaxY) column state a kernel leaves
 /// after sweeping DP rows 1..row. Restoring it and re-entering the sweep at
 /// row+1 gives the H of a from-scratch sweep, because the only other
-/// carries (per-row stripe carries, the running MaxX) are recomputed from it
-/// before they are read. A state may come from a narrower precision widened
+/// carry, the running MaxX, restarts at each row's left border (the scalar
+/// cache-aware engine's per-stripe carries are written by the resumed sweep
+/// before it reads them). A state may come from a narrower precision widened
 /// (the adaptive engine keeps certified u8 rows as i16): its MaxY entries
 /// clamped at 0 differ from the wide sweep's negative ones, which never win
 /// an H update, so H and every bottom row stay identical. The byte layout

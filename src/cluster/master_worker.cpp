@@ -157,7 +157,9 @@ class Master {
   struct WorkerRec {
     WState state = WState::kNew;
     std::optional<Assignment> job;
-    Clock::duration timeout = kTaskTimeout;  ///< this worker's task deadline
+    /// This worker's least task deadline: doubled by each lapse, reset by
+    /// each applied result (deadline_for).
+    Clock::duration timeout = kTaskTimeout;
   };
 
   int alive_workers() const {
@@ -222,6 +224,13 @@ class Master {
   }
 
   bool deadlines_armed() const { return comm_.fault_active(); }
+
+  /// A task deadline starting now: the worker's own timeout (which each
+  /// lapse doubles), but never less than twice the longest sweep any
+  /// worker has reported.
+  Clock::time_point deadline_for(const WorkerRec& rec) const {
+    return Clock::now() + std::max(rec.timeout, 2 * longest_sweep_);
+  }
 
   /// recv_any_for that treats "every peer closed" as silence; the main
   /// loop's sweep turns that state into recovery or a hard error.
@@ -311,7 +320,7 @@ class Master {
       WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
       REPRO_DCHECK(rec.state == WState::kIdle && !rec.job.has_value());
       rec.state = WState::kBusy;
-      rec.job = Assignment{*o, Clock::now() + rec.timeout};
+      rec.job = Assignment{*o, deadline_for(rec)};
       comm_.send(0, w, {kAssign, {o->r0, o->count, o->version}});
     }
   }
@@ -398,13 +407,11 @@ class Master {
       recovery_.bump(recovery_.stale_results);
       // The worker sweeps its assignments in order, so it starts its live
       // task no earlier than now: restart that task's clock.
-      if (rec.job.has_value())
-        rec.job->deadline =
-            Clock::now() + std::max(rec.timeout, 2 * longest_sweep_);
+      if (rec.job.has_value()) rec.job->deadline = deadline_for(rec);
       return;
     }
     const core::SweepOrder order = rec.job->order;
-    rec.timeout = std::max<Clock::duration>(kTaskTimeout, 2 * longest_sweep_);
+    rec.timeout = kTaskTimeout;
     rec.job.reset();
     REPRO_CHECK(order.count == count);
     const auto first = msg.data.begin() + 4;

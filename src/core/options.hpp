@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "align/engine.hpp"
 #include "align/types.hpp"
 #include "core/top_alignment.hpp"
 
@@ -61,14 +62,10 @@ struct FinderStats {
   std::uint64_t rows_skipped = 0;     ///< realignment DP rows restored, not swept
   std::uint64_t rows_swept = 0;       ///< realignment DP rows a from-scratch run sweeps
   std::uint64_t skipped_realignments = 0;  ///< low-memory untouched lanes bumped
-  // Adaptive-precision SIMD (zero for engines without precision tracking):
-  std::uint64_t i8_sweeps = 0;             ///< group sweeps run in u8 lanes
-  std::uint64_t i16_sweeps = 0;            ///< group sweeps run in i16 lanes
-  std::uint64_t precision_escalations = 0; ///< u8 sweeps finished at i16
-  std::uint64_t profile_hits = 0;          ///< sweeps reusing a cached profile
-  /// First-sweep lane cells taken from the adjacent group's last rectangle
-  /// (PrecisionStats::cells_reused); `cells` counts them as computed.
-  std::uint64_t cells_reused = 0;
+  /// The engines' precision-ladder, profile and band-sweep counts (zero for
+  /// engines without SIMD profiles). `cells` counts precision.cells_reused
+  /// as computed.
+  align::PrecisionStats precision;
   /// Wall time inside realignment-phase sweeps (version > 0); the parallel
   /// finder sums it across threads like idle_seconds.
   double realign_seconds = 0.0;

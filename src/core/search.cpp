@@ -400,12 +400,7 @@ TopAlignment Sweeper::trace(const Search& search, const Acceptance& a) {
 void Sweeper::add_stats(FinderStats& stats) const {
   // Engines may be reused across runs: count this run's activity only.
   stats.cells += engine_.cells_computed() - cells0_;
-  const align::PrecisionStats p = engine_.precision_stats();
-  stats.i8_sweeps += p.i8_sweeps - prec0_.i8_sweeps;
-  stats.i16_sweeps += p.i16_sweeps - prec0_.i16_sweeps;
-  stats.precision_escalations += p.escalations - prec0_.escalations;
-  stats.profile_hits += p.profile_hits - prec0_.profile_hits;
-  stats.cells_reused += p.cells_reused - prec0_.cells_reused;
+  stats.precision += engine_.precision_stats() - prec0_;
   stats.rows_swept += rows_swept_;
   stats.rows_skipped += rows_skipped_;
   stats.realign_seconds += realign_seconds_;

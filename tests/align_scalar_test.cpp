@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "align/engine.hpp"
+#include "align/engine_detail.hpp"
 #include "align/traceback.hpp"
 #include "core/top_alignment.hpp"
 #include "test_support.hpp"
@@ -136,7 +137,7 @@ TEST(StripedEngine, MatchesScalarAcrossStripeWidths) {
   const auto scalar = make_engine(EngineKind::kScalar);
   const Scoring scoring = Scoring::paper_example();
   for (int stripe : {1, 2, 7, 16, 64, -1}) {
-    const auto striped = make_engine(EngineKind::kScalarStriped, stripe);
+    const auto striped = detail::make_scalar_striped_engine(stripe);
     for (int iter = 0; iter < 6; ++iter) {
       const int m = 20 + static_cast<int>(rng.below(60));
       const auto s = seq::random_sequence(Alphabet::dna(), m, 5000 + iter);
@@ -151,7 +152,7 @@ TEST(StripedEngine, MatchesScalarAcrossStripeWidths) {
 TEST(StripedEngine, MatchesScalarWithOverrides) {
   util::Rng rng(606);
   const auto scalar = make_engine(EngineKind::kScalar);
-  const auto striped = make_engine(EngineKind::kScalarStriped, 8);
+  const auto striped = detail::make_scalar_striped_engine(8);
   const Scoring scoring = Scoring::paper_example();
   for (int iter = 0; iter < 8; ++iter) {
     const int m = 30 + static_cast<int>(rng.below(40));
@@ -183,7 +184,6 @@ TEST(Engine, CountsCells) {
   const auto engine = make_engine(EngineKind::kScalar);
   engine->align_one(testing::make_job(s, 10, scoring));
   EXPECT_EQ(engine->cells_computed(), 10u * 20u);
-  EXPECT_EQ(engine->alignments_performed(), 1u);
   engine->reset_counters();
   EXPECT_EQ(engine->cells_computed(), 0u);
 }

@@ -1,6 +1,6 @@
 // Equivalence of every SIMD engine with the scalar reference, across group
-// widths, stripe widths, overrides, and partial final groups — plus the i16
-// saturation guard.
+// widths, overrides, and partial final groups — plus the i16 saturation
+// guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,24 +41,22 @@ enum class Impl {
   kAutoSse2
 };
 
-std::unique_ptr<Engine> make_impl(Impl impl, int stripe = 0) {
+std::unique_ptr<Engine> make_impl(Impl impl) {
   switch (impl) {
-    case Impl::kSimd4: return make_engine(EngineKind::kSimd4, stripe);
-    case Impl::kSimd8: return make_engine(EngineKind::kSimd8, stripe);
-    case Impl::kSimd16: return make_engine(EngineKind::kSimd16, stripe);
-    case Impl::kSimd8x32: return make_engine(EngineKind::kSimd8x32, stripe);
-    case Impl::kGeneric4x32:
-      return make_engine(EngineKind::kSimd4x32Generic, stripe);
-    case Impl::kAuto: return make_engine(EngineKind::kSimdAuto, stripe);
-    case Impl::kGeneric4: return detail::make_simd_generic_engine(4, stripe);
-    case Impl::kGeneric8: return detail::make_simd_generic_engine(8, stripe);
-    case Impl::kGeneric16: return detail::make_simd_generic_engine(16, stripe);
-    case Impl::kGeneric8x32:
-      return detail::make_simd32_generic_engine(8, stripe);
-    case Impl::kAutoGeneric: return detail::make_adaptive_generic_engine(stripe);
+    case Impl::kSimd4: return make_engine(EngineKind::kSimd4);
+    case Impl::kSimd8: return make_engine(EngineKind::kSimd8);
+    case Impl::kSimd16: return make_engine(EngineKind::kSimd16);
+    case Impl::kSimd8x32: return make_engine(EngineKind::kSimd8x32);
+    case Impl::kGeneric4x32: return make_engine(EngineKind::kSimd4x32Generic);
+    case Impl::kAuto: return make_engine(EngineKind::kSimdAuto);
+    case Impl::kGeneric4: return detail::make_simd_generic_engine(4);
+    case Impl::kGeneric8: return detail::make_simd_generic_engine(8);
+    case Impl::kGeneric16: return detail::make_simd_generic_engine(16);
+    case Impl::kGeneric8x32: return detail::make_simd32_generic_engine(8);
+    case Impl::kAutoGeneric: return detail::make_adaptive_generic_engine();
 #if REPRO_HAVE_SSE2
-    case Impl::kSse16: return detail::make_simd_engine(16, stripe);
-    case Impl::kAutoSse2: return detail::make_adaptive_sse2_engine(stripe);
+    case Impl::kSse16: return detail::make_simd_engine(16);
+    case Impl::kAutoSse2: return detail::make_adaptive_sse2_engine();
 #endif
     default: break;
   }
@@ -89,11 +87,14 @@ std::vector<Impl> all_simd_impls() {
 }
 
 /// Aligns every rectangle of `s` in engine-sized groups and compares every
-/// bottom row against the scalar engine.
+/// bottom row against `reference`, a one-lane engine (the scalar engine when
+/// null).
 void expect_engine_matches_scalar(Engine& engine, const seq::Sequence& s,
                                   const Scoring& scoring,
-                                  const OverrideTriangle* tri) {
+                                  const OverrideTriangle* tri,
+                                  Engine* reference = nullptr) {
   const auto scalar = make_engine(EngineKind::kScalar);
+  Engine* ref = reference != nullptr ? reference : scalar.get();
   const int m = s.length();
   const int lanes = engine.lanes();
   for (int r0 = 1; r0 <= m - 1; r0 += lanes) {
@@ -113,33 +114,41 @@ void expect_engine_matches_scalar(Engine& engine, const seq::Sequence& s,
     engine.align(job, outs);
     for (int k = 0; k < count; ++k) {
       const auto expected =
-          scalar->align_one(testing::make_job(s, r0 + k, scoring, tri));
+          ref->align_one(testing::make_job(s, r0 + k, scoring, tri));
       EXPECT_EQ(rows[static_cast<std::size_t>(k)], expected)
           << engine.name() << " lane " << k << " of group r0=" << r0;
     }
   }
 }
 
+/// (SIMD implementation, stripe width of the striped scalar engine it is
+/// checked against). The SIMD engines sweep whole rows; the second element
+/// cross-checks each one with the §4.1 striped loop at no stripe, a tiny
+/// one, an odd one and its L1 default.
 class SimdEquivalence
     : public ::testing::TestWithParam<std::tuple<Impl, int>> {};
 
 TEST_P(SimdEquivalence, MatchesScalarOnRepeatProtein) {
   const auto [impl, stripe] = GetParam();
-  const auto engine = make_impl(impl, stripe);
+  const auto engine = make_impl(impl);
+  const auto reference = detail::make_scalar_striped_engine(stripe);
   const auto g = seq::synthetic_titin(220, 77);
   const Scoring scoring = Scoring::protein_default();
-  expect_engine_matches_scalar(*engine, g.sequence, scoring, nullptr);
+  expect_engine_matches_scalar(*engine, g.sequence, scoring, nullptr,
+                               reference.get());
 }
 
 TEST_P(SimdEquivalence, MatchesScalarWithOverrides) {
   const auto [impl, stripe] = GetParam();
-  const auto engine = make_impl(impl, stripe);
+  const auto engine = make_impl(impl);
+  const auto reference = detail::make_scalar_striped_engine(stripe);
   const auto g = seq::synthetic_dna_tandem(150, 10, 6, 99);
   const Scoring scoring = Scoring::paper_example();
   util::Rng rng(1234);
   OverrideTriangle tri(g.sequence.length());
   testing::random_overrides(g.sequence.length(), 400, rng, &tri);
-  expect_engine_matches_scalar(*engine, g.sequence, scoring, &tri);
+  expect_engine_matches_scalar(*engine, g.sequence, scoring, &tri,
+                               reference.get());
 }
 
 std::string param_name(
@@ -165,7 +174,7 @@ std::string param_name(
 std::vector<std::tuple<Impl, int>> make_params() {
   std::vector<std::tuple<Impl, int>> params;
   for (Impl impl : all_simd_impls())
-    for (int stripe : {-1, 5, 33, 0})  // none, tiny, odd, engine default
+    for (int stripe : {-1, 5, 33, 0})  // none, tiny, odd, L1 default
       params.emplace_back(impl, stripe);
   return params;
 }
@@ -324,8 +333,8 @@ void set_parity_overrides(OverrideTriangle& tri, int parity,
 TEST(SimdEngine, RowPairingEdgesMatchScalar) {
   // Edges of the register-blocked row pairs: r0 in {1, 2, 3} (no pairable
   // row, exactly one pair, one pair plus a single row), single-lane and
-  // partial groups, the partial final group, every stripe shape, and
-  // override bits on only the first or only the second row of each pair.
+  // partial groups, the partial final group, and override bits on only
+  // the first or only the second row of each pair.
   // Inputs: DNA inside the u8 headroom (every engine; the adaptive ones
   // stay in u8) and a homopolymer past it, which the adaptive engines must
   // escalate to their i16 kernel.
@@ -362,45 +371,41 @@ TEST(SimdEngine, RowPairingEdgesMatchScalar) {
       const bool is_adaptive =
           std::find(adaptive.begin(), adaptive.end(), impl) != adaptive.end();
       if (s == &saturating && !is_adaptive) continue;
-      for (const int stripe : {1, 2, 5, 0, -1}) {
-        const auto engine = make_impl(impl, stripe);
-        const int lanes = engine->lanes();
-        std::vector<std::pair<int, int>> groups;  // (r0, count)
-        for (const int r0 : {1, 2, 3})
-          for (const int count : {lanes, 1, std::min(lanes, 3)})
-            groups.emplace_back(r0, count);
-        groups.emplace_back(m / 2, lanes);
-        groups.emplace_back(m - 1 - lanes / 2, lanes / 2 + 1);  // final group
-        for (std::size_t t = 0; t < triangles.size(); ++t) {
-          for (const auto& [r0, count] : groups) {
-            GroupJob job;
-            job.seq = s->codes();
-            job.scoring = &scoring;
-            job.overrides = triangles[t];
-            job.r0 = r0;
-            job.count = count;
-            std::vector<std::vector<Score>> rows(
-                static_cast<std::size_t>(count));
-            std::vector<std::span<Score>> outs(static_cast<std::size_t>(count));
-            for (int k = 0; k < count; ++k) {
-              rows[static_cast<std::size_t>(k)].resize(
-                  static_cast<std::size_t>(m - (r0 + k)));
-              outs[static_cast<std::size_t>(k)] =
-                  rows[static_cast<std::size_t>(k)];
-            }
-            engine->align(job, outs);
-            for (int k = 0; k < count; ++k)
-              EXPECT_EQ(rows[static_cast<std::size_t>(k)],
-                        expected[t][static_cast<std::size_t>(r0 + k - 1)])
-                  << engine->name() << " stripe " << stripe << " triangle "
-                  << t << " r0=" << r0 << " count=" << count << " lane "
-                  << k << " m=" << m;
+      const auto engine = make_impl(impl);
+      const int lanes = engine->lanes();
+      std::vector<std::pair<int, int>> groups;  // (r0, count)
+      for (const int r0 : {1, 2, 3})
+        for (const int count : {lanes, 1, std::min(lanes, 3)})
+          groups.emplace_back(r0, count);
+      groups.emplace_back(m / 2, lanes);
+      groups.emplace_back(m - 1 - lanes / 2, lanes / 2 + 1);  // final group
+      for (std::size_t t = 0; t < triangles.size(); ++t) {
+        for (const auto& [r0, count] : groups) {
+          GroupJob job;
+          job.seq = s->codes();
+          job.scoring = &scoring;
+          job.overrides = triangles[t];
+          job.r0 = r0;
+          job.count = count;
+          std::vector<std::vector<Score>> rows(static_cast<std::size_t>(count));
+          std::vector<std::span<Score>> outs(static_cast<std::size_t>(count));
+          for (int k = 0; k < count; ++k) {
+            rows[static_cast<std::size_t>(k)].resize(
+                static_cast<std::size_t>(m - (r0 + k)));
+            outs[static_cast<std::size_t>(k)] =
+                rows[static_cast<std::size_t>(k)];
           }
+          engine->align(job, outs);
+          for (int k = 0; k < count; ++k)
+            EXPECT_EQ(rows[static_cast<std::size_t>(k)],
+                      expected[t][static_cast<std::size_t>(r0 + k - 1)])
+                << engine->name() << " triangle " << t << " r0=" << r0
+                << " count=" << count << " lane " << k << " m=" << m;
         }
-        if (s == &saturating) {
-          EXPECT_GT(engine->precision_stats().escalations, 0u)
-              << engine->name() << " never ran its i16 kernel";
-        }
+      }
+      if (s == &saturating) {
+        EXPECT_GT(engine->precision_stats().escalations, 0u)
+            << engine->name() << " never ran its i16 kernel";
       }
     }
   }

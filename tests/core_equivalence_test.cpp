@@ -91,9 +91,9 @@ TEST_P(Equivalence, EveryEngineProducesIdenticalTops) {
   // The portable kernels, which make_engine passes over on an x86 host.
   for (const int lanes : {4, 8, 16})
     engines.push_back(
-        [lanes] { return align::detail::make_simd_generic_engine(lanes, 0); });
-  engines.push_back([] { return align::detail::make_simd32_generic_engine(8, 0); });
-  engines.push_back([] { return align::detail::make_adaptive_generic_engine(0); });
+        [lanes] { return align::detail::make_simd_generic_engine(lanes); });
+  engines.push_back([] { return align::detail::make_simd32_generic_engine(8); });
+  engines.push_back([] { return align::detail::make_adaptive_generic_engine(); });
 
   for (const auto& make : engines) {
     const auto engine = make();

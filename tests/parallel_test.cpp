@@ -216,8 +216,8 @@ TYPED_TEST(DriverMatrix, EveryOptionMatchesSequential) {
           << "memory " << static_cast<int>(memory) << ", checkpoint_mem "
           << ckpt << ": " << diff;
       EXPECT_EQ(res.tops.size(), 6u);
-      EXPECT_GT(reference.stats.precision_escalations, 0u);
-      EXPECT_GT(res.stats.precision_escalations, 0u);
+      EXPECT_GT(reference.stats.precision.escalations, 0u);
+      EXPECT_GT(res.stats.precision.escalations, 0u);
     }
   }
 }
@@ -239,13 +239,9 @@ class TallyEngine final : public align::Engine {
   TallyEngine(const TallyEngine&) = delete;
   TallyEngine& operator=(const TallyEngine&) = delete;
   ~TallyEngine() override {
-    const align::PrecisionStats p = inner_->precision_stats();
     const std::lock_guard lock(totals_->mutex);
     totals_->cells += inner_->cells_computed();
-    totals_->precision.i8_sweeps += p.i8_sweeps;
-    totals_->precision.i16_sweeps += p.i16_sweeps;
-    totals_->precision.escalations += p.escalations;
-    totals_->precision.profile_hits += p.profile_hits;
+    totals_->precision += inner_->precision_stats();
   }
 
   [[nodiscard]] std::string name() const override { return inner_->name(); }
@@ -281,12 +277,12 @@ TYPED_TEST(DriverMatrix, StatsSumTheRunsEngines) {
       TypeParam::run(g.sequence, Scoring::protein_default(), opt, factory);
   // Every engine of the run is destroyed by the time the driver returns.
   EXPECT_EQ(res.stats.cells, totals->cells);
-  EXPECT_EQ(res.stats.i8_sweeps, totals->precision.i8_sweeps);
-  EXPECT_EQ(res.stats.i16_sweeps, totals->precision.i16_sweeps);
-  EXPECT_EQ(res.stats.precision_escalations, totals->precision.escalations);
-  EXPECT_EQ(res.stats.profile_hits, totals->precision.profile_hits);
+  EXPECT_EQ(res.stats.precision.i8_sweeps, totals->precision.i8_sweeps);
+  EXPECT_EQ(res.stats.precision.i16_sweeps, totals->precision.i16_sweeps);
+  EXPECT_EQ(res.stats.precision.escalations, totals->precision.escalations);
+  EXPECT_EQ(res.stats.precision.profile_hits, totals->precision.profile_hits);
   EXPECT_GT(res.stats.cells, 0u);
-  EXPECT_GT(res.stats.i8_sweeps, 0u);
+  EXPECT_GT(res.stats.precision.i8_sweeps, 0u);
   EXPECT_GE(res.stats.queue_pops, res.stats.tracebacks);
 }
 

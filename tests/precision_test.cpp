@@ -41,17 +41,16 @@ seq::Sequence homopolymer(int m) {
                                     seq::Alphabet::dna());
 }
 
-/// Builds an engine with the given stripe width.
-using MakeEngine = std::function<std::unique_ptr<align::Engine>(int stripe)>;
+/// Builds a fresh engine.
+using MakeEngine = std::function<std::unique_ptr<align::Engine>()>;
 
 /// The adaptive engine as make_engine dispatches it, and its portable
 /// instantiation (and the SSE2 one, which dispatch passes over on an AVX2
 /// host).
 std::vector<MakeEngine> adaptive_engines() {
   std::vector<MakeEngine> engines{
-      align::detail::make_adaptive_generic_engine, [](int stripe) {
-        return align::make_engine(EngineKind::kSimdAuto, stripe);
-      }};
+      align::detail::make_adaptive_generic_engine,
+      [] { return align::make_engine(EngineKind::kSimdAuto); }};
 #if REPRO_HAVE_SSE2
   engines.push_back(align::detail::make_adaptive_sse2_engine);
 #endif
@@ -119,7 +118,7 @@ TEST(PrecisionSaturation, HomopolymerAtCeilingStaysCleanAndMatchesScalar) {
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(s, dna, opt, *scalar);
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const auto res = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
     EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
@@ -141,7 +140,7 @@ TEST(PrecisionSaturation, PastCeilingAdaptiveEscalates) {
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(s, dna, opt, *scalar);
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const auto res = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
     EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
@@ -176,7 +175,7 @@ TEST(PrecisionAdaptive, EscalatesOnProteinAndMatchesScalar) {
   const auto scalar = align::make_engine(EngineKind::kScalar);
   const auto reference = find_top_alignments(g.sequence, protein, opt, *scalar);
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const auto res = find_top_alignments(g.sequence, protein, opt, *engine);
     std::string diff;
     EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
@@ -185,9 +184,10 @@ TEST(PrecisionAdaptive, EscalatesOnProteinAndMatchesScalar) {
     EXPECT_GT(stats.escalations, 0u) << engine->name();
     EXPECT_GT(stats.i16_sweeps, 0u) << engine->name();
     // The finder surfaces the engine's counters in its own stats.
-    EXPECT_EQ(res.stats.precision_escalations, stats.escalations)
+    EXPECT_EQ(res.stats.precision.escalations, stats.escalations)
         << engine->name();
-    EXPECT_EQ(res.stats.i16_sweeps, stats.i16_sweeps) << engine->name();
+    EXPECT_EQ(res.stats.precision.i16_sweeps, stats.i16_sweeps)
+        << engine->name();
   }
 }
 
@@ -200,7 +200,7 @@ TEST(PrecisionAdaptive, StaysI8InRangeAndReusesProfile) {
   FinderOptions opt;
   opt.num_top_alignments = 5;
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const auto res = find_top_alignments(s, dna, opt, *engine);
     const auto stats = engine->precision_stats();
     EXPECT_EQ(stats.escalations, 0u) << engine->name();
@@ -208,7 +208,7 @@ TEST(PrecisionAdaptive, StaysI8InRangeAndReusesProfile) {
     EXPECT_GT(stats.i8_sweeps, 0u) << engine->name();
     EXPECT_EQ(stats.profile_builds, 1u) << engine->name();
     EXPECT_GT(stats.profile_hits, 0u) << engine->name();
-    EXPECT_EQ(res.stats.i8_sweeps, stats.i8_sweeps) << engine->name();
+    EXPECT_EQ(res.stats.precision.i8_sweeps, stats.i8_sweeps) << engine->name();
 
     const auto again = find_top_alignments(s, dna, opt, *engine);
     std::string diff;
@@ -236,8 +236,8 @@ TEST(PrecisionAdaptive, ParallelAutoMatchesSequentialAndSumsStats) {
   EXPECT_TRUE(core::same_tops(reference.tops, par.tops, &diff)) << diff;
   // Worker engines are fresh per partition; their precision counters are
   // summed into the parallel result.
-  EXPECT_GT(par.stats.i8_sweeps + par.stats.i16_sweeps, 0u);
-  EXPECT_GT(par.stats.precision_escalations, 0u);
+  EXPECT_GT(par.stats.precision.i8_sweeps + par.stats.precision.i16_sweeps, 0u);
+  EXPECT_GT(par.stats.precision.escalations, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ constexpr int kLadderR0 = 300;  // the break lies well above the group's r0
 TEST(PrecisionLadder, BreakAboveTheFirstGridRowSweepsI16FromRowOne) {
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const int brk = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                  engine->lanes());
     ASSERT_GT(brk, 1);
@@ -384,7 +384,7 @@ TEST(PrecisionLadder, BreakBetweenGridRowsResumesFromTheRowAbove) {
   for (const std::string oligo : {"ACACAC", "AAAAAA", "AGAGAG"}) {
     const auto s = ladder_sequence(kLadderPrefix, kLadderM, oligo);
     for (const auto& make : adaptive_engines()) {
-      const auto engine = make(0);
+      const auto engine = make();
       const std::string what = engine->name() + " " + oligo;
       const int brk = u8_break_row(s, seq::Scoring::paper_example(),
                                    kLadderR0, engine->lanes());
@@ -412,10 +412,10 @@ TEST(PrecisionLadder, I16ResumeRowSkipsTheU8PassOnAnotherEngine) {
   // resumes in i16 at once instead of dropping the row for a u8 pass.
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
   for (const auto& make : adaptive_engines()) {
-    const auto first = make(0);
+    const auto first = make();
     const auto run = ladder_sweep(*first, s, kLadderR0, 25, true);
     ASSERT_EQ(run.sink.elem_size, 2) << first->name();
-    const auto other = make(0);
+    const auto other = make();
     const align::CheckpointView view = view_of(run.sink, run.sink.count - 1);
     const auto again = ladder_sweep(*other, s, kLadderR0, 1, false, &view);
     EXPECT_EQ(other->precision_stats().i8_sweeps, 0u) << other->name();
@@ -468,8 +468,8 @@ TEST(PrecisionLadder, KeptRowsAreTheWidenedU8Rows) {
   // identical everywhere, and MaxY differs only in entries below zero —
   // the kept u8 rows hold exactly max(MaxY, 0).
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  const auto adaptive = align::detail::make_adaptive_generic_engine(0);
-  const auto wide = align::detail::make_simd_generic_engine(8, 0);
+  const auto adaptive = align::detail::make_adaptive_generic_engine();
+  const auto wide = align::detail::make_simd_generic_engine(8);
   ASSERT_EQ(adaptive->lanes(), wide->lanes());
   const int brk = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                adaptive->lanes());
@@ -509,7 +509,7 @@ TEST(PrecisionLadder, KeptRowsAreTheWidenedU8Rows) {
 TEST(PrecisionLadder, BreakInsideTheDeepRowsKeepsEveryGridRow) {
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const int lanes = engine->lanes();
     const int far = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                  lanes);
@@ -532,7 +532,7 @@ TEST(PrecisionLadder, BreakAfterAU8ResumeViewWithNoStagedRow) {
   // are overridden away: rows above r0 match the plain sweep's exactly.
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     const int lanes = engine->lanes();
     const int far = u8_break_row(s, seq::Scoring::paper_example(), kLadderR0,
                                  lanes);
@@ -558,24 +558,10 @@ TEST(PrecisionLadder, BreakAfterAU8ResumeViewWithNoStagedRow) {
 TEST(PrecisionLadder, BreakWithNoSink) {
   const auto s = ladder_sequence(kLadderPrefix, kLadderM, "AGAGAG");
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     auto run = ladder_sweep(*engine, s, kLadderR0, 1, false);
     EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
     expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
-  }
-}
-
-TEST(PrecisionLadder, ExplicitStripeStartsTheI16PassAtRowOne) {
-  // A striped u8 pass has staged only some stripes of each row when it
-  // stops, so none are kept: the i16 pass re-sweeps from row 1.
-  const auto s = ladder_sequence(kLadderPrefix, kLadderM, "ACACAC");
-  for (const auto& make : adaptive_engines()) {
-    const auto engine = make(7);
-    auto run = ladder_sweep(*engine, s, kLadderR0, 25, true);
-    EXPECT_EQ(engine->precision_stats().escalations, 1u) << engine->name();
-    expect_scalar_rows(s, kLadderR0, run.rows, engine->name());
-    ASSERT_EQ(run.sink.count, (kLadderR0 - 1) / 25 + 1) << engine->name();
-    expect_resumes_match(*engine, s, kLadderR0, run.sink, engine->name());
   }
 }
 
@@ -591,7 +577,7 @@ TEST(PrecisionLadder, I16CeilingUnderAutoNamesTheWiderEngines) {
   FinderOptions opt;
   opt.num_top_alignments = 1;
   for (const auto& make : adaptive_engines()) {
-    const auto engine = make(0);
+    const auto engine = make();
     try {
       (void)find_top_alignments(s, huge, opt, *engine);
       ADD_FAILURE() << engine->name() << " did not throw";
@@ -662,8 +648,8 @@ BandOut band_call(align::Engine& engine, const BandStep& step,
 std::vector<std::uint64_t> expect_band_matches_fresh(
     const MakeEngine& make, const std::vector<BandStep>& steps,
     const seq::Scoring& sc, const std::string& what) {
-  const auto band = make(0);
-  const auto fresh = make(0);
+  const auto band = make();
+  const auto fresh = make();
   // The realignment triangle: a few pairs of the first sequence's top rows.
   const int m = steps.front().s->length();
   align::OverrideTriangle triangle(m);
@@ -727,7 +713,7 @@ TEST(BandSweep, AscendingRunsMatchAFreshEngine) {
       seq::random_sequence(seq::Alphabet::protein(), 450, 7);
   const auto random_dna = seq::random_sequence(seq::Alphabet::dna(), 450, 11);
   for (const MakeEngine& make : adaptive_engines()) {
-    const int lanes = make(0)->lanes();
+    const int lanes = make()->lanes();
     const auto reused =
         expect_band_matches_fresh(make, ascending(titin, lanes), protein,
                                   "titin");
@@ -751,13 +737,13 @@ TEST(BandSweep, EscalatedRunThenReseed) {
   const auto s = seq::Sequence::from_string("tandem", text, protein_alphabet);
   const seq::Scoring protein = seq::Scoring::protein_default();
   for (const MakeEngine& make : adaptive_engines()) {
-    const int lanes = make(0)->lanes();
+    const int lanes = make()->lanes();
     const auto steps = ascending(s, lanes);
     const auto reused =
         expect_band_matches_fresh(make, steps, protein, "lowcomplex");
     // The first escalated group ends the first chain; the band must take
     // cells again after the run.
-    const auto probe = make(0);
+    const auto probe = make();
     std::size_t first_escalated = 0;
     while (first_escalated < steps.size() &&
            probe->precision_stats().escalations == 0)
@@ -772,7 +758,7 @@ TEST(BandSweep, EscalatedRunThenReseed) {
 TEST(BandSweep, ShortAndRaggedSequences) {
   const seq::Scoring protein = seq::Scoring::protein_default();
   for (const MakeEngine& make : adaptive_engines()) {
-    const int lanes = make(0)->lanes();
+    const int lanes = make()->lanes();
     for (const int m : {lanes + 1, 2 * lanes - 5, 2 * lanes, 7 * lanes + 3}) {
       const auto s = seq::random_sequence(seq::Alphabet::protein(), m, 2003);
       expect_band_matches_fresh(make, ascending(s, lanes), protein,
@@ -786,7 +772,7 @@ TEST(BandSweep, OtherCallsBreakTheChain) {
   const auto s = seq::synthetic_titin(500, 2003).sequence;
   const auto other = seq::synthetic_titin(480, 4241).sequence;
   for (const MakeEngine& make : adaptive_engines()) {
-    const int L = make(0)->lanes();
+    const int L = make()->lanes();
     // Each interruption sits between two band groups.
     expect_band_matches_fresh(
         make,

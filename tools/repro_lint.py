@@ -49,6 +49,7 @@ KERNEL_FILES = [
     "src/align/striped_engine.cpp",
     "src/align/general_gap_engine.cpp",
     "src/align/simd_kernel.hpp",
+    "src/align/engine.cpp",
     "src/align/simd_engine.cpp",
     "src/align/simd_engine_avx2.cpp",
     "src/align/simd_engine_impl.hpp",

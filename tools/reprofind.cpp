@@ -284,11 +284,7 @@ int cmd_find(int argc, char** argv) {
     total_stats.rows_skipped += res.stats.rows_skipped;
     total_stats.rows_swept += res.stats.rows_swept;
     total_stats.skipped_realignments += res.stats.skipped_realignments;
-    total_stats.i8_sweeps += res.stats.i8_sweeps;
-    total_stats.i16_sweeps += res.stats.i16_sweeps;
-    total_stats.precision_escalations += res.stats.precision_escalations;
-    total_stats.cells_reused += res.stats.cells_reused;
-    total_stats.profile_hits += res.stats.profile_hits;
+    total_stats.precision += res.stats.precision;
     total_stats.realign_seconds += res.stats.realign_seconds;
     total_stats.seconds += res.stats.seconds;
     total_stats.idle_seconds += res.stats.idle_seconds;
@@ -367,11 +363,12 @@ int cmd_find(int argc, char** argv) {
     report.counter("ckpt_rows_skipped", total_stats.rows_skipped);
     report.counter("ckpt_rows_swept", total_stats.rows_swept);
     report.counter("skipped_realignments", total_stats.skipped_realignments);
-    report.counter("i8_sweeps", total_stats.i8_sweeps);
-    report.counter("i16_sweeps", total_stats.i16_sweeps);
-    report.counter("precision_escalations", total_stats.precision_escalations);
-    report.counter("profile_hits", total_stats.profile_hits);
-    report.counter("cells_reused", total_stats.cells_reused);
+    const align::PrecisionStats& prec = total_stats.precision;
+    report.counter("i8_sweeps", prec.i8_sweeps);
+    report.counter("i16_sweeps", prec.i16_sweeps);
+    report.counter("precision_escalations", prec.escalations);
+    report.counter("profile_hits", prec.profile_hits);
+    report.counter("cells_reused", prec.cells_reused);
     report.metric("realign_seconds", total_stats.realign_seconds);
     report.metric("idle_seconds", total_stats.idle_seconds);
     if (total_stats.rows_swept > 0)
