@@ -20,7 +20,8 @@
 //     the empty triangle as the finder's first sweep does (so each group
 //     after the first takes the band path over its predecessor's last
 //     rectangle), give the scalar empty-triangle rows and stage the bytes a
-//     fresh engine stages for the same groups in descending order.
+//     fresh engine stages for the same groups in descending order (where
+//     every full group seeds and none bands).
 //
 // Any divergence throws; the driver reports it with the reproducing input.
 #include <algorithm>
@@ -111,7 +112,8 @@ void check_groups(repro::align::Engine& engine, const std::string& label,
 }
 
 // Sweeps every group of `make()`'s engine in ascending order, then on a
-// fresh engine in descending order (no group follows its predecessor), both
+// fresh engine in descending order (no group follows its predecessor, so
+// each full group seeds: it sweeps whole and reuses nothing), both
 // under the empty triangle through a sink; rows must match `ref` and the
 // staged rows must be identical.
 template <class Make>

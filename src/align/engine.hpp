@@ -76,6 +76,12 @@ class Engine {
   /// offer them resume state, and the wrapper gives them no cell discount.
   [[nodiscard]] virtual bool supports_checkpoints() const { return false; }
 
+  /// False when first sweeps of a length-m sequence never band on this
+  /// engine (no group reuses the adjacent group's work), so drivers deal
+  /// first-sweep groups in order rather than in runs (core/search.hpp).
+  /// True by default, so a wrapper keeps its inner engine's runs.
+  [[nodiscard]] virtual bool bands(int /*m*/) const { return true; }
+
   /// Computes bottom rows for splits job.r0 .. job.r0+job.count-1.
   /// out[k] must have exactly m - (job.r0 + k) elements. Non-virtual: the
   /// wrapper centralizes the cell accounting (identical for every

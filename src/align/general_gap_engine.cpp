@@ -20,6 +20,7 @@ class GeneralGapEngine final : public Engine {
  public:
   [[nodiscard]] std::string name() const override { return "general-gap"; }
   [[nodiscard]] int lanes() const override { return 1; }
+  [[nodiscard]] bool bands(int /*m*/) const override { return false; }
 
  protected:
   void do_align(const GroupJob& job,

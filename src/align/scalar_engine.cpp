@@ -21,6 +21,7 @@ class ScalarEngine final : public Engine {
   [[nodiscard]] std::string name() const override { return "scalar"; }
   [[nodiscard]] int lanes() const override { return 1; }
   [[nodiscard]] bool supports_checkpoints() const override { return true; }
+  [[nodiscard]] bool bands(int /*m*/) const override { return false; }
 
  protected:
   void do_align(const GroupJob& job,

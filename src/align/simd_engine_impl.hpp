@@ -28,11 +28,14 @@
 //     First sweeps in ascending r0 on one engine take the band path
 //     (simd_kernel.hpp, "Band rows"): a group right after the adjacent one
 //     recomputes only where it differs from that group's last rectangle,
-//     kept on a grid the engine owns. Group 1 seeds the grid. A group that
-//     escalates ends the chain; the adjacent groups after it run the plain
-//     sweep while they escalate, and the group after the first clean one
-//     re-seeds. Any other call ends the chain, and the first call with
-//     overrides frees the grid.
+//     kept on a grid the engine owns. Any full first-sweep group that does
+//     not follow a reference or an escalated group seeds the grid: group 1,
+//     the first group of a worker's run of first sweeps, the group after
+//     a clean one that ended an escalated run. A group that escalates ends
+//     the chain; the adjacent groups after it run the plain sweep while
+//     they escalate. Any other call ends the chain. The first call with
+//     overrides frees the grid, and the engine seeds no more until its
+//     next workload, so low-memory plain recomputes stay plain sweeps.
 #pragma once
 
 #include <algorithm>
@@ -75,6 +78,7 @@ class SimdEngineT final : public Engine {
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] int lanes() const override { return Ops::kLanes; }
   [[nodiscard]] bool supports_checkpoints() const override { return true; }
+  [[nodiscard]] bool bands(int /*m*/) const override { return false; }
   [[nodiscard]] PrecisionStats precision_stats() const override {
     return stats_;
   }
@@ -136,6 +140,11 @@ class AdaptiveEngineT final : public Engine {
   [[nodiscard]] PrecisionStats precision_stats() const override {
     return stats_;
   }
+  /// The band grid fits: 3 B per upper-triangle cell within
+  /// kBandGridMaxBytes, so m <= 6,689.
+  [[nodiscard]] bool bands(int m) const override {
+    return 3 * BandGrid::cells(m) <= kBandGridMaxBytes;
+  }
 
  protected:
   void do_align(const GroupJob& job,
@@ -146,10 +155,14 @@ class AdaptiveEngineT final : public Engine {
       // longer apply.
       escalated_.clear();
       chain_ = Chain::kNone;
+      seeds_ = true;
     }
     // Band sweeps serve the first sweep only: the first overridden call
     // ends them for good, so the grid goes.
-    if (job.overrides != nullptr) grid_.reset();
+    if (job.overrides != nullptr) {
+      grid_.reset();
+      seeds_ = false;
+    }
     // An i16 resume row means an engine sharing the checkpoint cache
     // escalated this split; a u8 one was certified exact, so the i16 pass
     // resumes from it widened.
@@ -157,7 +170,7 @@ class AdaptiveEngineT final : public Engine {
     if (job.resume != nullptr && !u8_resume) escalated_.insert(job.r0);
     GroupJob j16 = job;
     int kept = 0;  // widened u8 rows staged in front of the i16 pass's own
-    const Chain chain = chain_;
+    const Chain chain = job.r0 == chain_next_ ? chain_ : Chain::kNone;
     chain_ = Chain::kNone;
     if (profile8_.feasible() && escalated_.count(job.r0) == 0) {
       bool sat = false;
@@ -168,12 +181,12 @@ class AdaptiveEngineT final : public Engine {
         stats_.cells_reused += band->cells_reused;
         if constexpr (check::kContractsEnabled) check_band(job, out, sat);
       }
-      if (chains(job, chain)) {
-        // The next adjacent group continues the chain: it bands over this
-        // group's reference, waits out an escalated run, or re-seeds.
+      if (full_band_job(job)) {
+        // The next adjacent group bands over this group's reference, or
+        // waits out an escalated run.
         chain_ = sat ? Chain::kEscalated
                  : band != nullptr ? Chain::kReference
-                                   : Chain::kClean;
+                                   : Chain::kNone;
         chain_next_ = job.r0 + job.count;
       }
       if (!sat) return;
@@ -203,9 +216,9 @@ class AdaptiveEngineT final : public Engine {
   /// How the last call leaves the next adjacent first-sweep group (r0 =
   /// chain_next_): kReference — the grid holds that group's reference, so
   /// it bands; kEscalated — the call escalated, so the group runs the plain
-  /// sweep with no grid writes; kClean — the call ran that plain sweep clean,
-  /// so the group re-seeds the grid. kNone — anything else.
-  enum class Chain { kNone, kReference, kEscalated, kClean };
+  /// sweep with no grid writes; kNone — anything else, so a full group
+  /// seeds.
+  enum class Chain { kNone, kReference, kEscalated };
 
   /// Grid bytes above which every group runs the plain sweep: 3 B per
   /// upper-triangle cell, so m <= 6,689.
@@ -218,29 +231,24 @@ class AdaptiveEngineT final : public Engine {
   [[nodiscard]] bool band_job(const GroupJob& job) const {
     const int m = static_cast<int>(job.seq.size());
     return job.overrides == nullptr && job.resume == nullptr &&
-           job.count == std::min(Ops8::kLanes, m - job.r0) &&
-           3 * BandGrid::cells(m) <= kBandGridMaxBytes;
+           job.count == std::min(Ops8::kLanes, m - job.r0) && bands(m);
   }
 
-  /// True when the next adjacent group may continue the chain after `job`:
-  /// a full band job that starts or continues it.
-  [[nodiscard]] bool chains(const GroupJob& job, Chain chain) const {
-    return band_job(job) && job.count == Ops8::kLanes &&
-           (job.r0 == 1 || (chain != Chain::kNone && job.r0 == chain_next_));
+  /// True when `job` is a full band job: one the next adjacent group may
+  /// continue from.
+  [[nodiscard]] bool full_band_job(const GroupJob& job) const {
+    return band_job(job) && job.count == Ops8::kLanes;
   }
 
   /// The band step of the u8 pass of `job`, given the chain the last call
-  /// left, or nullptr for the plain sweep. A seed (group 1, whose rows are
-  /// at most L, or the group after a clean one that ended an escalated run)
-  /// sweeps whole and writes the grid; a band step over a reference writes
-  /// it back only for a full group, as a partial one is the sequence's
-  /// last.
+  /// left it, or nullptr for the plain sweep. A seed sweeps its rows above
+  /// r0 whole and writes the grid; a band step over a reference writes it
+  /// back only for a full group, as a partial one is the sequence's last.
   BandGrid* plan_band(const GroupJob& job, Chain chain) {
     const int m = static_cast<int>(job.seq.size());
-    const bool adjacent = chain != Chain::kNone && job.r0 == chain_next_;
-    const bool band = adjacent && chain == Chain::kReference && band_job(job);
-    const bool seed = !band && chains(job, chain) &&
-                      (job.r0 == 1 || (adjacent && chain == Chain::kClean));
+    const bool band = chain == Chain::kReference && band_job(job);
+    const bool seed = !band && seeds_ && chain == Chain::kNone &&
+                      full_band_job(job);
     if (!band && !seed) return nullptr;
     const std::size_t cells = BandGrid::cells(m);
     if (seed && (grid_ == nullptr || grid_m_ != m)) {
@@ -361,6 +369,7 @@ class AdaptiveEngineT final : public Engine {
   CheckpointSink own_sink_;  ///< the i16 pass's rows when u8 rows are kept
   Chain chain_ = Chain::kNone;
   int chain_next_ = 0;  ///< r0 of the group that continues the chain
+  bool seeds_ = true;   ///< no overridden call yet on this workload
   std::unique_ptr<std::uint8_t[]> grid_;  ///< H, MaxX, MaxY planes
   int grid_m_ = 0;                        ///< sequence length grid_ fits
   BandGrid band_;

@@ -34,6 +34,7 @@ class ScalarStripedEngine final : public Engine {
   [[nodiscard]] std::string name() const override { return "scalar-striped"; }
   [[nodiscard]] int lanes() const override { return 1; }
   [[nodiscard]] bool supports_checkpoints() const override { return true; }
+  [[nodiscard]] bool bands(int /*m*/) const override { return false; }
 
  protected:
   void do_align(const GroupJob& job,

@@ -160,6 +160,7 @@ class Master {
     /// This worker's least task deadline: doubled by each lapse, reset by
     /// each applied result (deadline_for).
     Clock::duration timeout = kTaskTimeout;
+    int last = -1;  ///< the group last assigned, which the worker sweeps last
   };
 
   int alive_workers() const {
@@ -311,16 +312,19 @@ class Master {
     return search_.done();
   }
 
+  /// Gives idle workers orders. Each asks with its own last group, so at
+  /// version 0 it continues its own run of first sweeps.
   void assign_idle() {
     while (!idle_.empty()) {
-      const auto o = search_.begin_sweep();
-      if (!o) break;
       const int w = idle_.back();
-      idle_.pop_back();
       WorkerRec& rec = workers_[static_cast<std::size_t>(w)];
+      const auto o = search_.begin_sweep(rec.last);
+      if (!o) break;
+      idle_.pop_back();
       REPRO_DCHECK(rec.state == WState::kIdle && !rec.job.has_value());
       rec.state = WState::kBusy;
       rec.job = Assignment{*o, deadline_for(rec)};
+      rec.last = o->gi;
       comm_.send(0, w, {kAssign, {o->r0, o->count, o->version}});
     }
   }
@@ -810,7 +814,8 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     REPRO_CHECK_MSG(e == nullptr || e->lanes() == lanes,
                     "all worker engines must have the same lane count");
 
-  core::Search search(s, scoring, options.finder, lanes);
+  core::Search search(s, scoring, options.finder, lanes,
+                      engines.back()->bands(s.length()));
   std::optional<align::BottomRowStore> archive;
   if (!recompute && options.row_storage == RowStorage::kMasterReplica)
     archive.emplace(s.length());

@@ -34,6 +34,7 @@ class AlignmentOracle {
   [[nodiscard]] const seq::Sequence& sequence() const { return s_; }
   [[nodiscard]] const seq::Scoring& scoring() const { return scoring_; }
   [[nodiscard]] int lanes() const { return engine_.lanes(); }
+  [[nodiscard]] bool bands() const { return engine_.bands(s_.length()); }
 
   /// Resets the replayed triangle to version 0 for a fresh simulation.
   void begin_run();

@@ -24,13 +24,15 @@ class Simulation {
              const core::FinderOptions& finder)
       : oracle_(oracle),
         model_(model),
-        search_(oracle.sequence(), oracle.scoring(), finder, oracle.lanes()),
+        search_(oracle.sequence(), oracle.scoring(), finder, oracle.lanes(),
+                oracle.bands()),
         m_(oracle.sequence().length()),
         lanes_(oracle.lanes()),
         workers_(model.processors <= 1 ? 1 : model.processors - 1) {
     REPRO_CHECK(model.processors >= 1);
     oracle_.begin_run();
     for (int w = 0; w < workers_; ++w) idle_.push_back(w);
+    last_.assign(static_cast<std::size_t>(workers_), -1);
   }
 
   SimResult run() {
@@ -77,10 +79,12 @@ class Simulation {
 
   bool try_assign() {
     if (idle_.empty()) return false;
-    const auto o = search_.begin_sweep();
-    if (!o) return false;
+    // Each worker asks with its own last group, as on the cluster's master.
     const int w = idle_.back();
+    const auto o = search_.begin_sweep(last_[static_cast<std::size_t>(w)]);
+    if (!o) return false;
     idle_.pop_back();
+    last_[static_cast<std::size_t>(w)] = o->gi;
 
     Completion c;
     c.order = *o;
@@ -145,6 +149,7 @@ class Simulation {
       running_;
   std::set<std::pair<int, int>> node_cache_;
   std::vector<int> idle_;
+  std::vector<int> last_;  ///< per worker, the group it took last
 
   double now_ = 0.0;
   double master_free_ = 0.0;

@@ -37,12 +37,13 @@ TopAlignment trace_top(const Search& search, const Acceptance& a,
 // ------------------------------------------------------------------ Search
 
 Search::Search(const seq::Sequence& s, const seq::Scoring& scoring,
-               const FinderOptions& options, int lanes)
+               const FinderOptions& options, int lanes, bool runs)
     : s_(s),
       scoring_(scoring),
       options_(options),
       triangle_(s.length()),
-      groups_(make_groups(s.length(), lanes)) {
+      groups_(make_groups(s.length(), lanes)),
+      runs_(runs) {
   REPRO_CHECK(options.min_score >= 1);
   REPRO_CHECK_MSG(&scoring.matrix.alphabet() == &s.alphabet(),
                   "scoring matrix alphabet does not match the sequence");
@@ -125,26 +126,72 @@ void Search::finish_accept(const Acceptance& a, TopAlignment top) {
   queue_.push(a.gi, groups_[static_cast<std::size_t>(a.gi)].key());
 }
 
-std::optional<SweepOrder> Search::begin_sweep(bool any_member) {
+template <typename Pred>
+std::optional<SweepOrder> Search::pop_sweep(Pred&& pick) {
   while (!done()) {
-    const auto gi = queue_.pop_best_if([this, any_member](int i) {
-      const GroupTask& g = groups_[static_cast<std::size_t>(i)];
-      return any_member ? std::any_of(g.version.begin(), g.version.end(),
-                                      [this](int v) { return v != version(); })
-                        : stale(g);
-    });
+    const auto gi = queue_.pop_best_if(pick);
     if (!gi) break;
     GroupTask& g = groups_[static_cast<std::size_t>(*gi)];
     if (skip_untouched(g)) {
       queue_.push(*gi, g.key());
       continue;
     }
-    const SweepOrder o{*gi, g.r0, g.count, version(), g.key(),
-                       /*exact=*/accepting_ == 0};
-    inflight_.insert(o.bound);
-    return o;
+    return take(*gi);
   }
   return std::nullopt;
+}
+
+std::optional<SweepOrder> Search::begin_sweep(int last) {
+  if (!runs_ || version() > 0)
+    return pop_sweep([this](int i) {
+      return stale(groups_[static_cast<std::size_t>(i)]);
+    });
+  if (done()) return std::nullopt;
+  const int gi = next_first_sweep(last);
+  if (gi < 0) return std::nullopt;
+  REPRO_CHECK(queue_.pop(gi, groups_[static_cast<std::size_t>(gi)].key()));
+  return take(gi);
+}
+
+std::optional<SweepOrder> Search::begin_sweep_any() {
+  return pop_sweep([this](int i) {
+    const GroupTask& g = groups_[static_cast<std::size_t>(i)];
+    return std::any_of(g.version.begin(), g.version.end(),
+                       [this](int v) { return v != version(); });
+  });
+}
+
+bool Search::untaken(int gi) const {
+  const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
+  return g.version.front() < 0 && queue_.contains(gi, g.key());
+}
+
+int Search::next_first_sweep(int last) const {
+  const int n = static_cast<int>(groups_.size());
+  if (last >= 0 && last + 1 < n && untaken(last + 1))
+    return last + 1;  // the worker's own run
+  // Split the longest untaken stretch; the first of equal ones.
+  int head = -1;
+  int longest = 0;
+  for (int a = 0; a < n;) {
+    int b = a;
+    while (b < n && untaken(b)) ++b;
+    if (b - a > longest) {
+      longest = b - a;
+      head = a;
+    }
+    a = b + 1;
+  }
+  if (head <= 0) return head;
+  return head + longest / 2;
+}
+
+SweepOrder Search::take(int gi) {
+  const GroupTask& g = groups_[static_cast<std::size_t>(gi)];
+  const SweepOrder o{gi, g.r0, g.count, version(), g.key(),
+                     /*exact=*/accepting_ == 0};
+  inflight_.insert(o.bound);
+  return o;
 }
 
 void Search::release(const TaskKey& bound) {

@@ -16,6 +16,21 @@
 // acceptances never overlap. The accepted tops are therefore identical for
 // every driver, worker count and schedule.
 //
+// First-sweep runs: when the workers' engines band (align::Engine::bands),
+// every worker at version 0 sweeps contiguous runs of first-sweep groups,
+// so its engine sees each group right after the adjacent one and takes the
+// band path (simd_kernel.hpp, "Band rows"). Other engines take the best
+// stale group, as past version 0, which deals groups 0, 1, 2, ... in turn
+// and leaves the cheap groups near the end of the sequence for last.
+// A worker passes begin_sweep the group it took last and gets that group's
+// successor while the successor is untaken. A worker with no such
+// continuation splits the longest untaken stretch: it takes the stretch's
+// head when the stretch starts at group 0, and its midpoint otherwise, so
+// the run that reaches the stretch keeps its first half. No worker waits
+// while a first-sweep group is untaken, and a group that a cancelled order
+// or a dead worker leaves is an untaken stretch like any other. The
+// sequential order stays 0, 1, 2, ...
+//
 // Search is not thread-safe: drivers serialize every call except trace(),
 // which only reads the triangle — and the triangle changes only in
 // finish_accept(), which the in-flight acceptance keeps from running
@@ -64,8 +79,10 @@ struct Acceptance {
 
 class Search {
  public:
+  /// `runs`: the workers' engines band (align::Engine::bands), so first
+  /// sweeps go out as runs (see "First-sweep runs").
   Search(const seq::Sequence& s, const seq::Scoring& scoring,
-         const FinderOptions& options, int lanes);
+         const FinderOptions& options, int lanes, bool runs);
 
   [[nodiscard]] const seq::Sequence& sequence() const { return s_; }
   [[nodiscard]] const seq::Scoring& scoring() const { return scoring_; }
@@ -92,9 +109,13 @@ class Search {
   /// Marks the top's pairs in the triangle and records it.
   void finish_accept(const Acceptance& a, TopAlignment top);
 
-  /// Takes the best group whose best member is stale (or, with
-  /// `any_member`, any member is stale) for a sweep.
-  std::optional<SweepOrder> begin_sweep(bool any_member = false);
+  /// Takes a group for a sweep by the worker whose last order was group
+  /// `last` (-1: none yet): with runs at version 0 its next first-sweep
+  /// group (see "First-sweep runs"), otherwise the best group whose best
+  /// member is stale.
+  std::optional<SweepOrder> begin_sweep(int last);
+  /// The old algorithm's pick: the best group with any stale member.
+  std::optional<SweepOrder> begin_sweep_any();
   /// Applies a sweep's member scores (shadow-rejected bottom-row maxima).
   void finish_sweep(const SweepOrder& o, std::span<const align::Score> scores);
   /// Returns an order unswept: the group goes back on the queue as it was.
@@ -119,6 +140,13 @@ class Search {
     return g.version[static_cast<std::size_t>(g.best_member())] != version();
   }
   bool skip_untouched(GroupTask& g);
+  /// True for a first-sweep group neither swept nor in flight.
+  [[nodiscard]] bool untaken(int gi) const;
+  /// The first-sweep group for the worker that took `last`, or -1.
+  [[nodiscard]] int next_first_sweep(int last) const;
+  template <typename Pred>
+  std::optional<SweepOrder> pop_sweep(Pred&& pick);
+  SweepOrder take(int gi);
   void release(const TaskKey& bound);
 
   const seq::Sequence& s_;
@@ -130,6 +158,7 @@ class Search {
   std::multiset<TaskKey, Before> inflight_;
   std::vector<TopAlignment> tops_;
   std::vector<align::PairDirtyIndex> dirty_;  ///< one per acceptance
+  bool runs_;
   int accepting_ = 0;
   bool exhausted_ = false;
   FinderStats stats_;

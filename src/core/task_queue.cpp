@@ -32,6 +32,12 @@ std::optional<int> GroupQueue::pop_best() {
   return head.second;
 }
 
+bool GroupQueue::pop(int group_index, TaskKey key) {
+  if (entries_.erase({key, group_index}) == 0) return false;
+  pops_ += 1;
+  return true;
+}
+
 std::optional<std::pair<TaskKey, int>> GroupQueue::peek() const {
   if (entries_.empty()) return std::nullopt;
   return *entries_.begin();

@@ -90,6 +90,14 @@ class GroupQueue {
     return std::nullopt;
   }
 
+  /// Pops group `group_index`, queued under `key`; false when it is not
+  /// queued.
+  bool pop(int group_index, TaskKey key);
+  /// True when group `group_index` is queued under `key`.
+  [[nodiscard]] bool contains(int group_index, TaskKey key) const {
+    return entries_.count({key, group_index}) != 0;
+  }
+
   /// Key and group index of the current head; nullopt when empty.
   [[nodiscard]] std::optional<std::pair<TaskKey, int>> peek() const;
   [[nodiscard]] bool empty() const { return entries_.empty(); }

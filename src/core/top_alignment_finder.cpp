@@ -12,7 +12,7 @@ FinderResult find_top_alignments(const seq::Sequence& s,
                                  const seq::Scoring& scoring,
                                  const FinderOptions& options,
                                  align::Engine& engine) {
-  Search search(s, scoring, options, engine.lanes());
+  Search search(s, scoring, options, engine.lanes(), engine.bands(s.length()));
   std::optional<align::BottomRowStore> archive;
   if (options.memory == MemoryMode::kArchiveRows) archive.emplace(s.length());
   align::CheckpointCache cache(options.checkpoint_mem);
@@ -25,7 +25,7 @@ FinderResult find_top_alignments(const seq::Sequence& s,
     // The old algorithm's schedule: bring every rectangle up to date, then
     // accept the global best. Produces the same tops as best-first.
     while (!search.done()) {
-      while (const auto o = search.begin_sweep(/*any_member=*/true)) {
+      while (const auto o = search.begin_sweep_any()) {
         search.sync(sweeper);
         const auto scores = sweeper.sweep(o->r0, o->count, o->version);
         sweeper.commit();

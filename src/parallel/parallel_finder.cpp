@@ -37,6 +37,7 @@ class SharedRun {
  private:
   void loop(core::Sweeper& sweeper, double& idle) {
     util::WallTimer wait_timer;
+    int last = -1;  // the group this worker took last
     std::unique_lock lock(mutex_);
     while (!error_ && !search_.done()) {
       if (const auto a = search_.begin_accept()) {
@@ -44,7 +45,8 @@ class SharedRun {
         core::TopAlignment top = sweeper.trace(search_, *a);
         lock.lock();
         search_.finish_accept(*a, std::move(top));
-      } else if (const auto o = search_.begin_sweep()) {
+      } else if (const auto o = search_.begin_sweep(last)) {
+        last = o->gi;
         // Sync under the lock, before the sweep and again before its
         // checkpoints are committed: the first worker to replay an
         // acceptance applies it to the shared cache.
@@ -106,7 +108,8 @@ core::FinderResult find_top_alignments_parallel(const seq::Sequence& s,
                     "all worker engines must have the same lane count");
   }
 
-  core::Search search(s, scoring, options.finder, engines.front()->lanes());
+  core::Search search(s, scoring, options.finder, engines.front()->lanes(),
+                      engines.front()->bands(s.length()));
   // One shared archive: first alignments write disjoint rows.
   std::optional<align::BottomRowStore> archive;
   if (options.finder.memory == core::MemoryMode::kArchiveRows)

@@ -4,12 +4,13 @@
 // core::Sweeper, and all share one checkpoint cache. An idle
 // worker accepts the queue head when the search's guard allows it, and
 // otherwise realigns the best stale group not yet taken — speculatively,
-// while an acceptance is under way. Sweeps and tracebacks run outside the
-// lock: the triangle's bits are atomic, a sweep is labelled with the version
-// it started at, and results labelled with a stale version are never
-// accepted. Realignments that overlap an acceptance are kept — their scores
-// are upper bounds for the grown triangle (the paper's "the work for the
-// superfluous tasks is not wasted").
+// while an acceptance is under way. When the engines band, first sweeps go
+// out as contiguous runs per worker (core/search.hpp). Sweeps and
+// tracebacks run outside the lock: the triangle's bits are atomic, a sweep
+// is labelled with the version it started at, and results labelled with a
+// stale version are never accepted. Realignments that overlap an acceptance
+// are kept — their scores are upper bounds for the grown triangle (the
+// paper's "the work for the superfluous tasks is not wasted").
 //
 // The sequential finder is this loop with one worker on the calling thread,
 // so every FinderOptions mode runs here, and the tops are byte-identical for

@@ -649,7 +649,7 @@ TEST(SharedCheckpointCache, SweepersResumeFromEachOtherAndInvalidateOnce) {
   EXPECT_GT(torn->row, 40);  // rows above the cut were kept
 
   // The run's statistics count the shared cache once, not per sweeper.
-  core::Search search(g.sequence, scoring, opt, /*lanes=*/1);
+  core::Search search(g.sequence, scoring, opt, /*lanes=*/1, /*runs=*/false);
   core::Sweeper* const sweepers[] = {&a, &b};
   const core::FinderResult res = search.finish(sweepers);
   EXPECT_EQ(res.stats.ckpt_hits, cache.stats().hits);

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "cluster/fault.hpp"
 #include "cluster/master_worker.hpp"
@@ -515,15 +516,19 @@ struct SlowRun {
   std::string error;
   bool matched = false;
   std::uint64_t misses = 0;
+  std::uint64_t drops = 0;
+  std::vector<std::uint64_t> messages_by_rank;
 };
 
 /// Runs titin m=100 (4 tops) on 3 ranks whose engines sleep `nap` in every
-/// realignment sweep, under a plan whose one drop is never reached:
-/// deadlines are armed, nothing is lost. Returns null when the run did not
-/// finish within the watchdog's 120 s (the runner is then leaked).
-std::shared_ptr<SlowRun> run_slow_sweeps(std::chrono::milliseconds nap) {
+/// realignment sweep, under `plan`; the default plan's one drop is never
+/// reached: deadlines are armed, nothing is lost. Returns null when the run
+/// did not finish within the watchdog's 120 s (the runner is then leaked).
+std::shared_ptr<SlowRun> run_slow_sweeps(
+    std::chrono::milliseconds nap,
+    const std::string& plan = "drop:from=1,to=0,op=1000000") {
   auto probe = std::make_shared<SlowRun>();
-  std::thread runner([probe, nap] {
+  std::thread runner([probe, nap, plan] {
     try {
       const auto g = seq::synthetic_titin(100, 91);
       FinderOptions opt;
@@ -534,13 +539,15 @@ std::shared_ptr<SlowRun> run_slow_sweeps(std::chrono::milliseconds nap) {
       ClusterOptions copt;
       copt.ranks = 3;
       copt.finder = opt;
-      copt.fault_plan = FaultPlan::parse("drop:from=1,to=0,op=1000000");
+      copt.fault_plan = FaultPlan::parse(plan);
       ClusterRunInfo info;
       const auto res = find_top_alignments_cluster(
           g.sequence, Scoring::protein_default(), copt,
           [nap] { return std::make_unique<SlowRealignEngine>(nap); }, &info);
       probe->matched = core::same_tops(reference.tops, res.tops);
       probe->misses = info.heartbeat_misses;
+      probe->drops = info.fault_stats.drops;
+      probe->messages_by_rank = info.messages_by_rank;
     } catch (const std::exception& e) {
       probe->error = e.what();
     }
@@ -585,6 +592,27 @@ TEST(SlowSweeps, OnlyEachWorkersFirstSlowSweepLapses) {
   EXPECT_EQ(run->error, "");
   EXPECT_TRUE(run->matched);
   EXPECT_LE(run->misses, 4u);  // two per worker
+}
+
+TEST(SlowSweeps, LateWorkerStartsWithTwiceTheLongestSweep) {
+  // Rank 2's first five hellos are dropped (sent at 0, 40, 120, 280 and
+  // 600 ms), so it registers at about 1 s. By then rank 1, alone, has run
+  // the first sweeps and its first 200 ms realignment, which lapsed twice
+  // (60 and 180 ms) before its result came back. Rank 2's first task is a
+  // 200 ms realignment armed with twice that longest sweep, 400 ms, so it
+  // does not lapse. A deadline armed from rank 2's own timeout (60 ms
+  // until one of its own results is applied) would lapse twice more.
+  const auto run = run_slow_sweeps(
+      std::chrono::milliseconds(200),
+      "drop:from=2,to=0,op=0;drop:from=2,to=0,op=1;drop:from=2,to=0,op=2;"
+      "drop:from=2,to=0,op=3;drop:from=2,to=0,op=4");
+  ASSERT_NE(run, nullptr) << "slow sweeps kept the run from finishing";
+  EXPECT_EQ(run->error, "");
+  EXPECT_TRUE(run->matched);
+  EXPECT_EQ(run->drops, 5u);
+  ASSERT_EQ(run->messages_by_rank.size(), 3u);
+  EXPECT_GT(run->messages_by_rank[2], 4u) << "rank 2 never swept";
+  EXPECT_LE(run->misses, 2u);  // rank 1's first slow sweep only
 }
 
 // ---------------------------------------------------------------------------

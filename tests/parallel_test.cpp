@@ -2,9 +2,13 @@
 // determinism across repeats, and every finder option in every driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/master_worker.hpp"
@@ -123,6 +127,280 @@ TEST(ParallelFinder, StatsAccumulate) {
             static_cast<std::uint64_t>(g.sequence.length() - 1));
   EXPECT_EQ(res.stats.tracebacks, res.tops.size());
   EXPECT_GT(res.stats.cells, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// First-sweep runs (core/search.hpp): at version 0 each worker sweeps
+// contiguous runs of groups, so its engine bands, and splits the longest
+// untaken stretch when its own run ends.
+
+/// Simulated workers taking first sweeps from one core::Search, one order
+/// each at a time.
+class FirstSweepSim {
+ public:
+  /// One order as a worker took it.
+  struct Take {
+    int worker;
+    int gi;
+    int prev;       ///< the worker's last group before it
+    bool has_next;  ///< group prev + 1 was untaken
+
+    /// A run start that is not group 0: the engine seeds there.
+    [[nodiscard]] bool mid_start() const { return gi != 0 && gi != prev + 1; }
+  };
+
+  /// `workers` workers on a random sequence of length `m`, split into
+  /// groups of 8 (m = 323: 41 groups) or 32 lanes (m = 3000: 94 groups, as
+  /// titin-r4's three workers see it); finishing order drawn from `seed`.
+  /// `runs`: as for engines that band.
+  FirstSweepSim(int workers, int m, int lanes, unsigned seed, bool runs = true)
+      : s_(seq::random_sequence(seq::Alphabet::protein(), m, 5)),
+        search_(s_, sc_, opt_, lanes, runs),
+        rng_(seed),
+        workers_(static_cast<std::size_t>(workers)),
+        taken_(static_cast<std::size_t>((m - 2) / lanes + 1), false),
+        swept_(taken_.size(), 0) {}
+
+  [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
+  [[nodiscard]] int groups() const { return static_cast<int>(swept_.size()); }
+  [[nodiscard]] const std::vector<Take>& takes() const { return takes_; }
+  [[nodiscard]] const std::vector<int>& swept() const { return swept_; }
+  /// Times a live worker was left idle while a group was untaken.
+  [[nodiscard]] int waits() const { return waits_; }
+  [[nodiscard]] int mid_starts() const {
+    return static_cast<int>(std::count_if(
+        takes_.begin(), takes_.end(), [](const Take& t) { return t.mid_start(); }));
+  }
+  [[nodiscard]] bool busy(int w) const { return worker(w).order.has_value(); }
+  [[nodiscard]] int last(int w) const { return worker(w).last; }
+
+  /// Every idle live worker asks once; then one busy worker, drawn at
+  /// random, finishes. Returns false when no worker is busy.
+  bool step() {
+    const std::vector<int> running = ask();
+    if (running.empty()) return false;
+    std::uniform_int_distribution<std::size_t> pick(0, running.size() - 1);
+    finish(running[pick(rng_)]);
+    return true;
+  }
+
+  /// Every idle live worker asks once; then every busy worker finishes, as
+  /// at equal speeds. Returns false when no worker is busy.
+  bool round() {
+    const std::vector<int> running = ask();
+    for (const int w : running) finish(w);
+    return !running.empty();
+  }
+
+  void finish(int w) {
+    Worker& x = worker(w);
+    const std::vector<align::Score> scores(
+        static_cast<std::size_t>(x.order->count), 1);
+    search_.finish_sweep(*x.order, scores);
+    ++swept_[static_cast<std::size_t>(x.order->gi)];
+    x.order.reset();
+  }
+
+  /// Worker w's order lapses: it goes back unswept, and w stays alive.
+  void cancel(int w) {
+    Worker& x = worker(w);
+    search_.cancel_sweep(*x.order);
+    taken_[static_cast<std::size_t>(x.order->gi)] = false;
+    x.order.reset();
+  }
+
+  /// Idle worker w dies: it takes no more orders.
+  void kill(int w) { worker(w).dead = true; }
+
+ private:
+  struct Worker {
+    int last = -1;
+    std::optional<core::SweepOrder> order;
+    bool dead = false;
+  };
+
+  Worker& worker(int w) { return workers_[static_cast<std::size_t>(w)]; }
+  const Worker& worker(int w) const {
+    return workers_[static_cast<std::size_t>(w)];
+  }
+
+  /// Lets every idle live worker ask; returns the busy workers.
+  std::vector<int> ask() {
+    std::vector<int> running;
+    bool idle = false;
+    for (int w = 0; w < workers(); ++w) {
+      Worker& x = worker(w);
+      if (x.dead) continue;
+      if (!x.order) {
+        const auto next = static_cast<std::size_t>(x.last + 1);
+        const bool has_next =
+            x.last >= 0 && next < taken_.size() && !taken_[next];
+        x.order = search_.begin_sweep(x.last);
+        if (x.order) {
+          takes_.push_back({w, x.order->gi, x.last, has_next});
+          x.last = x.order->gi;
+          taken_[static_cast<std::size_t>(x.last)] = true;
+        }
+      }
+      if (x.order)
+        running.push_back(w);
+      else
+        idle = true;
+    }
+    if (idle && std::find(taken_.begin(), taken_.end(), false) != taken_.end())
+      ++waits_;
+    return running;
+  }
+
+  seq::Sequence s_;
+  Scoring sc_ = Scoring::protein_default();
+  FinderOptions opt_;
+  core::Search search_;
+  std::mt19937 rng_;
+  std::vector<Worker> workers_;
+  std::vector<bool> taken_;
+  std::vector<int> swept_;
+  std::vector<Take> takes_;
+  int waits_ = 0;
+};
+
+/// Every group swept once, nobody waiting while one is untaken, and every
+/// worker with a run to continue continuing it.
+void expect_runs(const FirstSweepSim& sim, const std::string& what) {
+  EXPECT_EQ(sim.swept(), std::vector<int>(static_cast<std::size_t>(sim.groups()), 1))
+      << what;
+  EXPECT_EQ(sim.waits(), 0) << what;
+  for (const auto& t : sim.takes())
+    EXPECT_TRUE(!t.has_next || t.gi == t.prev + 1)
+        << what << ": worker " << t.worker << " left its run for group " << t.gi;
+  EXPECT_EQ(sim.takes().front().gi, 0) << what;
+}
+
+TEST(FirstSweepRuns, EveryGroupOnceAndNobodyWaits) {
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    FirstSweepSim sim(4, 323, 8, seed);
+    while (sim.step()) {
+    }
+    expect_runs(sim, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(FirstSweepRuns, EqualSpeedsFinishTogetherWithFewSeeds) {
+  // At equal speeds the first sweeps take ceil(n / W) rounds: no worker
+  // idles at the tail. Each worker seeds once for its first run, and each
+  // run that ends early steals half of the longest stretch left.
+  for (const auto& [workers, m, lanes] :
+       {std::tuple{3, 3000, 32}, std::tuple{4, 3000, 32}, std::tuple{4, 323, 8}}) {
+    FirstSweepSim sim(workers, m, lanes, 1);
+    int rounds = 0;
+    while (sim.round()) ++rounds;
+    const std::string what = std::to_string(workers) + " workers, " +
+                             std::to_string(sim.groups()) + " groups";
+    expect_runs(sim, what);
+    EXPECT_EQ(rounds, (sim.groups() + workers - 1) / workers) << what;
+    EXPECT_LE(sim.mid_starts(), 3 * workers) << what;
+  }
+}
+
+TEST(FirstSweepRuns, CancelledOrderIsTakenAgain) {
+  int idle_takers = 0;
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    FirstSweepSim sim(4, 323, 8, seed);
+    for (int k = 0; k < 10; ++k) ASSERT_TRUE(sim.step());
+    int lapsed = 1;
+    while (!sim.busy(lapsed)) lapsed = (lapsed + 1) % sim.workers();
+    const int orphan = sim.last(lapsed);
+    sim.cancel(lapsed);
+    while (sim.step()) {
+    }
+    expect_runs(sim, "seed " + std::to_string(seed));
+    for (const auto& t : sim.takes())
+      if (t.gi == orphan && !t.has_next) ++idle_takers;
+  }
+  EXPECT_GT(idle_takers, 0) << "no cancelled group went to an idle worker";
+}
+
+TEST(FirstSweepRuns, DeadWorkersRunIsTakenOver) {
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    FirstSweepSim sim(4, 323, 8, seed);
+    for (int k = 0; k < 10; ++k) ASSERT_TRUE(sim.step());
+    int dead = 2;
+    while (!sim.busy(dead)) dead = (dead + 1) % sim.workers();
+    sim.finish(dead);
+    sim.kill(dead);
+    while (sim.step()) {
+    }
+    expect_runs(sim, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(FirstSweepRuns, EnginesThatDoNotBandTakeGroupsInOrder) {
+  // Without runs every worker takes the lowest untaken group, so the cheap
+  // groups at the end of the sequence go last.
+  FirstSweepSim sim(4, 323, 8, 1, /*runs=*/false);
+  while (sim.step()) {
+  }
+  EXPECT_EQ(sim.swept(), std::vector<int>(41, 1));
+  for (std::size_t k = 0; k < sim.takes().size(); ++k)
+    EXPECT_EQ(sim.takes()[k].gi, static_cast<int>(k));
+}
+
+/// Records the r0 of every first sweep (a job without overrides) its inner
+/// engine makes.
+class FirstSweepLog final : public align::Engine {
+ public:
+  explicit FirstSweepLog(std::shared_ptr<std::vector<std::vector<int>>> runs,
+                         std::size_t slot)
+      : runs_(std::move(runs)), slot_(slot) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] int lanes() const override { return inner_->lanes(); }
+  [[nodiscard]] bool supports_checkpoints() const override { return true; }
+  [[nodiscard]] align::PrecisionStats precision_stats() const override {
+    return inner_->precision_stats();
+  }
+
+ protected:
+  void do_align(const align::GroupJob& job,
+                std::span<const std::span<align::Score>> out) override {
+    if (job.overrides == nullptr) (*runs_)[slot_].push_back(job.r0);
+    inner_->align(job, out);
+  }
+
+ private:
+  std::unique_ptr<align::Engine> inner_ =
+      align::make_engine(align::EngineKind::kSimdAuto);
+  std::shared_ptr<std::vector<std::vector<int>>> runs_;
+  std::size_t slot_;
+};
+
+TEST(FirstSweepRuns, ThreadWorkersSweepRuns) {
+  const auto g = seq::synthetic_titin(600, 2003);
+  FinderOptions opt;
+  opt.num_top_alignments = 4;
+  ParallelOptions popt;
+  popt.threads = 4;
+  popt.finder = opt;
+  // The factory runs on the calling thread, before any worker starts.
+  auto runs = std::make_shared<std::vector<std::vector<int>>>();
+  const auto res = find_top_alignments_parallel(
+      g.sequence, Scoring::protein_default(), popt, [runs] {
+        runs->emplace_back();
+        return std::make_unique<FirstSweepLog>(runs, runs->size() - 1);
+      });
+  const int lanes = align::make_engine(align::EngineKind::kSimdAuto)->lanes();
+  std::vector<int> swept(
+      static_cast<std::size_t>((g.sequence.length() - 2) / lanes + 1), 0);
+  int starts = 0;
+  for (const std::vector<int>& run : *runs) {
+    for (std::size_t k = 0; k < run.size(); ++k)
+      if (k == 0 || run[k] != run[k - 1] + lanes) ++starts;
+    for (const int r0 : run) ++swept[static_cast<std::size_t>(r0 / lanes)];
+  }
+  EXPECT_EQ(swept, std::vector<int>(swept.size(), 1));
+  // Runs are long: far fewer starts than groups.
+  EXPECT_LE(starts, 3 * popt.threads);
+  EXPECT_GT(res.stats.precision.cells_reused, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +541,21 @@ class TallyEngine final : public align::Engine {
   std::unique_ptr<align::Engine> inner_;
   std::shared_ptr<EngineTotals> totals_;
 };
+
+TYPED_TEST(DriverMatrix, FirstSweepsBandOnTitin) {
+  // Each worker sweeps a run of adjacent first-sweep groups, so the auto
+  // engines take the band path under every driver.
+  const auto g = seq::synthetic_titin(600, 2003);
+  FinderOptions opt;
+  opt.num_top_alignments = 5;
+  const Scoring sc = Scoring::protein_default();
+  const auto factory = align::engine_factory(align::EngineKind::kSimdAuto);
+  const auto reference = Sequential::run(g.sequence, sc, opt, factory);
+  const auto res = TypeParam::run(g.sequence, sc, opt, factory);
+  std::string diff;
+  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff)) << diff;
+  EXPECT_GT(res.stats.precision.cells_reused, 0u);
+}
 
 TYPED_TEST(DriverMatrix, StatsSumTheRunsEngines) {
   const auto g = seq::synthetic_titin(300, 12);

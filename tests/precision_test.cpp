@@ -613,10 +613,12 @@ struct BandOut {
 
 // One call as core::Sweeper makes it: the empty triangle and a sink on the
 // Sweeper's grid for a first sweep, the triangle for a realignment, one
-// split through align_one.
+// split through align_one. With `plain`, a first sweep passes an empty
+// override triangle instead of none: the same rows by the plain sweep,
+// which never touches the band grid.
 BandOut band_call(align::Engine& engine, const BandStep& step,
                   const seq::Scoring& sc,
-                  const align::OverrideTriangle& triangle) {
+                  const align::OverrideTriangle& triangle, bool plain = false) {
   BandOut run;
   const int m = step.s->length();
   align::GroupJob job;
@@ -628,7 +630,9 @@ BandOut band_call(align::Engine& engine, const BandStep& step,
     return run;
   }
   job.count = std::min(engine.lanes(), m - step.r0);
+  const align::OverrideTriangle empty(m);
   if (step.call == Call::kRealign) job.overrides = &triangle;
+  if (step.call == Call::kFirst && plain) job.overrides = &empty;
   std::vector<std::span<align::Score>> outs;
   for (int k = 0; k < job.count; ++k)
     run.rows.emplace_back(static_cast<std::size_t>(m - step.r0 - k));
@@ -641,60 +645,60 @@ BandOut band_call(align::Engine& engine, const BandStep& step,
   return run;
 }
 
-// Runs `steps` in order on one engine and in reverse on a fresh one, which
-// sees no adjacent ascending groups; expects equal rows, staged rows and
-// precision counts. Returns the first engine's reused lane cells after
-// each step.
+// Runs `steps` in order on one engine, and each step on a new engine by
+// the plain sweep (band_call's `plain`), which never bands; expects equal
+// rows, staged rows and sweep counts. Returns the first engine's reused
+// lane cells after each step.
 std::vector<std::uint64_t> expect_band_matches_fresh(
     const MakeEngine& make, const std::vector<BandStep>& steps,
     const seq::Scoring& sc, const std::string& what) {
   const auto band = make();
-  const auto fresh = make();
   // The realignment triangle: a few pairs of the first sequence's top rows.
   const int m = steps.front().s->length();
   align::OverrideTriangle triangle(m);
   for (int i = 0; i < 6 && i < m - 1 - i; ++i) triangle.set(i, m - 1 - i);
-  std::vector<BandOut> a;
   std::vector<std::uint64_t> reused;
-  for (const BandStep& step : steps) {
-    const align::OverrideTriangle single(step.s->length());
-    a.push_back(band_call(*band, step, sc,
-                          step.s == steps.front().s ? triangle : single));
-    reused.push_back(band->precision_stats().cells_reused);
-  }
-  std::vector<BandOut> b(steps.size());
-  for (std::size_t t = steps.size(); t-- > 0;) {
-    const align::OverrideTriangle single(steps[t].s->length());
-    b[t] = band_call(*fresh, steps[t], sc,
-                     steps[t].s == steps.front().s ? triangle : single);
-  }
+  align::PrecisionStats pb;
+  std::uint64_t fresh_cells = 0;
+  std::uint64_t switches = 0;  // steps on another sequence than the last
   for (std::size_t t = 0; t < steps.size(); ++t) {
+    const BandStep& step = steps[t];
+    if (t == 0 || step.s != steps[t - 1].s) ++switches;
+    const align::OverrideTriangle single(step.s->length());
+    const align::OverrideTriangle& tri =
+        step.s == steps.front().s ? triangle : single;
+    const BandOut x = band_call(*band, step, sc, tri);
+    reused.push_back(band->precision_stats().cells_reused);
+    const auto fresh = make();
+    const BandOut y = band_call(*fresh, step, sc, tri, /*plain=*/true);
+    pb += fresh->precision_stats();
+    fresh_cells += fresh->cells_computed();
     const std::string at = what + " (" + band->name() + "), step " +
-                           std::to_string(t) + " r0=" +
-                           std::to_string(steps[t].r0);
-    EXPECT_EQ(a[t].rows, b[t].rows) << at;
-    const align::CheckpointSink& x = a[t].sink;
-    const align::CheckpointSink& y = b[t].sink;
-    EXPECT_EQ(x.elem_size, y.elem_size) << at;
-    EXPECT_EQ(x.lanes, y.lanes) << at;
-    EXPECT_EQ(x.count, y.count) << at;
-    for (int k = 0; k < std::min(x.count, y.count); ++k) {
-      const auto& rx = x.rows[static_cast<std::size_t>(k)];
-      const auto& ry = y.rows[static_cast<std::size_t>(k)];
+                           std::to_string(t) + " r0=" + std::to_string(step.r0);
+    EXPECT_EQ(x.rows, y.rows) << at;
+    EXPECT_EQ(x.sink.elem_size, y.sink.elem_size) << at;
+    EXPECT_EQ(x.sink.lanes, y.sink.lanes) << at;
+    EXPECT_EQ(x.sink.count, y.sink.count) << at;
+    for (int k = 0; k < std::min(x.sink.count, y.sink.count); ++k) {
+      const auto& rx = x.sink.rows[static_cast<std::size_t>(k)];
+      const auto& ry = y.sink.rows[static_cast<std::size_t>(k)];
       EXPECT_EQ(rx.row, ry.row) << at;
       EXPECT_TRUE(rx.h == ry.h && rx.max_y == ry.max_y)
           << at << ": staged row " << rx.row;
     }
   }
   const align::PrecisionStats pa = band->precision_stats();
-  const align::PrecisionStats pb = fresh->precision_stats();
   EXPECT_EQ(pa.i8_sweeps, pb.i8_sweeps) << what;
   EXPECT_EQ(pa.i16_sweeps, pb.i16_sweeps) << what;
   EXPECT_EQ(pa.escalations, pb.escalations) << what;
-  EXPECT_EQ(pa.profile_hits, pb.profile_hits) << what;
-  EXPECT_EQ(pa.profile_builds, pb.profile_builds) << what;
+  // Every sweep looks its profile up once; the per-step engines build one
+  // each time, the chaining engine at most one per rung per sequence.
+  EXPECT_EQ(pa.profile_hits + pa.profile_builds,
+            pb.profile_hits + pb.profile_builds) << what;
+  EXPECT_GE(pa.profile_builds, switches) << what;
+  EXPECT_LE(pa.profile_builds, 2 * switches) << what;
   EXPECT_EQ(pb.cells_reused, 0u) << what;
-  EXPECT_EQ(band->cells_computed(), fresh->cells_computed()) << what;
+  EXPECT_EQ(band->cells_computed(), fresh_cells) << what;
   return reused;
 }
 
@@ -805,6 +809,61 @@ TEST(BandSweep, OtherCallsBreakTheChain) {
     steps.push_back({&s, 1});
     steps.push_back({&s, 1 + L});
     expect_band_matches_fresh(make, steps, protein, "second sequence");
+  }
+}
+
+TEST(BandSweep, OnlyTheAutoEngineBandsWithinItsGridCap) {
+  using align::EngineKind;
+  for (const MakeEngine& make : adaptive_engines()) {
+    EXPECT_TRUE(make()->bands(3000)) << make()->name();
+    EXPECT_TRUE(make()->bands(6689)) << make()->name();
+    EXPECT_FALSE(make()->bands(6690)) << make()->name();
+  }
+  for (const EngineKind kind :
+       {EngineKind::kScalar, EngineKind::kScalarStriped, EngineKind::kGeneralGap,
+        EngineKind::kSimd4, EngineKind::kSimd16, EngineKind::kSimd8x32})
+    EXPECT_FALSE(align::make_engine(kind)->bands(3000))
+        << align::make_engine(kind)->name();
+}
+
+TEST(BandSweep, ChainsThatStartMidSequence) {
+  // A worker's run of first sweeps starts wherever the scheduler splits
+  // the groups: the first group seeds, the rest band.
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  const auto s = seq::synthetic_titin(600, 4241).sequence;
+  for (const MakeEngine& make : adaptive_engines()) {
+    const int L = make()->lanes();
+    const auto all = ascending(s, L);
+    for (const std::size_t k : {std::size_t{1}, all.size() / 2}) {
+      const std::vector<BandStep> run(all.begin() + static_cast<std::ptrdiff_t>(k),
+                                      all.end());
+      const auto reused = expect_band_matches_fresh(
+          make, run, protein, "run from group " + std::to_string(k));
+      EXPECT_EQ(reused.front(), 0u) << "a seed sweeps whole";
+      EXPECT_GT(reused.back(), 0u) << "the groups after the seed band";
+    }
+  }
+}
+
+TEST(BandSweep, NoSeedAfterARealignment) {
+  // Low-memory mode recomputes a group's plain rows right after its
+  // realignment: a whole group under the empty triangle, which must run
+  // the plain sweep and leave the grid unallocated.
+  const seq::Scoring protein = seq::Scoring::protein_default();
+  const auto s = seq::synthetic_titin(500, 2003).sequence;
+  for (const MakeEngine& make : adaptive_engines()) {
+    const int L = make()->lanes();
+    const auto reused = expect_band_matches_fresh(
+        make,
+        {{&s, 1},
+         {&s, 1 + L},
+         {&s, 1 + 2 * L, Call::kRealign},
+         {&s, 1 + 2 * L},
+         {&s, 1 + 3 * L},
+         {&s, 1 + 4 * L}},
+        protein, "plain recomputes");
+    EXPECT_GT(reused[1], 0u);
+    EXPECT_EQ(reused.back(), reused[1]) << "a call after the realignment banded";
   }
 }
 
