@@ -5,11 +5,11 @@
 //     FaultPlan::parse must either reject it with std::runtime_error or
 //     accept it and round-trip losslessly through to_string()/parse().
 //   odd — differential path: the bytes choose a from_seed schedule, a rank
-//     count, and a row-storage mode; a miniature cluster run under that
-//     schedule (drops, delays, duplicates, worker crashes) must produce
-//     exactly the sequential finder's accepted top alignments — the
-//     fault-tolerance guarantee of cluster/master_worker.cpp. Timeouts are
-//     tightened so crash recovery stays fast enough to fuzz.
+//     count, and a memory mode (archived or recomputed bottom rows); a
+//     miniature cluster run under that schedule (drops, delays, duplicates,
+//     worker crashes) must produce exactly the sequential finder's accepted
+//     top alignments — the fault-tolerance guarantee of
+//     cluster/master_worker.cpp.
 //
 // Any divergence throws; the driver reports it with the reproducing input.
 #include <cstdint>
@@ -77,7 +77,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Differential path: faulted cluster run vs the sequential finder.
   if (size < 4) return 0;
   const int ranks = 2 + static_cast<int>(data[1] % 3);  // 2..4
-  const bool partitioned = (data[2] & 1) != 0;
+  const bool recompute = (data[2] & 1) != 0;
   const int m = 100 + static_cast<int>(data[3] % 21);  // 100..120
   std::uint64_t fault_seed = 0;
   for (std::size_t i = 1; i < size && i < 12; ++i)
@@ -92,9 +92,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   cluster::ClusterOptions copt;
   copt.ranks = ranks;
-  copt.row_storage = partitioned ? cluster::RowStorage::kPartitioned
-                                 : cluster::RowStorage::kMasterReplica;
   copt.finder = opt;
+  if (recompute) copt.finder.memory = core::MemoryMode::kRecomputeRows;
   copt.fault_plan = cluster::FaultPlan::from_seed(fault_seed, ranks);
 
   const auto factory = align::engine_factory(align::EngineKind::kScalar);
@@ -104,7 +103,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::string diff;
   if (!core::same_tops(res.tops, reference.tops, &diff))
     finding("faulted cluster diverged from sequential (ranks=" +
-            std::to_string(ranks) + (partitioned ? ", partitioned" : "") +
+            std::to_string(ranks) + (recompute ? ", low-memory" : "") +
             ", plan=" + copt.fault_plan.to_string() + "): " + diff);
   return 0;
 }

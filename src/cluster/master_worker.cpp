@@ -31,10 +31,9 @@ enum Tag : int {
   kReqWork = 1,  // W->M: hello (resent with backoff until registered)
   kAssign,       // M->W: [r0, count, version]
   kResult,       // W->M: [r0, count, version, sweep_us, scores...; rows...
-                 //        when version==0 in replica mode]
-  kRowRequest,   // any->owner: [r]  (owner = master in replica mode)
-  kRowReply,     // owner->any: [r, row values...]
-  kRowDeposit,   // W->owner W: [r, row values...]  (partitioned mode, v0)
+                 //        when version==0 and rows are archived]
+  kRowRequest,   // W->M: [r]
+  kRowReply,     // M->W: [r, row values...]
   kUpdate,       // M->W: [new_version, npairs, i0, j0, i1, j1, ...]
   kSyncRequest,  // W->M: [target_version]  (worker missed an update)
   kSyncReply,    // M->W: [target_version, npairs, pairs...]  (cumulative
@@ -56,12 +55,10 @@ constexpr milliseconds kPoll{5};           // receive quantum of every loop
 /// by the protocol itself, so relaxed atomics are fine (a real-MPI port
 /// would reduce per-rank tallies instead).
 struct RecoveryStats {
-  std::atomic<std::uint64_t> deposits{0};  ///< cross-rank row deposits sent
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> reassignments{0};
   std::atomic<std::uint64_t> heartbeat_misses{0};
   std::atomic<std::uint64_t> stale_results{0};
-  std::atomic<std::uint64_t> row_rebuilds{0};
   std::atomic<std::uint64_t> sync_requests{0};
   std::atomic<std::uint64_t> workers_lost{0};
 
@@ -94,22 +91,10 @@ milliseconds next_backoff(milliseconds current) {
   return std::min(2 * current, kMaxBackoff);
 }
 
-/// Advisory owner of row r among the workers still alive. Fault-free this
-/// is the static partition 1 + (r % workers); after a crash the shard
-/// re-homes to a surviving rank, which rebuilds the row on demand.
-int owner_of_alive(const Comm& comm, int r) {
-  std::vector<int> alive;
-  for (int w = 1; w < comm.size(); ++w)
-    if (!comm.closed(w)) alive.push_back(w);
-  if (alive.empty())
-    throw std::runtime_error("cluster: every worker died during a row fetch");
-  return alive[static_cast<std::size_t>(r) % alive.size()];
-}
-
 /// Master (rank 0): the search (queue, acceptance + traceback), worker
-/// liveness and assignment records; in replica mode also the bottom-row
-/// archive, and under MemoryMode::kRecomputeRows a sweeper of its own that
-/// recomputes accepted rows.
+/// liveness and assignment records; under MemoryMode::kArchiveRows also
+/// the bottom-row archive, and under MemoryMode::kRecomputeRows a sweeper of
+/// its own that recomputes accepted rows.
 class Master {
  public:
   Master(Comm& comm, core::Search& search, RecoveryStats& recovery,
@@ -243,51 +228,11 @@ class Master {
     }
   }
 
-  /// Fetches row r from its (current) owner, servicing every other message
-  /// normally while blocked — results keep flowing during the master's
-  /// fetch, only acceptance is on hold. Times out, backs off, and re-routes
-  /// to a surviving owner if the first choice dies mid-request.
-  std::vector<std::int16_t> fetch_row_remote(int r) {
-    auto backoff = kRowTimeout;
-    for (;;) {
-      const int owner = owner_of_alive(comm_, r);
-      comm_.send(0, owner, {kRowRequest, {r}});
-      const auto deadline = Clock::now() + backoff;
-      for (;;) {
-        const auto now = Clock::now();
-        if (now >= deadline) break;
-        const auto slice =
-            std::chrono::duration_cast<milliseconds>(deadline - now);
-        const auto got = poll_recv(std::max(slice, milliseconds(1)));
-        if (!got) continue;
-        const auto& [src, msg] = *got;
-        if (msg.tag == kRowReply) {
-          const int rr = msg.data.at(0);
-          if (rr == r) return row_from_message(msg);
-          fetched_.emplace(rr, row_from_message(msg));  // stray duplicate
-          continue;
-        }
-        handle(src, msg);
-      }
-      // Resend only under an active fault plan or a dead owner; a reliable
-      // in-process run just keeps waiting (the owner may be computing).
-      if (!comm_.fault_active() && !comm_.closed(owner)) continue;
-      recovery_.bump(recovery_.retries);
-      backoff = next_backoff(backoff);
-      sweep();  // fold in the owner's death before re-routing
-    }
-  }
-
-  /// Traces acceptance `a` against its original bottom row: recomputed,
-  /// archived, or fetched from its owner (which may service other messages
-  /// meanwhile — the acceptance's in-flight bound keeps the guard closed).
+  /// Traces acceptance `a` against its original bottom row: recomputed or
+  /// archived.
   core::TopAlignment trace(const core::Acceptance& a) {
     if (sweeper_ != nullptr) return sweeper_->trace(search_, a);
-    if (archive_ != nullptr) return search_.trace(a, archive_->row(a.r));
-    auto it = fetched_.find(a.r);
-    if (it == fetched_.end())
-      it = fetched_.emplace(a.r, fetch_row_remote(a.r)).first;
-    return search_.trace(a, std::span<const std::int16_t>(it->second));
+    return search_.trace(a, archive_->row(a.r));
   }
 
   /// Accepts as long as the search's guard allows; returns true when the
@@ -345,11 +290,6 @@ class Master {
         ++replicas_served_;
         break;
       }
-      case kRowReply:
-        // A reply that outlived its fetch loop (resent request answered
-        // twice). Cache it — row data never changes once computed.
-        fetched_.emplace(msg.data.at(0), row_from_message(msg));
-        break;
       case kResult:
         apply_result(src, msg);
         break;
@@ -420,10 +360,8 @@ class Master {
     REPRO_CHECK(order.count == count);
     const auto first = msg.data.begin() + 4;
     const std::span<const align::Score> scores(first, first + count);
-    // Replica mode: a first alignment's bottom rows ride the result for
-    // archival. (Partitioned mode: the worker already routed each row to
-    // its owner; cross-rank deposits are tallied at the sending side.)
-    // Kept exactly once: only the live record's result is applied.
+    // A first alignment's bottom rows ride the result for archival, kept
+    // exactly once: only the live record's result is applied.
     auto cursor = first + count;
     if (v == 0 && archive_ != nullptr) {
       for (int k = 0; k < count; ++k) {
@@ -441,9 +379,8 @@ class Master {
   Comm& comm_;
   core::Search& search_;
   RecoveryStats& recovery_;
-  align::BottomRowStore* archive_;  // replica mode only
+  align::BottomRowStore* archive_;  // MemoryMode::kArchiveRows only
   core::Sweeper* sweeper_;          // MemoryMode::kRecomputeRows only
-  std::unordered_map<int, std::vector<std::int16_t>> fetched_;  // partitioned
   std::vector<WorkerRec> workers_;  // indexed by rank; [0] unused
   std::vector<int> idle_;
   Clock::duration longest_sweep_{};  ///< longest worker-reported sweep
@@ -458,9 +395,7 @@ struct ShutdownSignal {};
 /// Worker rank: replicated triangle and a sweeper with its own engine and
 /// checkpoint cache (invalidated by each update, cleared by a resync).
 /// Original rows are recomputed under MemoryMode::kRecomputeRows and
-/// otherwise fetched and cached; under partitioned storage the worker also
-/// owns row shards — though under faults ownership is advisory: any worker
-/// rebuilds any v0 row on demand.
+/// otherwise fetched from the master and cached.
 class Worker {
  public:
   Worker(Comm& comm, int rank, const seq::Sequence& s,
@@ -469,8 +404,6 @@ class Worker {
          RecoveryStats& recovery)
       : comm_(comm),
         rank_(rank),
-        s_(s),
-        scoring_(scoring),
         options_(options),
         recovery_(recovery),
         triangle_(s.length()),
@@ -526,10 +459,6 @@ class Worker {
   }
 
  private:
-  bool partitioned() const {
-    return options_.row_storage == RowStorage::kPartitioned;
-  }
-
   bool archived() const {
     return options_.finder.memory == core::MemoryMode::kArchiveRows;
   }
@@ -550,12 +479,6 @@ class Worker {
     switch (msg.tag) {
       case kUpdate:
         apply_update(msg);
-        break;
-      case kRowRequest:
-        serve_row(src, msg.data.at(0));
-        break;
-      case kRowDeposit:
-        owned_rows_.emplace(msg.data.at(0), row_from_message(msg));
         break;
       case kRowReply:
         // Outlived its fetch loop (a resent request answered twice).
@@ -630,62 +553,17 @@ class Worker {
     }
   }
 
-  /// Deterministically recomputes the v0 bottom row of r from scratch (a
-  /// single-row group job with no overrides — exactly how it was first
-  /// produced). This is what makes partitioned ownership advisory: a lost
-  /// deposit or a dead owner costs one recompute, never the run.
-  const std::vector<std::int16_t>& rebuild_row(int r) {
-    const auto it = owned_rows_.find(r);
-    if (it != owned_rows_.end()) return it->second;
-    recovery_.bump(recovery_.row_rebuilds);
-    align::GroupJob job;
-    job.seq = s_.codes();
-    job.scoring = &scoring_;
-    job.overrides = nullptr;
-    job.r0 = r;
-    job.count = 1;
-    // Local buffer: a rebuild can run nested inside a sweep's row fetch.
-    return owned_rows_.emplace(r, narrow(sweeper_.engine().align_one(job)))
-        .first->second;
-  }
-
-  void serve_row(int src, int r) {
-    REPRO_CHECK_MSG(partitioned(), "replica mode has no worker-owned rows");
-    const auto owned = owned_rows_.find(r);
-    if (owned != owned_rows_.end()) {
-      comm_.send(rank_, src, make_row_message(kRowReply, r, owned->second));
-      return;
-    }
-    const auto cached = row_cache_.find(r);
-    if (cached != row_cache_.end()) {
-      comm_.send(rank_, src, make_row_message(kRowReply, r, cached->second));
-      return;
-    }
-    comm_.send(rank_, src, make_row_message(kRowReply, r, rebuild_row(r)));
-  }
-
-  /// Original bottom row of r, from the local cache, own partition, or the
-  /// row's owner (master in replica mode, a live peer in partitioned mode).
-  /// While blocked on the reply the worker keeps servicing peer requests
-  /// and deposits — otherwise two waiting owners would deadlock — and
-  /// resends with backoff, re-routing around a dead owner.
+  /// Original bottom row of r, from the local cache or the master's
+  /// archive. While blocked on the reply the worker keeps applying updates;
+  /// under a fault plan it resends with backoff.
   const std::vector<std::int16_t>& original_row(int r) {
     if (const auto it = row_cache_.find(r); it != row_cache_.end())
       return it->second;
-    if (partitioned()) {
-      if (const auto it = owned_rows_.find(r); it != owned_rows_.end())
-        return it->second;
-    }
+    comm_.send(rank_, 0, {kRowRequest, {r}});
     auto backoff = kRowTimeout;
+    auto deadline = Clock::now() + backoff;
     for (;;) {
-      const int owner = partitioned() ? owner_of_alive(comm_, r) : 0;
-      if (owner == rank_) return rebuild_row(r);  // shard re-homed to us
-      comm_.send(rank_, owner, {kRowRequest, {r}});
-      const auto deadline = Clock::now() + backoff;
-      for (;;) {
-        if (Clock::now() >= deadline) break;
-        const auto got = comm_.recv_any_for(rank_, kPoll);
-        if (!got) continue;
+      if (const auto got = comm_.recv_any_for(rank_, kPoll)) {
         const auto& [src, msg] = *got;
         if (msg.tag == kRowReply && msg.data.at(0) == r)
           return row_cache_.emplace(r, row_from_message(msg)).first->second;
@@ -697,11 +575,14 @@ class Worker {
           continue;
         }
         dispatch(src, msg);
+        continue;
       }
-      if (!comm_.fault_active() && !comm_.closed(owner)) continue;
       if (comm_.closed(0)) throw ShutdownSignal{};
+      if (!comm_.fault_active() || Clock::now() < deadline) continue;
+      comm_.send(rank_, 0, {kRowRequest, {r}});
       recovery_.bump(recovery_.retries);
       backoff = next_backoff(backoff);
+      deadline = Clock::now() + backoff;
     }
   }
 
@@ -735,26 +616,10 @@ class Worker {
     result.data.insert(result.data.end(), scores.begin(), scores.end());
     if (v == 0 && archived()) {
       for (int k = 0; k < count; ++k) {
-        const int r = r0 + k;
+        // Cache locally; the archive copy rides the result.
         std::vector<std::int16_t> row = narrow(sweeper_.row(k));
-        if (!partitioned()) {
-          // Replica mode: cache locally; the archive copy rides the result.
-          result.data.insert(result.data.end(), row.begin(), row.end());
-          row_cache_.emplace(r, std::move(row));
-          continue;
-        }
-        // Route the row to its owner (in-process sends are causally ordered
-        // before our result reaches the master, so the deposit is always in
-        // the owner's mailbox before any consumer's request — and if the
-        // fault plan drops it, the owner rebuilds on demand).
-        const int owner = owner_of_alive(comm_, r);
-        if (owner == rank_) {
-          owned_rows_.emplace(r, std::move(row));
-        } else {
-          comm_.send(rank_, owner, make_row_message(kRowDeposit, r, row));
-          recovery_.bump(recovery_.deposits);
-          row_cache_.emplace(r, std::move(row));  // keep our own copy
-        }
+        result.data.insert(result.data.end(), row.begin(), row.end());
+        row_cache_.emplace(r0 + k, std::move(row));
       }
     }
     comm_.send(rank_, 0, std::move(result));
@@ -762,8 +627,6 @@ class Worker {
 
   Comm& comm_;
   int rank_;
-  const seq::Sequence& s_;
-  const seq::Scoring& scoring_;
   const ClusterOptions& options_;
   RecoveryStats& recovery_;
   align::OverrideTriangle triangle_;
@@ -773,7 +636,6 @@ class Worker {
   bool registered_ = false;  ///< the master has provably seen our hello
   std::deque<Message> pending_assigns_;
   std::unordered_map<int, std::vector<std::int16_t>> row_cache_;
-  std::unordered_map<int, std::vector<std::int16_t>> owned_rows_;
 };
 
 }  // namespace
@@ -817,8 +679,7 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
   core::Search search(s, scoring, options.finder, lanes,
                       engines.back()->bands(s.length()));
   std::optional<align::BottomRowStore> archive;
-  if (!recompute && options.row_storage == RowStorage::kMasterReplica)
-    archive.emplace(s.length());
+  if (!recompute) archive.emplace(s.length());
   const std::size_t budget = std::max<std::size_t>(
       1, options.finder.checkpoint_mem /
              static_cast<std::size_t>(options.ranks - 1));
@@ -861,7 +722,6 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     info->messages = comm.messages_sent();
     info->payload_words = comm.words_sent();
     info->row_replicas_served = master.replicas_served();
-    info->row_deposits = load(recovery.deposits);
     info->messages_by_rank.resize(static_cast<std::size_t>(comm.size()));
     info->payload_words_by_rank.resize(static_cast<std::size_t>(comm.size()));
     for (int rank = 0; rank < comm.size(); ++rank) {
@@ -874,7 +734,6 @@ core::FinderResult find_top_alignments_cluster(const seq::Sequence& s,
     info->reassignments = load(recovery.reassignments);
     info->heartbeat_misses = load(recovery.heartbeat_misses);
     info->stale_results = load(recovery.stale_results);
-    info->row_rebuilds = load(recovery.row_rebuilds);
     info->sync_requests = load(recovery.sync_requests);
     info->workers_lost = load(recovery.workers_lost);
     info->fault_stats = comm.fault_stats();

@@ -8,9 +8,14 @@
 // replicated override triangle, kept current by update broadcasts;
 // original bottom rows are fetched from the master on demand and cached
 // ("once computed, the last row data never changes"), or recomputed under
-// MemoryMode::kRecomputeRows. The search is the sequential finder's, so
-// the accepted top alignments are identical for every rank count and every
-// finder option.
+// MemoryMode::kRecomputeRows. Workers send messages only to the master.
+// The search is the sequential finder's, so the accepted top alignments
+// are identical for every rank count and every finder option.
+//
+// The master's archive is the m(m-1)/2 store (1.1 GiB at the paper's
+// m = 34,350). Beyond what the master can hold, the answer is
+// --low-memory (MemoryMode::kRecomputeRows): no row is stored or moved,
+// and the master recomputes each accepted top's row itself.
 //
 // Unlike the paper's reliable Myrinet deployment, this implementation is
 // fault tolerant. The protocol survives message drops, bounded delays,
@@ -21,9 +26,8 @@
 //     timed-out work can be requeued and reassigned without double-applying;
 //   * workers that fall behind the override-triangle version resynchronise
 //     from the master (cumulative sync replies are idempotent);
-//   * partitioned row shards are re-homed by recomputation: row ownership is
-//     advisory routing, and any worker asked for a v0 bottom row it does not
-//     hold rebuilds it deterministically from the sequence.
+//   * a first sweep's rows reach the archive with its applied result, so a
+//     dead worker's rows are either archived or swept again by a survivor.
 // Because results are deterministic functions of (group, version) and the
 // acceptance guard is unchanged, the accepted top alignments under any such
 // fault schedule are identical to the fault-free — and sequential — run's.
@@ -48,22 +52,17 @@
 
 namespace repro::cluster {
 
-/// Where first-alignment bottom rows live (paper §4.3).
-///   kMasterReplica — the paper's implementation: the master archives every
-///     row; workers fetch replicas on demand and cache them. Requires the
-///     master to hold the full m(m-1)/2 store (the paper notes this breaks
-///     down past m ≈ 40000 at 2003 memory sizes).
-///   kPartitioned — the paper's proposed alternative for that regime: rows
-///     are partitioned over the workers by r; consumers (other workers, and
-///     the master at traceback time) ask the *owner*, which services
-///     requests whenever it touches its mailbox — modeling exactly the
-///     polling concern the paper raises.
-enum class RowStorage { kMasterReplica, kPartitioned };
+/// Where first-alignment bottom rows live (paper §4.3): the master archives
+/// every row and workers fetch replicas on demand; under
+/// MemoryMode::kRecomputeRows no row is stored.
+enum class RowStorage { kMasterReplica };
 
 struct ClusterOptions {
-  /// Total ranks including the master; ranks == 1 runs a degenerate
-  /// master-computes-everything mode (for testing the protocol plumbing).
+  /// Total ranks including the master; ranks == 1 runs the sequential
+  /// finder and sends no message.
   int ranks = 4;
+  /// Read by nothing: it has one value, and stays only because perfbench
+  /// assigns it.
   RowStorage row_storage = RowStorage::kMasterReplica;
   core::FinderOptions finder;
   /// Deterministic fault schedule injected into the communicator. Must not
@@ -75,10 +74,9 @@ struct ClusterOptions {
 struct ClusterRunInfo {
   std::uint64_t messages = 0;
   std::uint64_t payload_words = 0;
-  std::uint64_t row_replicas_served = 0;  ///< master-served (replica mode)
-  std::uint64_t row_deposits = 0;  ///< cross-rank owner deposits (partitioned)
+  std::uint64_t row_replicas_served = 0;  ///< rows the master sent workers
   /// Per-sender breakdown, indexed by rank (rank 0 = master): separates
-  /// master control traffic from worker results/deposits/replica replies.
+  /// master control traffic and replica replies from worker results.
   std::vector<std::uint64_t> messages_by_rank;
   std::vector<std::uint64_t> payload_words_by_rank;
 
@@ -88,7 +86,6 @@ struct ClusterRunInfo {
   std::uint64_t heartbeat_misses = 0;  ///< task deadlines that lapsed (the
                                        ///< task was requeued; no ping is sent)
   std::uint64_t stale_results = 0;     ///< duplicate/superseded results dropped
-  std::uint64_t row_rebuilds = 0;      ///< partitioned rows recomputed on demand
   std::uint64_t sync_requests = 0;     ///< worker version resynchronisations
   std::uint64_t workers_lost = 0;      ///< ranks observed dead by the master
   FaultStats fault_stats;              ///< injections, by kind and in total

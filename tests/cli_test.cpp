@@ -180,7 +180,7 @@ TEST(Cli, ClusterRanksAgreeWithSequentialEvenUnderFaults) {
                                 " --tops 5 --engine scalar --format csv");
   const RunResult clu = run_cli("find --fasta " + fasta +
                                 " --tops 5 --engine scalar --ranks 3 "
-                                "--row-storage partitioned --format csv");
+                                "--format csv");
   const RunResult faulted = run_cli("find --fasta " + fasta +
                                     " --tops 5 --engine scalar --ranks 3 "
                                     "--fault-seed 7 --format csv");

@@ -25,6 +25,7 @@ namespace repro::cluster {
 namespace {
 
 using core::FinderOptions;
+using core::MemoryMode;
 using seq::Scoring;
 
 // ---------------------------------------------------------------------------
@@ -269,11 +270,11 @@ TEST(CommFault, RecvAfterPeerExitFailsFastNotDeadlock) {
 // Cluster finder under chaos.
 
 core::FinderResult run_faulted(const seq::Sequence& s, const Scoring& scoring,
-                               int ranks, RowStorage storage, FaultPlan plan,
+                               int ranks, MemoryMode memory, FaultPlan plan,
                                int tops, ClusterRunInfo* info = nullptr) {
   ClusterOptions copt;
   copt.ranks = ranks;
-  copt.row_storage = storage;
+  copt.finder.memory = memory;
   copt.finder.num_top_alignments = tops;
   copt.fault_plan = std::move(plan);
   return find_top_alignments_cluster(
@@ -282,10 +283,10 @@ core::FinderResult run_faulted(const seq::Sequence& s, const Scoring& scoring,
 }
 
 class ChaosMatrixTest
-    : public ::testing::TestWithParam<std::tuple<RowStorage, int>> {};
+    : public ::testing::TestWithParam<std::tuple<MemoryMode, int>> {};
 
 TEST_P(ChaosMatrixTest, SeededSchedulesMatchSequential) {
-  const auto [storage, ranks] = GetParam();
+  const auto [memory, ranks] = GetParam();
   const auto g = seq::synthetic_titin(140, 91);
   FinderOptions opt;
   opt.num_top_alignments = 4;
@@ -297,12 +298,12 @@ TEST_P(ChaosMatrixTest, SeededSchedulesMatchSequential) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     ClusterRunInfo info;
     const auto res = run_faulted(g.sequence, Scoring::protein_default(), ranks,
-                                 storage, FaultPlan::from_seed(seed, ranks),
+                                 memory, FaultPlan::from_seed(seed, ranks),
                                  opt.num_top_alignments, &info);
     std::string diff;
     ASSERT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
-        << "seed " << seed << ", ranks " << ranks << ", storage "
-        << (storage == RowStorage::kPartitioned ? "partitioned" : "replica")
+        << "seed " << seed << ", ranks " << ranks
+        << (memory == MemoryMode::kRecomputeRows ? ", low memory" : "")
         << ": " << diff;
     total_injected += info.fault_stats.injected();
     EXPECT_EQ(info.workers_lost, info.fault_stats.crashes) << "seed " << seed;
@@ -314,13 +315,14 @@ TEST_P(ChaosMatrixTest, SeededSchedulesMatchSequential) {
 
 INSTANTIATE_TEST_SUITE_P(
     StorageByRanks, ChaosMatrixTest,
-    ::testing::Combine(::testing::Values(RowStorage::kMasterReplica,
-                                         RowStorage::kPartitioned),
+    ::testing::Combine(::testing::Values(MemoryMode::kArchiveRows,
+                                         MemoryMode::kRecomputeRows),
                        ::testing::Values(2, 3, 4, 8)),
     [](const auto& info) {
-      const RowStorage storage = std::get<0>(info.param);
-      return std::string(storage == RowStorage::kPartitioned ? "Partitioned"
-                                                             : "Replica") +
+      // Archived rows reach workers as replicas of the master's archive.
+      const MemoryMode memory = std::get<0>(info.param);
+      return std::string(memory == MemoryMode::kRecomputeRows ? "Recompute"
+                                                              : "Replica") +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -362,7 +364,7 @@ TEST(ChaosTargeted, CrashBeforeFirstTask) {
   ClusterRunInfo info;
   const auto res =
       run_faulted(fx.g.sequence, Scoring::protein_default(), 3,
-                  RowStorage::kMasterReplica, FaultPlan::parse("kill:rank=1,op=1"),
+                  MemoryMode::kArchiveRows, FaultPlan::parse("kill:rank=1,op=1"),
                   fx.opt.num_top_alignments, &info);
   fx.expect_identical(res, "crash before first task");
   EXPECT_EQ(info.workers_lost, 1u);
@@ -379,33 +381,32 @@ TEST(ChaosTargeted, CrashMidBroadcastWindow) {
   ClusterRunInfo info;
   const auto res =
       run_faulted(fx.g.sequence, Scoring::protein_default(), 4,
-                  RowStorage::kMasterReplica, FaultPlan::parse("kill:rank=2,op=286"),
+                  MemoryMode::kArchiveRows, FaultPlan::parse("kill:rank=2,op=286"),
                   fx.opt.num_top_alignments, &info);
   fx.expect_identical(res, "crash mid broadcast");
   EXPECT_EQ(info.fault_stats.crashes, 1u);
   EXPECT_EQ(info.workers_lost, 1u);
 }
 
-TEST(ChaosTargeted, CrashDuringPartitionedRowFetch) {
-  // Partitioned mode: every deposit worker 1 makes is dropped, and it is
-  // killed mid-v0 — so every row it computed is simply gone. Worker 2's
-  // first two hellos are dropped, so worker 1 alone runs the first sweep
-  // until the kill (worker 2's retried hello lands 120 ms in). Consumers
-  // (including the master's traceback fetches) must re-route to the
-  // survivor, which rebuilds the lost rows from scratch.
+TEST(ChaosTargeted, SurvivorRealignsRowsOfDeadWorker) {
+  // Worker 2's first two hellos are dropped, so worker 1 alone runs the
+  // first sweep (worker 2's retried hello lands 120 ms in), and its rows
+  // reach the master's archive with its results. With one hello the first
+  // sweep ends at the master's op 279 and the first update goes out at ops
+  // 280-281, so the kill at op 285 falls among the first realignments. Every
+  // realignment worker 2 then runs is of a group worker 1 swept first, and
+  // needs that group's row as a replica from the master.
   ChaosFixture fx;
-  FaultPlan plan = FaultPlan::parse(
-      "kill:rank=1,op=150;drop:from=2,to=0,op=0;drop:from=2,to=0,op=1");
-  for (std::uint64_t op = 0; op < 80; ++op)
-    plan.events.push_back({FaultKind::kDrop, 1, 2, op, 0});
+  const FaultPlan plan = FaultPlan::parse(
+      "kill:rank=1,op=285;drop:from=2,to=0,op=0;drop:from=2,to=0,op=1");
   ClusterRunInfo info;
   const auto res =
       run_faulted(fx.g.sequence, Scoring::protein_default(), 3,
-                  RowStorage::kPartitioned, std::move(plan),
-                  fx.opt.num_top_alignments, &info);
-  fx.expect_identical(res, "crash during partitioned row fetch");
+                  MemoryMode::kArchiveRows, plan, fx.opt.num_top_alignments,
+                  &info);
+  fx.expect_identical(res, "survivor realigns a dead worker's groups");
   EXPECT_EQ(info.workers_lost, 1u);
-  EXPECT_GT(info.row_rebuilds, 0u);
+  EXPECT_GT(info.row_replicas_served, 0u);
 }
 
 TEST(ChaosTargeted, AllMessagesDelayed) {
@@ -423,7 +424,7 @@ TEST(ChaosTargeted, AllMessagesDelayed) {
   ClusterRunInfo info;
   const auto res =
       run_faulted(fx.g.sequence, Scoring::protein_default(), 3,
-                  RowStorage::kMasterReplica, std::move(plan),
+                  MemoryMode::kArchiveRows, std::move(plan),
                   fx.opt.num_top_alignments, &info);
   fx.expect_identical(res, "all messages delayed");
   EXPECT_GT(info.fault_stats.delays, 0u);
@@ -441,7 +442,7 @@ TEST(ChaosTargeted, MostWorkersCrashStaggered) {
   ClusterRunInfo info;
   const auto res =
       run_faulted(fx.g.sequence, Scoring::protein_default(), 8,
-                  RowStorage::kMasterReplica, std::move(plan),
+                  MemoryMode::kArchiveRows, std::move(plan),
                   fx.opt.num_top_alignments, &info);
   fx.expect_identical(res, "staggered mass crash");
   EXPECT_EQ(info.fault_stats.crashes, 6u);
@@ -459,7 +460,7 @@ TEST(ChaosTargeted, RecoveryCountersSurfaceInRunInfo) {
   ClusterRunInfo info;
   const auto res =
       run_faulted(fx.g.sequence, Scoring::protein_default(), 3,
-                  RowStorage::kMasterReplica, std::move(plan),
+                  MemoryMode::kArchiveRows, std::move(plan),
                   fx.opt.num_top_alignments, &info);
   fx.expect_identical(res, "assign drops");
   EXPECT_GT(info.fault_stats.injected(), 0u);
@@ -469,7 +470,7 @@ TEST(ChaosTargeted, RecoveryCountersSurfaceInRunInfo) {
 TEST(ChaosTargeted, PlanCrashingMasterIsRejected) {
   ChaosFixture fx;
   EXPECT_THROW(run_faulted(fx.g.sequence, Scoring::protein_default(), 3,
-                           RowStorage::kMasterReplica,
+                           MemoryMode::kArchiveRows,
                            FaultPlan::parse("crash:rank=0,op=5"),
                            fx.opt.num_top_alignments),
                std::logic_error);
@@ -478,7 +479,7 @@ TEST(ChaosTargeted, PlanCrashingMasterIsRejected) {
 TEST(ChaosTargeted, PlanKillingAllWorkersIsRejected) {
   ChaosFixture fx;
   EXPECT_THROW(run_faulted(fx.g.sequence, Scoring::protein_default(), 3,
-                           RowStorage::kMasterReplica,
+                           MemoryMode::kArchiveRows,
                            FaultPlan::parse("crash:rank=1,op=5;crash:rank=2,op=9"),
                            fx.opt.num_top_alignments),
                std::logic_error);
@@ -613,54 +614,6 @@ TEST(SlowSweeps, LateWorkerStartsWithTwiceTheLongestSweep) {
   ASSERT_EQ(run->messages_by_rank.size(), 3u);
   EXPECT_GT(run->messages_by_rank[2], 4u) << "rank 2 never swept";
   EXPECT_LE(run->misses, 2u);  // rank 1's first slow sweep only
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned-storage edge cases (previously untested).
-
-TEST(PartitionedEdge, SingleWorkerOwnsAllShardsFaultFree) {
-  // ranks == 2: one worker owns every row shard, so every row request it
-  // makes is against itself and no deposit ever crosses a rank boundary.
-  ChaosFixture fx;
-  ClusterRunInfo info;
-  const auto res = run_faulted(fx.g.sequence, Scoring::protein_default(), 2,
-                               RowStorage::kPartitioned, FaultPlan{},
-                               fx.opt.num_top_alignments, &info);
-  fx.expect_identical(res, "single-worker partitioned");
-  EXPECT_EQ(info.row_deposits, 0u);         // owner-services-own-request only
-  EXPECT_EQ(info.row_replicas_served, 0u);  // master serves nothing
-  EXPECT_EQ(info.fault_stats.injected(), 0u);
-}
-
-TEST(PartitionedEdge, SingleWorkerOwnsAllShardsUnderFaults) {
-  // Same topology under 20 seeded schedules (no crashes are ever generated
-  // for a single worker — the recovery regime needs a survivor).
-  ChaosFixture fx;
-  for (std::uint64_t seed = 100; seed < 120; ++seed) {
-    const auto plan = FaultPlan::from_seed(seed, 2);
-    EXPECT_TRUE(plan.crashed_ranks().empty()) << "seed " << seed;
-    ClusterRunInfo info;
-    const auto res = run_faulted(fx.g.sequence, Scoring::protein_default(), 2,
-                                 RowStorage::kPartitioned, plan,
-                                 fx.opt.num_top_alignments, &info);
-    std::string diff;
-    ASSERT_TRUE(core::same_tops(fx.reference.tops, res.tops, &diff))
-        << "seed " << seed << ": " << diff;
-    EXPECT_EQ(info.row_deposits, 0u);
-  }
-}
-
-TEST(PartitionedEdge, OwnerServicesOwnRequestsAcrossRanks) {
-  // With three workers each owner both serves peers and consumes its own
-  // shards; deposits must cross ranks while self-owned rows stay local.
-  ChaosFixture fx;
-  ClusterRunInfo info;
-  const auto res = run_faulted(fx.g.sequence, Scoring::protein_default(), 4,
-                               RowStorage::kPartitioned, FaultPlan{},
-                               fx.opt.num_top_alignments, &info);
-  fx.expect_identical(res, "multi-owner partitioned");
-  EXPECT_GT(info.row_deposits, 0u);
-  EXPECT_EQ(info.row_replicas_served, 0u);
 }
 
 }  // namespace

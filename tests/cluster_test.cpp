@@ -164,77 +164,6 @@ TEST(ClusterFinder, DeterministicAcrossRepeats) {
   }
 }
 
-class PartitionedClusterTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PartitionedClusterTest, PartitionedRowsMatchSequential) {
-  // §4.3's alternative storage scheme: rows partitioned over worker ranks,
-  // owners service peer requests. Results must stay identical.
-  const int ranks = GetParam();
-  const auto g = seq::synthetic_titin(240, 93);
-  FinderOptions opt;
-  opt.num_top_alignments = 7;
-  const auto scalar = align::make_engine(align::EngineKind::kScalar);
-  const auto reference = core::find_top_alignments(
-      g.sequence, Scoring::protein_default(), opt, *scalar);
-
-  ClusterOptions copt;
-  copt.ranks = ranks;
-  copt.row_storage = RowStorage::kPartitioned;
-  copt.finder = opt;
-  ClusterRunInfo info;
-  const auto res = find_top_alignments_cluster(
-      g.sequence, Scoring::protein_default(), copt,
-      align::engine_factory(align::EngineKind::kScalar), &info);
-  std::string diff;
-  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
-      << ranks << " ranks: " << diff;
-  if (ranks > 2) {
-    // With several workers, deposits must have crossed rank boundaries.
-    EXPECT_GT(info.row_deposits, 0u);
-    EXPECT_EQ(info.row_replicas_served, 0u);  // master serves nothing
-  }
-}
-
-TEST_P(PartitionedClusterTest, PartitionedWithSimdWorkers) {
-  const int ranks = GetParam();
-  const auto g = seq::synthetic_dna_tandem(160, 12, 7, 55);
-  FinderOptions opt;
-  opt.num_top_alignments = 5;
-  const auto scalar = align::make_engine(align::EngineKind::kScalar);
-  const auto reference = core::find_top_alignments(
-      g.sequence, Scoring::paper_example(), opt, *scalar);
-  ClusterOptions copt;
-  copt.ranks = ranks;
-  copt.row_storage = RowStorage::kPartitioned;
-  copt.finder = opt;
-  const auto res = find_top_alignments_cluster(
-      g.sequence, Scoring::paper_example(), copt,
-      align::engine_factory(align::EngineKind::kSimd8));
-  std::string diff;
-  EXPECT_TRUE(core::same_tops(reference.tops, res.tops, &diff))
-      << ranks << " ranks: " << diff;
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, PartitionedClusterTest,
-                         ::testing::Values(2, 3, 5, 8));
-
-TEST(ClusterFinder, PartitionedDeterministicAcrossRepeats) {
-  const auto g = seq::synthetic_titin(220, 94);
-  ClusterOptions copt;
-  copt.ranks = 5;
-  copt.row_storage = RowStorage::kPartitioned;
-  copt.finder.num_top_alignments = 6;
-  const auto factory = align::engine_factory(align::EngineKind::kScalar);
-  const auto first = find_top_alignments_cluster(
-      g.sequence, Scoring::protein_default(), copt, factory);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto res = find_top_alignments_cluster(
-        g.sequence, Scoring::protein_default(), copt, factory);
-    std::string diff;
-    EXPECT_TRUE(core::same_tops(first.tops, res.tops, &diff)) << diff;
-  }
-}
-
 TEST(ClusterFinder, MinScoreStopsEarly) {
   const auto s = seq::random_sequence(seq::Alphabet::dna(), 90, 6);
   ClusterOptions copt;

@@ -430,20 +430,16 @@ struct Threads {
 };
 
 /// Three ranks; kSeed > 0 injects that seeded fault schedule.
-template <cluster::RowStorage kStorage, int kSeed>
+template <int kSeed>
 struct Ranks {
   static std::string name() {
-    return std::string("Ranks3") +
-           (kStorage == cluster::RowStorage::kPartitioned ? "Partitioned"
-                                                           : "Replica") +
-           (kSeed > 0 ? "Faulted" : "");
+    return std::string("Ranks3Replica") + (kSeed > 0 ? "Faulted" : "");
   }
   static core::FinderResult run(const seq::Sequence& s, const Scoring& sc,
                                 const FinderOptions& opt,
                                 const align::EngineFactory& factory) {
     cluster::ClusterOptions copt;
     copt.ranks = 3;
-    copt.row_storage = kStorage;
     copt.finder = opt;
     if (kSeed > 0) copt.fault_plan = cluster::FaultPlan::from_seed(kSeed, 3);
     return cluster::find_top_alignments_cluster(s, sc, copt, factory);
@@ -454,10 +450,7 @@ template <typename Driver>
 class DriverMatrix : public ::testing::Test {};
 
 using Drivers =
-    ::testing::Types<Sequential, Threads<2>, Threads<4>,
-                     Ranks<cluster::RowStorage::kMasterReplica, 0>,
-                     Ranks<cluster::RowStorage::kPartitioned, 0>,
-                     Ranks<cluster::RowStorage::kMasterReplica, 5>>;
+    ::testing::Types<Sequential, Threads<2>, Threads<4>, Ranks<0>, Ranks<5>>;
 struct DriverName {
   template <typename T>
   static std::string GetName(int) {

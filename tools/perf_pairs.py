@@ -4,13 +4,17 @@
     python3 tools/perf_pairs.py --base HEAD~1 --workload titin-t4 \
         --seed 2003 --pairs 10 [--history BENCH_history.jsonl]
 
-Run from anywhere inside the repository. The base commit is unpacked with
-`git archive` into a temporary directory (under $TMPDIR), so its perfbench
-build and reference cache are its own. Each pair runs
+Run from anywhere inside the repository. Both sides are unpacked with
+`git archive` into sibling directories of one temporary directory (under
+$TMPDIR), `base` and `head`, whose paths have equal length: the base
+commit, and the working tree as a tree object (HEAD plus every uncommitted
+change, untracked files included and ignored ones left out). So each side
+builds perfbench and caches its reference the same way, from a fresh copy
+at the same depth. Each pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in the base copy and once in the working tree, with T the
+once in each copy, with T the
 run_seconds of BENCHMARK.json, alternating which side runs first so that
 drifts in host speed fall on both sides alike. The script prints each
 pair's end-to-end metrics (the `end_to_end` list of BENCHMARK.json), then
@@ -21,7 +25,7 @@ than the base's IQR. With --history the same summary is appended to the
 given file as one JSON line (base ref, head, workload, seed, pairs, and per
 metric the medians, IQRs, change, wins and verdict). A run that fails or
 reports an incorrect call stops the script with a non-zero exit and writes
-no record. The temporary copy is removed at the end.
+no record. The temporary copies are removed at the end.
 """
 
 import argparse
@@ -53,6 +57,23 @@ def unpack(ref, into):
     archive = subprocess.run(["git", "archive", "--format=tar", ref],
                              cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def working_tree():
+    """A tree object holding the working tree: HEAD with every uncommitted
+    change applied, untracked files included, ignored ones left out. A
+    private index keeps the repository's own index untouched."""
+    with tempfile.TemporaryDirectory() as d:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(d, "index"))
+
+        def git(*argv):
+            return subprocess.run(["git", *argv], cwd=ROOT, env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.strip()
+
+        git("read-tree", "HEAD")
+        git("add", "-A")
+        return git("write-tree")
 
 
 def run_once(root, args, seconds):
@@ -180,11 +201,14 @@ def main():
     tmp = tempfile.mkdtemp(prefix="perf_pairs_")
     try:
         base_root = os.path.join(tmp, "base")
+        head_root = os.path.join(tmp, "head")
         unpack(args.base, base_root)
-        log(f"base {args.base} unpacked in {base_root}")
+        unpack(working_tree(), head_root)
+        log(f"base {args.base} unpacked in {base_root}, "
+            f"the working tree in {head_root}")
         pairs = []
         for k in range(args.pairs):
-            order = [("base", base_root), ("head", ROOT)]
+            order = [("base", base_root), ("head", head_root)]
             if k % 2:
                 order.reverse()
             pair = {side: run_once(root, args, seconds)

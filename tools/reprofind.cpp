@@ -154,9 +154,6 @@ int cmd_find(int argc, char** argv) {
                    {"ranks",
                     "simulated cluster ranks incl. master (default 1 = no "
                     "cluster; excludes --threads)"},
-                   {"row-storage",
-                    "cluster bottom-row placement: replica (default) | "
-                    "partitioned"},
                    {"fault-seed",
                     "inject a seeded fault schedule into the cluster run "
                     "(drops/delays/dups/crashes; recovery keeps output "
@@ -199,10 +196,6 @@ int cmd_find(int argc, char** argv) {
   REPRO_CHECK_MSG(ranks >= 1, "--ranks must be >= 1");
   REPRO_CHECK_MSG(threads == 1 || ranks == 1,
                   "--threads and --ranks are mutually exclusive");
-  const std::string row_storage_name = args.get("row-storage", "replica");
-  REPRO_CHECK_MSG(
-      row_storage_name == "replica" || row_storage_name == "partitioned",
-      "--row-storage must be replica or partitioned");
   REPRO_CHECK_MSG(!(args.has("fault-seed") && args.has("fault-plan")),
                   "--fault-seed and --fault-plan are mutually exclusive");
   REPRO_CHECK_MSG(!(args.has("fault-seed") || args.has("fault-plan")) ||
@@ -210,9 +203,6 @@ int cmd_find(int argc, char** argv) {
                   "fault injection needs a cluster run (--ranks > 1)");
   cluster::ClusterOptions copt;
   copt.ranks = ranks;
-  copt.row_storage = row_storage_name == "partitioned"
-                         ? cluster::RowStorage::kPartitioned
-                         : cluster::RowStorage::kMasterReplica;
   if (args.has("fault-seed"))
     copt.fault_plan = cluster::FaultPlan::from_seed(
         static_cast<std::uint64_t>(args.get_int("fault-seed", 0)), ranks);
@@ -246,13 +236,11 @@ int cmd_find(int argc, char** argv) {
       cluster_total.messages += info.messages;
       cluster_total.payload_words += info.payload_words;
       cluster_total.row_replicas_served += info.row_replicas_served;
-      cluster_total.row_deposits += info.row_deposits;
       cluster_faults_injected += info.fault_stats.injected();
       cluster_total.retries += info.retries;
       cluster_total.reassignments += info.reassignments;
       cluster_total.heartbeat_misses += info.heartbeat_misses;
       cluster_total.stale_results += info.stale_results;
-      cluster_total.row_rebuilds += info.row_rebuilds;
       cluster_total.sync_requests += info.sync_requests;
       cluster_total.workers_lost += info.workers_lost;
       cluster_total.messages_by_rank.resize(info.messages_by_rank.size());
@@ -319,21 +307,18 @@ int cmd_find(int argc, char** argv) {
     report.param("threads", threads);
     if (ranks > 1) {
       report.param("ranks", ranks);
-      report.param("row_storage", row_storage_name);
       if (!copt.fault_plan.empty())
         report.param("fault_plan", copt.fault_plan.to_string());
       report.counter("cluster_messages", cluster_total.messages);
       report.counter("cluster_payload_words", cluster_total.payload_words);
       report.counter("cluster_row_replicas_served",
                      cluster_total.row_replicas_served);
-      report.counter("cluster_row_deposits", cluster_total.row_deposits);
       report.counter("cluster_faults_injected", cluster_faults_injected);
       report.counter("cluster_retries", cluster_total.retries);
       report.counter("cluster_reassignments", cluster_total.reassignments);
       report.counter("cluster_heartbeat_misses",
                      cluster_total.heartbeat_misses);
       report.counter("cluster_stale_results", cluster_total.stale_results);
-      report.counter("cluster_row_rebuilds", cluster_total.row_rebuilds);
       report.counter("cluster_sync_requests", cluster_total.sync_requests);
       report.counter("cluster_workers_lost", cluster_total.workers_lost);
       for (std::size_t k = 0; k < cluster_total.messages_by_rank.size(); ++k) {
